@@ -55,7 +55,6 @@ class ClassParams:
     eps: Optional[float] = None
     delta: Optional[float] = None
     rho: Optional[float] = None
-    M: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.s < 1 or self.k < 1:

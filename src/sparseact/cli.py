@@ -79,6 +79,13 @@ def _load_net(path: str) -> SparseNet:
         return SparseNet.from_json(fh.read())
 
 
+def _thread_count(text: str) -> int:
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {threads}")
+    return threads
+
+
 def _parse_ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip() != ""]
 
@@ -96,6 +103,11 @@ def _read_dataset_csv(path: str) -> list[LabeledSample]:
         n = len(header) - 1
         samples = []
         for row in reader:
+            if len(row) <= n:
+                raise ValueError(
+                    f"dataset CSV line {reader.line_num} has {len(row)} fields, "
+                    f"expected {n + 1}"
+                )
             signs = [int(float(v)) for v in row[:n]]
             samples.append(LabeledSample(CubePoint.from_signs(signs), float(row[n])))
     if not samples:
@@ -190,8 +202,10 @@ _PARAM_COLUMNS = ["n", "s", "k", "W", "B", "R", "m", "eps", "delta", "rho"]
 def _cmd_bounds_table(args) -> int:
     with open(args.grid, "r", encoding="utf-8") as fh:
         records = json.load(fh)
-    if not isinstance(records, list):
-        raise ValueError("grid JSON must be a list of parameter records")
+    if not isinstance(records, list) or not all(
+        isinstance(rec, dict) and "n" in rec and "s" in rec for rec in records
+    ):
+        raise ValueError("grid JSON must be a list of parameter records with n and s")
     measured_keys = sorted(
         {key for rec in records for key in rec if key.startswith("measured_")}
     )
@@ -387,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", default="", help="comma-separated correlations")
     p.add_argument("--trials", type=int, default=0, help="Monte-Carlo trials")
     p.add_argument("--seed", type=int, help="seed (required with --trials)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     add_common(p, fmt=True)
     p.set_defaults(fn=_cmd_sensitivity)
 
@@ -404,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="seed for generated data")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--ridge", type=float, default=1e-10)
-    p.add_argument("--threads", type=int, default=1)
     add_common(p)
     p.set_defaults(fn=_cmd_learn_low_degree)
 
@@ -415,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True, help="target hidden-unit count")
     p.add_argument("--grid-m", type=int, required=True, help="integer weight bound")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--threads", type=int, default=1)
     add_common(p)
     p.set_defaults(fn=_cmd_learn_dlist)
 
@@ -428,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=["auto", "exact", "mc"], default="mc")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     add_common(p, fmt=True)
     p.set_defaults(fn=_cmd_rademacher)
 

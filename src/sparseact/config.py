@@ -21,7 +21,8 @@ MC_SIGMA = 4.0
 MAX_TABULATE_N = 20
 
 # Exhaustive sparsity scans walk indices without materialising the full
-# sign table, so they stretch a little further.
+# sign table, so they stretch a little further.  This is also the largest
+# dimension of a CubePoint or Subset.
 MAX_EXHAUSTIVE_N = 24
 
 # Edge-decomposition of average sensitivity keeps per-unit activation

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError
-from .hypercube import CubePoint
+from .hypercube import CubePoint, sign_table
 from .network import SparseNet
 
 MAX_JUNTA_P = 20
@@ -22,17 +22,6 @@ MAX_INDEX_BITS = 10
 MAX_LIFT_M = 12
 MAX_GATE_BITS = 8
 MAX_PAYLOAD_DIM = 16
-
-
-def _sign_patterns(p: int) -> np.ndarray:
-    """All 2^p sign patterns, row t encoding +1 where bit j of t is 0.
-
-    Matches the cube-point index encoding restricted to p coordinates, so a
-    truth table indexed this way agrees with array order on the cube.
-    """
-    t = np.arange(1 << p, dtype=np.int64)
-    bits = (t[:, None] >> np.arange(p)) & 1
-    return (1 - 2 * bits).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -97,7 +86,7 @@ def junta_to_net(spec: JuntaSpec) -> SparseNet:
     w = np.zeros((s, spec.n))
     if p > 0:
         cols = [i - 1 for i in spec.relevant]
-        w[:, cols] = _sign_patterns(p)
+        w[:, cols] = sign_table(p)
     b = np.full(s, float(p - 1))
     return SparseNet(n=spec.n, s=s, k=1, u=spec.table.copy(), w=w, b=b)
 

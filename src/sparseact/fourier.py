@@ -10,16 +10,13 @@ Exactness at desk scale is the point: everything here is capped at n <= 20
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
 from .config import MAX_TABULATE_N, MC_CHUNK
 from .errors import CapacityError
-from .hypercube import CubePoint
+from .hypercube import CubePoint, index_signs, pack_bits
 from .parallel import mean_and_stderr, run_chunked
-
-Evaluable = Union["CubeFunction", Callable[[CubePoint], float]]
 
 
 @dataclass(frozen=True)
@@ -78,12 +75,28 @@ class Spectrum:
         return float(np.sum(self.coeffs**2))
 
 
+def values_at(f, n: int, idx) -> np.ndarray:
+    """f at the packed indices ``idx`` of {-1,+1}^n, as float64.
+
+    A CubeFunction is looked up; anything with an
+    ``eval_batch((N, n) signs) -> (N,)`` method (networks, monomial models,
+    decision lists) gets the unpacked sign rows; any other callable is
+    called once per CubePoint.
+    """
+    if isinstance(f, CubeFunction):
+        if f.n != n:
+            raise ValueError(f"function has n={f.n}, requested {n}")
+        return f.values[idx]
+    if hasattr(f, "eval_batch"):
+        return np.asarray(f.eval_batch(index_signs(idx, n)), dtype=np.float64)
+    return np.array([f(CubePoint(n, int(u))) for u in idx], dtype=np.float64)
+
+
 def tabulate(f, n: int) -> CubeFunction:
     """Evaluate f on every cube point in index order.
 
-    Accepts a CubeFunction (returned as-is), anything with an
-    ``eval_batch((N, n) signs) -> (N,)`` method (networks, monomial models),
-    or a plain callable on CubePoint.
+    Accepts anything :func:`values_at` does; a CubeFunction is returned
+    as-is.
     """
     if isinstance(f, CubeFunction):
         if f.n != n:
@@ -92,16 +105,10 @@ def tabulate(f, n: int) -> CubeFunction:
     if n > MAX_TABULATE_N:
         raise CapacityError(f"tabulation needs n <= {MAX_TABULATE_N}, got {n}")
     size = 1 << n
-    if hasattr(f, "eval_batch"):
-        values = np.empty(size)
-        chunk = 1 << 16
-        for lo in range(0, size, chunk):
-            hi = min(lo + chunk, size)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            bits = (idx[:, None] >> np.arange(n)) & 1
-            values[lo:hi] = f.eval_batch(1 - 2 * bits)
-        return CubeFunction(n, values)
-    values = np.array([f(CubePoint(n, u)) for u in range(size)], dtype=np.float64)
+    values = np.empty(size)
+    chunk = 1 << 16
+    for lo in range(0, size, chunk):
+        values[lo : lo + chunk] = values_at(f, n, np.arange(lo, min(lo + chunk, size)))
     return CubeFunction(n, values)
 
 
@@ -188,10 +195,11 @@ def noise_sensitivity_mc(
     """Monte-Carlo noise sensitivity: mean of (f(x) - f(y))^2 / 4 with y
     a (1-rho)/2-noisy copy of a uniform x.  Returns (estimate, stderr).
 
-    ``f`` may be a CubeFunction, anything with ``eval_batch``, or a callable
-    on CubePoint (the latter two need ``n``).  Trials are processed in fixed
-    chunks with generators spawned from ``rng``, so the result is identical
-    for any thread count.
+    ``f`` is anything :func:`values_at` accepts; all but a CubeFunction
+    need ``n`` (or an ``.n`` attribute).  Points are drawn as packed int64
+    indices, so n <= 62.  Trials are processed in fixed chunks with
+    generators spawned from ``rng``, so the result is identical for any
+    thread count, and a function draws the same stream as its table.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -200,33 +208,19 @@ def noise_sensitivity_mc(
     if isinstance(f, CubeFunction):
         dim = f.n
     else:
-        if n is None:
-            dim = getattr(f, "n", None)
-            if dim is None:
-                raise ValueError("pass n for callables without an .n attribute")
-        else:
-            dim = n
+        dim = getattr(f, "n", None) if n is None else n
+        if dim is None:
+            raise ValueError("pass n for callables without an .n attribute")
+    if dim > 62:
+        raise CapacityError(f"int64-packed sampling needs n <= 62, got {dim}")
     flip_p = (1.0 - rho) / 2.0
 
     def worker(lo: int, hi: int, crng: np.random.Generator) -> np.ndarray:
         count = hi - lo
-        if isinstance(f, CubeFunction):
-            xs = crng.integers(0, 1 << dim, size=count)
-            flips = crng.random((count, dim)) < flip_p
-            masks = flips.astype(np.int64) @ (np.int64(1) << np.arange(dim))
-            fx = f.values[xs]
-            fy = f.values[xs ^ masks]
-        else:
-            X = 1 - 2 * crng.integers(0, 2, size=(count, dim))
-            flips = crng.random((count, dim)) < flip_p
-            Y = np.where(flips, -X, X)
-            if hasattr(f, "eval_batch"):
-                fx = f.eval_batch(X)
-                fy = f.eval_batch(Y)
-            else:
-                fx = np.array([f(CubePoint.from_signs(row)) for row in X])
-                fy = np.array([f(CubePoint.from_signs(row)) for row in Y])
-        return 0.25 * (fx - fy) ** 2
+        xs = crng.integers(0, 1 << dim, size=count)
+        flips = crng.random((count, dim)) < flip_p
+        masks = pack_bits(flips)
+        return 0.25 * (values_at(f, dim, xs) - values_at(f, dim, xs ^ masks)) ** 2
 
     samples = run_chunked(worker, trials, rng, threads=threads, chunk=MC_CHUNK)
     return mean_and_stderr(samples)

@@ -10,7 +10,8 @@ which makes the fast Walsh-Hadamard transform and exhaustive scans line up
 with plain array indexing.
 
 Coordinates are 1-indexed throughout the public API; only storage is
-0-indexed.
+0-indexed.  ``index_signs`` and ``pack_bits`` are the only converters
+between packed indices and sign rows; everything else goes through them.
 """
 
 from __future__ import annotations
@@ -20,12 +21,33 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-MAX_DIM = 24
+from .config import MAX_EXHAUSTIVE_N
 
 
 def _check_dim(n: int) -> None:
-    if not 1 <= n <= MAX_DIM:
-        raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {n}")
+    if not 1 <= n <= MAX_EXHAUSTIVE_N:
+        raise ValueError(f"dimension must be in [1, {MAX_EXHAUSTIVE_N}], got {n}")
+
+
+def index_signs(idx, n: int) -> np.ndarray:
+    """Coordinates of packed indices: int8 +-1 rows of shape idx.shape + (n,)."""
+    bits = np.asarray(idx, dtype=np.int64)[..., None] >> np.arange(n, dtype=np.int64)
+    bits &= 1
+    signs = bits.astype(np.int8)
+    signs *= -2
+    signs += 1
+    return signs
+
+
+# Place values 2^i of the 63 bits a non-negative int64 index holds; built
+# once because the scalar samplers pack on every call.
+_PLACE_VALUES = np.int64(1) << np.arange(63, dtype=np.int64)
+
+
+def pack_bits(bits) -> np.ndarray:
+    """Packed indices of bit rows along the last axis; bit 1 means coordinate -1."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits @ _PLACE_VALUES[: bits.shape[-1]]
 
 
 @dataclass(frozen=True)
@@ -46,13 +68,10 @@ class CubePoint:
     def from_signs(cls, signs: Iterable[int]) -> "CubePoint":
         """Build a point from an iterable of +-1 signs (coordinate order)."""
         signs = list(signs)
-        index = 0
-        for pos, s in enumerate(signs):
-            if s == -1:
-                index |= 1 << pos
-            elif s != 1:
-                raise ValueError(f"coordinate {pos + 1} is {s}, expected +-1")
-        return cls(len(signs), index)
+        bad = [pos for pos, s in enumerate(signs) if s != 1 and s != -1]
+        if bad:
+            raise ValueError(f"coordinate {bad[0] + 1} is {signs[bad[0]]}, expected +-1")
+        return cls(len(signs), int(pack_bits([s == -1 for s in signs])))
 
     def sign(self, i: int) -> int:
         """Coordinate i in {-1,+1} (1-indexed)."""
@@ -62,8 +81,7 @@ class CubePoint:
 
     def signs(self) -> np.ndarray:
         """All coordinates as an int8 array of +-1, length n."""
-        bits = (self.index >> np.arange(self.n)) & 1
-        return (1 - 2 * bits).astype(np.int8)
+        return index_signs(self.index, self.n)
 
     def flip(self, i: int) -> "CubePoint":
         """The point with coordinate i negated (1-indexed)."""
@@ -128,17 +146,12 @@ def sign_table(n: int) -> np.ndarray:
     Row u is CubePoint(n, u).signs().  Memory: 2^n * n bytes.
     """
     _check_dim(n)
-    idx = np.arange(1 << n, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n)) & 1
-    return (1 - 2 * bits).astype(np.int8)
+    return index_signs(np.arange(1 << n), n)
 
 
 def pack_signs(signs: np.ndarray) -> np.ndarray:
     """Packed indices for an (N, n) array of +-1 signs (vectorized)."""
-    signs = np.asarray(signs)
-    n = signs.shape[-1]
-    bits = (signs < 0).astype(np.int64)
-    return bits @ (np.int64(1) << np.arange(n, dtype=np.int64))
+    return pack_bits(np.asarray(signs) < 0)
 
 
 def sample_uniform(n: int, rng: np.random.Generator) -> CubePoint:
@@ -155,8 +168,7 @@ def sample_noisy(x: CubePoint, rho: float, rng: np.random.Generator) -> CubePoin
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
     flips = rng.random(x.n) < (1.0 - rho) / 2.0
-    mask = int(pack_signs((1 - 2 * flips.astype(np.int64))[None, :])[0])
-    return CubePoint(x.n, x.index ^ mask)
+    return CubePoint(x.n, x.index ^ int(pack_bits(flips)))
 
 
 def sample_bucket_pair(
@@ -181,12 +193,9 @@ def sample_bucket_pair(
     v = rng.integers(0, 2, size=r)  # per-bucket sign bits
     b = int(rng.integers(0, r))
 
-    x_bits = z ^ v[buckets]
-    y_bits = x_bits ^ (buckets == b).astype(np.int64)
-    weights = np.int64(1) << np.arange(n, dtype=np.int64)
-    x = CubePoint(n, int(x_bits @ weights))
-    y = CubePoint(n, int(y_bits @ weights))
-    return x, y, r, b + 1
+    x = int(pack_bits(z ^ v[buckets]))
+    y = x ^ int(pack_bits(buckets == b))
+    return CubePoint(n, x), CubePoint(n, y), r, b + 1
 
 
 def spawn_rngs(master_seed: int, count: int) -> list[np.random.Generator]:

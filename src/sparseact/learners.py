@@ -14,13 +14,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import MAX_MONOMIALS
 from .errors import CapacityError, InconsistentDataError, NoConsistentListError
-from .hypercube import CubePoint, Subset
+from .fourier import tabulate, values_at
+from .hypercube import CubePoint, Subset, index_signs
 
 MAX_LIST_N = 6
 MAX_LIST_M = 2
@@ -102,14 +103,15 @@ class MonomialModel:
 
 
 def _check_data(data: Sequence[LabeledSample]) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, packed indices, labels) of a nonempty dataset on one dimension."""
     if not data:
         raise ValueError("data must be nonempty")
     n = data[0].x.n
     if any(s.x.n != n for s in data):
         raise ValueError("samples have inconsistent input dimensions")
-    X = np.array([s.x.signs() for s in data], dtype=np.float64)
+    idx = np.array([s.x.index for s in data], dtype=np.int64)
     y = np.array([s.y for s in data], dtype=np.float64)
-    return n, X, y
+    return n, idx, y
 
 
 def fit_low_degree(
@@ -122,7 +124,8 @@ def fit_low_degree(
     orthogonal and the solution equals the truncated Fourier expansion.
     Deterministic for fixed inputs.
     """
-    n, X, y = _check_data(data)
+    n, idx, y = _check_data(data)
+    X = index_signs(idx, n).astype(np.float64)
     if not 0 <= d <= n:
         raise ValueError(f"degree must lie in [0, {n}], got {d}")
     if ridge < 0:
@@ -230,7 +233,8 @@ def fit_decision_list(
     Raises NoConsistentListError when a round finds no qualifying gate, and
     InconsistentDataError when duplicate inputs disagree beyond tol.
     """
-    n, X, y = _check_data(data)
+    n, idx, y = _check_data(data)
+    X = index_signs(idx, n).astype(np.float64)
     if s < 1:
         raise ValueError(f"target unit count must be >= 1, got {s}")
     if M < 1:
@@ -301,42 +305,26 @@ class LossReport:
 
 
 def evaluate_loss(predictor, data: Sequence[LabeledSample]) -> LossReport:
-    """Mean loss of a predictor (anything with .eval, or a callable)."""
-    if not data:
-        raise ValueError("data must be nonempty")
-    if hasattr(predictor, "eval_batch"):
-        X = np.array([s.x.signs() for s in data], dtype=np.float64)
-        preds = predictor.eval_batch(X)
-    else:
-        fn: Callable[[CubePoint], float] = (
-            predictor.eval if hasattr(predictor, "eval") else predictor
-        )
-        preds = np.array([fn(s.x) for s in data])
-    y = np.array([s.y for s in data])
+    """Mean loss of a predictor (anything :func:`~sparseact.fourier.values_at`
+    accepts: a CubeFunction, a model with eval_batch, or a callable)."""
+    n, idx, y = _check_data(data)
+    preds = values_at(predictor, n, idx)
     return LossReport(mse=float(np.mean(0.5 * (preds - y) ** 2)), count=len(data))
 
 
 def sample_uniform_dataset(
     f, n: int, m: int, rng: np.random.Generator
 ) -> list[LabeledSample]:
-    """m uniform inputs labeled by f (eval_batch, .eval, or plain callable)."""
+    """m uniform inputs labeled by f (anything ``values_at`` accepts)."""
     if m < 1:
         raise ValueError(f"need at least one sample, got {m}")
     idx = rng.integers(0, 1 << n, size=m)
-    points = [CubePoint(n, int(u)) for u in idx]
-    if hasattr(f, "eval_batch"):
-        X = np.array([p.signs() for p in points], dtype=np.float64)
-        labels = f.eval_batch(X)
-    else:
-        fn = f.eval if hasattr(f, "eval") else f
-        labels = [fn(p) for p in points]
-    return [LabeledSample(p, float(v)) for p, v in zip(points, labels)]
+    labels = values_at(f, n, idx)
+    return [LabeledSample(CubePoint(n, int(u)), float(v)) for u, v in zip(idx, labels)]
 
 
 def full_cube_dataset(f, n: int) -> list[LabeledSample]:
     """Every point of the cube labeled by f, in index order."""
-    from .fourier import tabulate
-
     table = tabulate(f, n)
     return [
         LabeledSample(CubePoint(n, u), float(v)) for u, v in enumerate(table.values)

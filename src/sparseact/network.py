@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import MAX_EXHAUSTIVE_N, MAX_SPLIT_N
 from .errors import CapacityError
-from .hypercube import CubePoint, sign_table
+from .hypercube import CubePoint, index_signs, sign_table
 
 _SCAN_CHUNK = 1 << 16
 
@@ -132,6 +132,8 @@ class SparseNet:
     @classmethod
     def from_json(cls, text: str) -> "SparseNet":
         d = json.loads(text)
+        if not isinstance(d, dict) or not {"n", "s", "k", "u", "w", "b"} <= d.keys():
+            raise ValueError("net JSON must be an object with keys n, s, k, u, w, b")
         return cls(
             n=int(d["n"]),
             s=int(d["s"]),
@@ -189,10 +191,10 @@ def verify_sparsity(
             points = list(support)
             if not points:
                 raise ValueError("support must contain at least one point")
-            X = np.array([p.signs() for p in points], dtype=np.int8)
-            if X.shape[1:] != (net.n,):
+            if any(p.n != net.n for p in points):
                 raise ValueError("support points do not match the net dimension")
-            counts = net.active_counts(X)
+            idx = np.array([p.index for p in points], dtype=np.int64)
+            counts = net.active_counts(index_signs(idx, net.n))
             over = counts > k
             witness = points[int(np.argmax(over))] if over.any() else None
             return SparsityReport(
@@ -211,13 +213,9 @@ def verify_sparsity(
         witness: Optional[CubePoint] = None
         violations = 0
         for lo in range(0, total, _SCAN_CHUNK):
-            hi = min(lo + _SCAN_CHUNK, total)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            bits = (idx[:, None] >> np.arange(net.n)) & 1
-            counts = net.active_counts(1 - 2 * bits)
-            chunk_max = int(counts.max())
-            if chunk_max > max_active:
-                max_active = chunk_max
+            idx = np.arange(lo, min(lo + _SCAN_CHUNK, total), dtype=np.int64)
+            counts = net.active_counts(index_signs(idx, net.n))
+            max_active = max(max_active, int(counts.max()))
             over = counts > k
             violations += int(over.sum())
             if witness is None and over.any():
@@ -233,8 +231,7 @@ def verify_sparsity(
         if count is None or rng is None:
             raise ValueError("sampled mode needs count and rng")
         idx = rng.integers(0, 1 << net.n, size=count)
-        bits = (idx[:, None] >> np.arange(net.n)) & 1
-        counts = net.active_counts(1 - 2 * bits)
+        counts = net.active_counts(index_signs(idx, net.n))
         over = counts > k
         witness = None
         if over.any():

@@ -18,6 +18,7 @@ from . import bounds
 from .config import MAX_EXACT_RADEMACHER_M, MC_CHUNK
 from .constructions import JuntaSpec, junta_to_net
 from .errors import CapacityError
+from .fourier import values_at
 from .hypercube import CubePoint, sign_table
 from .network import SparseNet, verify_sparsity
 from .parallel import mean_and_stderr, run_chunked
@@ -44,14 +45,8 @@ class HypothesisPool:
             raise ValueError("sample must be nonempty")
         if any(x.n != self.n for x in S):
             raise ValueError("sample points do not match the pool dimension")
-        X = np.array([x.signs() for x in S], dtype=np.float64)
-        rows = []
-        for h in self.members:
-            if hasattr(h, "eval_batch"):
-                rows.append(h.eval_batch(X))
-            else:
-                rows.append(np.array([h(x) for x in S], dtype=np.float64))
-        return np.array(rows)
+        idx = np.array([x.index for x in S])
+        return np.array([values_at(h, self.n, idx) for h in self.members])
 
 
 @dataclass(frozen=True)

@@ -228,3 +228,49 @@ class TestThreadDeterminism:
                         "--threads", threads, "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestBadInput:
+    """Malformed inputs end in one error line and exit 2, never a traceback."""
+
+    def assert_one_error_line(self, capsys, rc):
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_short_dataset_row(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,y\n1,1,0.5\n1,-1\n")
+        rc = run(["learn-low-degree", "--data", str(data), "--degree", "1"])
+        self.assert_one_error_line(capsys, rc)
+
+    @pytest.mark.parametrize("command", ["transform", "sensitivity"])
+    def test_net_json_missing_key(self, tmp_path, capsys, command):
+        _, path = write_net(tmp_path)
+        payload = json.loads(path.read_text())
+        del payload["b"]
+        path.write_text(json.dumps(payload))
+        self.assert_one_error_line(capsys, run([command, "--net", str(path)]))
+
+    def test_grid_record_without_s(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"n": 10, "s": 4}, {"n": 10}]))
+        self.assert_one_error_line(capsys, run(["bounds-table", "--grid", str(grid)]))
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_below_one_rejected(self, tmp_path, threads):
+        _, path = write_net(tmp_path)
+        assert run(["sensitivity", "--net", str(path), "--rho", "0.5",
+                    "--trials", "100", "--seed", "1", "--threads", threads]) == 2
+        assert run(["rademacher", "--n", "5", "--s", "4", "--pool-count", "2",
+                    "--m-grid", "8", "--trials", "100", "--seed", "1",
+                    "--threads", threads]) == 2
+
+    def test_learners_take_no_threads(self, tmp_path):
+        _, path = write_net(tmp_path)
+        assert run(["learn-low-degree", "--net", str(path), "--samples", "50",
+                    "--seed", "1", "--degree", "1", "--threads", "1"]) == 2
+        assert run(["learn-dlist", "--net", str(path), "--full-cube", "--s", "2",
+                    "--grid-m", "1", "--threads", "1"]) == 2

@@ -14,6 +14,7 @@ from sparseact import (
     CapacityError,
     CubeFunction,
     CubePoint,
+    SparseNet,
     Subset,
     avg_sensitivity_exact,
     character,
@@ -26,6 +27,8 @@ from sparseact import (
     tail_mass,
     wht,
 )
+from sparseact.config import REL_TOL_EXACT
+from sparseact.fourier import values_at
 from sparseact.hypercube import sign_table
 
 
@@ -258,6 +261,41 @@ class TestNoiseSensitivityMc:
         )
         exact = 0.375
         assert abs(est - exact) <= 4 * err
+
+
+class TestValuesAt:
+    def test_table_net_and_callable_agree(self):
+        rng = np.random.default_rng(23)
+        net = random_net(rng, 7, 5)
+        idx = rng.integers(0, 1 << 7, size=300)
+        want = np.array([net.eval(CubePoint(7, int(u))) for u in idx])
+        for f in (tabulate(net, 7), net, net.eval):
+            got = values_at(f, 7, idx)
+            assert got.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=REL_TOL_EXACT, atol=REL_TOL_EXACT)
+
+    def test_table_dimension_must_match(self):
+        with pytest.raises(ValueError):
+            values_at(CubeFunction(3, np.zeros(8)), 4, np.arange(4))
+
+    def test_mc_on_net_and_callable_draws_the_table_stream(self):
+        rng = np.random.default_rng(24)
+        net = random_net(rng, 9, 6)
+        table = tabulate(net, 9)
+        for rho in (-0.3, 0.5):
+            on_table = noise_sensitivity_mc(table, rho, 40_000, np.random.default_rng(25))
+            on_net = noise_sensitivity_mc(
+                net, rho, 40_000, np.random.default_rng(25), threads=2
+            )
+            assert on_net == pytest.approx(on_table, rel=REL_TOL_EXACT)
+        on_table = noise_sensitivity_mc(table, 0.5, 3000, np.random.default_rng(26))
+        on_call = noise_sensitivity_mc(net.eval, 0.5, 3000, np.random.default_rng(26), n=9)
+        assert on_call == pytest.approx(on_table, rel=REL_TOL_EXACT)
+
+    def test_mc_past_int64_packing_is_capacity_error(self):
+        net = SparseNet(n=63, s=1, k=1, u=np.ones(1), w=np.ones((1, 63)), b=np.zeros(1))
+        with pytest.raises(CapacityError, match="62"):
+            noise_sensitivity_mc(net, 0.5, 10, np.random.default_rng(0))
 
 
 class TestHalfspaceTrend:

@@ -14,7 +14,7 @@ from sparseact import (
     sample_uniform,
     spawn_rngs,
 )
-from sparseact.hypercube import pack_signs, sign_table
+from sparseact.hypercube import index_signs, pack_bits, pack_signs, sign_table
 
 
 class TestCubePoint:
@@ -65,6 +65,28 @@ class TestCubePoint:
             CubePoint.from_signs([1, 0])
         with pytest.raises(ValueError):
             CubePoint(2, 4)
+
+
+class TestEncodingKernels:
+    @given(st.integers(1, 24), st.data())
+    @settings(deadline=None)
+    def test_index_signs_matches_points_and_pack_bits_inverts(self, n, data):
+        idx = np.array(
+            data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16)),
+            dtype=np.int64,
+        )
+        signs = index_signs(idx, n)
+        assert signs.dtype == np.int8 and signs.shape == (idx.size, n)
+        for row, u in zip(signs, idx):
+            x = CubePoint(n, int(u))
+            assert [int(s) for s in row] == [x.sign(i) for i in range(1, n + 1)]
+        assert np.array_equal(pack_bits(signs < 0), idx)
+
+    def test_index_signs_keeps_the_index_shape(self):
+        assert index_signs(5, 3).tolist() == [-1, 1, -1]
+        grid = index_signs(np.arange(8).reshape(2, 4), 3)
+        assert grid.shape == (2, 4, 3)
+        assert np.array_equal(grid.reshape(8, 3), sign_table(3))
 
 
 class TestCharacter:

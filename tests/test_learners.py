@@ -285,6 +285,15 @@ class TestEvaluateLoss:
         with pytest.raises(ValueError):
             evaluate_loss(lambda x: 0.0, [])
 
+    def test_net_table_and_callable_agree(self):
+        net = junta_to_net(JuntaSpec(n=6, relevant=(2, 5), table=[0.5, -1.0, 0.25, 2.0]))
+        forms = (net, tabulate(net, 6), net.eval)
+        datasets = [sample_uniform_dataset(f, 6, 200, np.random.default_rng(9)) for f in forms]
+        assert datasets[0] == datasets[1] == datasets[2]
+        data = [LabeledSample(s.x, 0.0) for s in datasets[0]]
+        losses = [evaluate_loss(f, data).mse for f in forms]
+        assert losses[0] > 0 and losses[0] == losses[1] == losses[2]
+
     def test_holdout_loss_bounded_by_tail_mass(self):
         # realizable labels, model = truncated expansion fit on the cube:
         # expected loss is tail/2, allow 4 sigma of sampling slack
