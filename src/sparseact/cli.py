@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds, selfcheck
+from .config import MAX_PACKED_N
 from .constructions import JuntaSpec, gamma_gated_net, index_net, junta_to_net, parity_lift
 from .errors import CapacityError, NoConsistentListError
 from .fourier import (
@@ -27,9 +28,9 @@ from .fourier import (
     tabulate,
     wht,
 )
-from .hypercube import CubePoint
+from .hypercube import pack_signs
 from .learners import (
-    LabeledSample,
+    Dataset,
     evaluate_loss,
     fit_decision_list,
     fit_low_degree,
@@ -94,25 +95,30 @@ def _parse_floats(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip() != ""]
 
 
-def _read_dataset_csv(path: str) -> list[LabeledSample]:
+def _read_dataset_csv(path: str) -> Dataset:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[-1] != "y" or not header[0].startswith("x"):
+        if not header or header[-1] != "y" or not header[0].startswith("x"):
             raise ValueError("dataset CSV needs header x1,...,xn,y")
         n = len(header) - 1
-        samples = []
+        if n > MAX_PACKED_N:
+            raise ValueError(f"dataset CSV has {n} sign columns, at most {MAX_PACKED_N}")
+        rows = []
         for row in reader:
-            if len(row) <= n:
+            if len(row) != n + 1:
                 raise ValueError(
                     f"dataset CSV line {reader.line_num} has {len(row)} fields, "
                     f"expected {n + 1}"
                 )
-            signs = [int(float(v)) for v in row[:n]]
-            samples.append(LabeledSample(CubePoint.from_signs(signs), float(row[n])))
-    if not samples:
+            cells = [float(v) for v in row]
+            if any(v != 1.0 and v != -1.0 for v in cells[:n]):
+                raise ValueError(f"dataset CSV line {reader.line_num}: a sign is not +-1")
+            rows.append(cells)
+    if not rows:
         raise ValueError("dataset CSV contains no rows")
-    return samples
+    table = np.array(rows)
+    return Dataset(n, pack_signs(table[:, :n]), table[:, n])
 
 
 # -- subcommands -------------------------------------------------------
@@ -211,20 +217,23 @@ def _cmd_bounds_table(args) -> int:
     )
     header = _PARAM_COLUMNS + _BOUND_COLUMNS + measured_keys
     rows = []
-    for rec in records:
-        params = bounds.ClassParams(
-            n=int(rec["n"]),
-            s=int(rec["s"]),
-            k=int(rec.get("k", 1)),
-            W=float(rec.get("W", 0.0)),
-            B=float(rec.get("B", 0.0)),
-            R=float(rec["R"]) if "R" in rec else None,
-            m=int(rec["m"]) if "m" in rec else None,
-            eps=float(rec["eps"]) if "eps" in rec else None,
-            delta=float(rec["delta"]) if "delta" in rec else None,
-            rho=float(rec["rho"]) if "rho" in rec else None,
-        )
-        C = float(rec.get("C", 1.0))
+    for pos, rec in enumerate(records, start=1):
+        try:
+            params = bounds.ClassParams(
+                n=int(rec["n"]),
+                s=int(rec["s"]),
+                k=int(rec.get("k", 1)),
+                W=float(rec.get("W", 0.0)),
+                B=float(rec.get("B", 0.0)),
+                R=float(rec["R"]) if "R" in rec else None,
+                m=int(rec["m"]) if "m" in rec else None,
+                eps=float(rec["eps"]) if "eps" in rec else None,
+                delta=float(rec["delta"]) if "delta" in rec else None,
+                rho=float(rec["rho"]) if "rho" in rec else None,
+            )
+            C = float(rec.get("C", 1.0))
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"grid record {pos}: {exc}") from None
         row: list = [
             params.n,
             params.s,
@@ -237,25 +246,28 @@ def _cmd_bounds_table(args) -> int:
             params.delta if params.delta is not None else "",
             params.rho if params.rho is not None else "",
         ]
-        row.append(bounds.avg_sensitivity_bound(params, C).value)
-        row.append(
-            bounds.noise_sensitivity_bound(params, C).value
-            if params.rho is not None and params.rho < 1.0
-            else ""
-        )
-        row.append(
-            bounds.degree_for_error(params, C) if params.eps is not None else ""
-        )
-        if params.m is not None and params.m >= 2:
-            row.append(bounds.rademacher_bound(params).value)
-            row.append(bounds.rademacher_conjecture(params).value)
-        else:
-            row.extend(["", ""])
-        if params.eps is not None and params.delta is not None:
-            main, dlist = bounds.sample_complexity_general(params, C)
-            row.extend([main.value, dlist.value])
-        else:
-            row.extend(["", ""])
+        try:
+            row.append(bounds.avg_sensitivity_bound(params, C).value)
+            row.append(
+                bounds.noise_sensitivity_bound(params, C).value
+                if params.rho is not None and params.rho < 1.0
+                else ""
+            )
+            row.append(
+                bounds.degree_for_error(params, C) if params.eps is not None else ""
+            )
+            if params.m is not None and params.m >= 2:
+                row.append(bounds.rademacher_bound(params).value)
+                row.append(bounds.rademacher_conjecture(params).value)
+            else:
+                row.extend(["", ""])
+            if params.eps is not None and params.delta is not None:
+                main, dlist = bounds.sample_complexity_general(params, C)
+                row.extend([main.value, dlist.value])
+            else:
+                row.extend(["", ""])
+        except OverflowError as exc:
+            raise ValueError(f"grid record {pos}: a bound overflows ({exc})") from None
         row.extend([rec.get(key, "") for key in measured_keys])
         rows.append(row)
     _emit_table(args, header, rows)
@@ -267,7 +279,9 @@ def _model_payload(model) -> dict:
         "n": model.n,
         "d": model.d,
         "coeffs": [
-            {"T": list(T), "c": c} for T, c in model.sorted_items() if c != 0.0 or not T
+            {"T": [i + 1 for i in range(model.n) if mask >> i & 1], "c": c}
+            for mask, c in zip(model.masks.tolist(), model.coeffs.tolist())
+            if c != 0.0 or not mask
         ],
     }
 
@@ -275,7 +289,7 @@ def _model_payload(model) -> dict:
 def _cmd_learn_low_degree(args) -> int:
     if args.data is not None:
         data = _read_dataset_csv(args.data)
-        holdout: list[LabeledSample] = []
+        holdout = None
     else:
         if args.net is None or args.samples is None or args.seed is None:
             raise ValueError("generated data needs --net, --samples, and --seed")
@@ -285,14 +299,14 @@ def _cmd_learn_low_degree(args) -> int:
         holdout = (
             sample_uniform_dataset(net, net.n, args.holdout, rng)
             if args.holdout
-            else []
+            else None
         )
     model = fit_low_degree(data, args.degree, args.ridge)
     payload = {
         "model": _model_payload(model),
         "train_loss": vars(evaluate_loss(model, data)),
     }
-    if holdout:
+    if holdout is not None:
         payload["holdout_loss"] = vars(evaluate_loss(model, holdout))
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0

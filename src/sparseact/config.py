@@ -32,8 +32,24 @@ MAX_SPLIT_N = 16
 # Exact Rademacher enumeration over all 2^m sign patterns.
 MAX_EXACT_RADEMACHER_M = 16
 
+# Largest dimension whose points fit a non-negative int64 index; learner
+# datasets and Monte-Carlo sampling use packed indices.
+MAX_PACKED_N = 62
+
 # Monomial count cap for low-degree regression design matrices.
 MAX_MONOMIALS = 100_000
+
+# Decision-list gate grid {-M..M}^{n+1}: 5^7 gates at the caps.
+MAX_LIST_N = 6
+MAX_LIST_M = 2
+
+# Constructions: junta relevant coordinates (2^p units), index-net address
+# bits, parity-lift base dimension, gate/payload gate bits and payload size.
+MAX_JUNTA_P = 20
+MAX_INDEX_BITS = 10
+MAX_LIFT_M = 12
+MAX_GATE_BITS = 8
+MAX_PAYLOAD_DIM = 16
 
 # Fixed Monte-Carlo chunk size.  Chunk boundaries (and the per-chunk
 # generator streams spawned from the caller's generator) depend only on the

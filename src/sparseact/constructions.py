@@ -13,15 +13,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import MAX_GATE_BITS, MAX_INDEX_BITS, MAX_JUNTA_P, MAX_LIFT_M, MAX_PAYLOAD_DIM
 from .errors import CapacityError
 from .hypercube import CubePoint, sign_table
 from .network import SparseNet
-
-MAX_JUNTA_P = 20
-MAX_INDEX_BITS = 10
-MAX_LIFT_M = 12
-MAX_GATE_BITS = 8
-MAX_PAYLOAD_DIM = 16
 
 
 @dataclass(frozen=True)

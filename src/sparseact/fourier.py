@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_TABULATE_N, MC_CHUNK
+from .config import MAX_PACKED_N, MAX_TABULATE_N, MC_CHUNK
 from .errors import CapacityError
 from .hypercube import CubePoint, index_signs, pack_bits
 from .parallel import mean_and_stderr, run_chunked
@@ -197,7 +197,7 @@ def noise_sensitivity_mc(
 
     ``f`` is anything :func:`values_at` accepts; all but a CubeFunction
     need ``n`` (or an ``.n`` attribute).  Points are drawn as packed int64
-    indices, so n <= 62.  Trials are processed in fixed chunks with
+    indices, so n <= MAX_PACKED_N (62).  Trials are processed in fixed chunks with
     generators spawned from ``rng``, so the result is identical for any
     thread count, and a function draws the same stream as its table.
     """
@@ -211,8 +211,8 @@ def noise_sensitivity_mc(
         dim = getattr(f, "n", None) if n is None else n
         if dim is None:
             raise ValueError("pass n for callables without an .n attribute")
-    if dim > 62:
-        raise CapacityError(f"int64-packed sampling needs n <= 62, got {dim}")
+    if dim > MAX_PACKED_N:
+        raise CapacityError(f"int64-packed sampling needs n <= {MAX_PACKED_N}, got {dim}")
     flip_p = (1.0 - rho) / 2.0
 
     def worker(lo: int, hi: int, crng: np.random.Generator) -> np.ndarray:

@@ -197,12 +197,3 @@ def sample_bucket_pair(
     y = x ^ int(pack_bits(buckets == b))
     return CubePoint(n, x), CubePoint(n, y), r, b + 1
 
-
-def spawn_rngs(master_seed: int, count: int) -> list[np.random.Generator]:
-    """Independent generators for parallel tasks, derived from one seed.
-
-    Task i receives the i-th spawn of SeedSequence(master_seed), so the
-    streams are reproducible and pairwise independent.
-    """
-    seq = np.random.SeedSequence(master_seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]

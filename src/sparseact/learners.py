@@ -6,7 +6,8 @@ The regression learner fits least squares over all monomials of degree at
 most d; on full-cube data with no ridge its coefficients coincide with the
 exact Fourier coefficients, which the tests exploit as an oracle.  The list
 learner peels the training set with integer-grid halfspace gates whose
-positive side admits an exact affine fit.
+positive side admits an exact affine fit.  Both learn from a
+:class:`Dataset` of packed int64 indices and float64 labels.
 """
 
 from __future__ import annotations
@@ -14,109 +15,108 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .config import MAX_MONOMIALS
+from .config import MAX_LIST_M, MAX_LIST_N, MAX_MONOMIALS, MAX_PACKED_N
 from .errors import CapacityError, InconsistentDataError, NoConsistentListError
 from .fourier import tabulate, values_at
-from .hypercube import CubePoint, Subset, index_signs
+from .hypercube import CubePoint, index_signs, pack_signs
 
-MAX_LIST_N = 6
-MAX_LIST_M = 2
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    x: CubePoint
-    y: float
+class Dataset:
+    """Labeled points of {-1,+1}^n: packed indices ``idx`` (the encoding of
+    :mod:`sparseact.hypercube`, int64, so n <= MAX_PACKED_N) and float64
+    labels ``y``.  Both are read-only copies of what was passed."""
+
+    n: int
+    idx: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.y):
-            raise ValueError(f"label must be finite, got {self.y}")
+        if not 1 <= self.n <= MAX_PACKED_N:
+            raise ValueError(f"dimension must be in [1, {MAX_PACKED_N}], got {self.n}")
+        raw = np.asarray(self.idx)
+        if raw.size and raw.dtype.kind not in "iu":
+            raise ValueError(f"indices must be integers, got dtype {raw.dtype}")
+        idx = _frozen(np.array(raw, dtype=np.int64))
+        y = _frozen(np.array(self.y, dtype=np.float64))
+        object.__setattr__(self, "idx", idx)
+        object.__setattr__(self, "y", y)
+        if idx.ndim != 1 or idx.shape != y.shape:
+            raise ValueError(f"need 1-d idx and y of one shape, got {idx.shape}, {y.shape}")
+        if idx.size == 0:
+            raise ValueError("data must be nonempty")
+        if idx.min() < 0 or idx.max() >= 1 << self.n:
+            raise ValueError(f"indices out of range [0, 2^{self.n})")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("labels must be finite")
+
+    def __len__(self) -> int:
+        return self.idx.size
 
 
-def subsets_up_to(n: int, d: int) -> list[tuple[int, ...]]:
-    """All coordinate subsets of size <= d, ordered by (size, lexicographic)."""
-    out: list[tuple[int, ...]] = []
-    for size in range(d + 1):
-        out.extend(itertools.combinations(range(1, n + 1), size))
-    return out
+def _monomial_masks(n: int, d: int) -> np.ndarray:
+    """Bitmasks of the subsets of size <= d, in (size, lexicographic) order."""
+    subsets = (T for size in range(d + 1) for T in itertools.combinations(range(n), size))
+    return np.array([sum(1 << i for i in T) for T in subsets], dtype=np.int64)
 
 
-def _design_matrix(X: np.ndarray, monomials: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Columns chi_T(x_i) for each monomial T over sign rows X."""
-    m = X.shape[0]
-    Phi = np.empty((m, len(monomials)))
-    for col, T in enumerate(monomials):
-        if T:
-            Phi[:, col] = np.prod(X[:, [i - 1 for i in T]], axis=1)
-        else:
-            Phi[:, col] = 1.0
-    return Phi
+def _character(idx: np.ndarray, mask) -> np.ndarray:
+    """chi_T at packed indices, as float64 +-1, for the subset bitmask of T."""
+    return 1.0 - 2.0 * (np.bitwise_count(idx & mask) & 1)
 
 
 @dataclass(frozen=True)
 class MonomialModel:
-    """Predictor sum_T c_T chi_T(x) over monomials of degree <= d."""
+    """Predictor sum_j coeffs[j] chi_{masks[j]}(x) over monomials of degree <= d.
+
+    ``masks`` holds subset bitmasks (bit i-1 set iff coordinate i is in the
+    monomial); ``fit_low_degree`` lists them in (size, lexicographic) order.
+    ``coeffs`` holds the matching coefficients.
+    """
 
     n: int
     d: int
-    coeffs: dict[Subset, float]
+    masks: np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        for T in self.coeffs:
-            if T.n != self.n:
-                raise ValueError(f"coefficient subset on {T.n} inputs, model on {self.n}")
-            if T.size() > self.d:
-                raise ValueError(
-                    f"coefficient subset {T.sorted_members()} exceeds degree {self.d}"
-                )
+        masks = _frozen(np.array(self.masks, dtype=np.int64))
+        coeffs = _frozen(np.array(self.coeffs, dtype=np.float64))
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "coeffs", coeffs)
+        if masks.ndim != 1 or masks.shape != coeffs.shape:
+            raise ValueError(f"need 1-d masks and coeffs of one shape, got {masks.shape}")
+        if masks.size and (masks.min() < 0 or masks.max() >= 1 << self.n):
+            raise ValueError(f"subset masks out of range [0, 2^{self.n})")
+        if np.any(np.bitwise_count(masks) > self.d):
+            raise ValueError(f"a coefficient subset exceeds degree {self.d}")
 
     def eval(self, x: CubePoint) -> float:
-        if x.n != self.n:
-            raise ValueError(f"dimension mismatch: model on {self.n}, point on {x.n}")
-        signs = x.signs().astype(np.float64)
-        total = 0.0
-        for T, c in self.coeffs.items():
-            term = c
-            for i in T.members:
-                term *= signs[i - 1]
-            total += term
-        return float(total)
+        return float(self.eval_batch(x.signs()[None])[0])
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        out = np.zeros(X.shape[0])
-        for T, c in self.coeffs.items():
-            if T.members:
-                out += c * np.prod(X[:, [i - 1 for i in sorted(T.members)]], axis=1)
-            else:
-                out += c
+        """Evaluate on an (N, n) array of +-1 rows; returns (N,) floats."""
+        X = np.asarray(X)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(f"expected (N, {self.n}) sign rows, got {X.shape}")
+        idx = pack_signs(X)
+        out = np.zeros(idx.size)
+        # term by term in mask order, not as a matrix product: reported
+        # losses depend on this summation order
+        for mask, c in zip(self.masks, self.coeffs):
+            out += c * _character(idx, mask)
         return out
 
-    def sorted_items(self) -> list[tuple[tuple[int, ...], float]]:
-        """Coefficients in the canonical (size, lexicographic) order."""
-        items = [(T.sorted_members(), c) for T, c in self.coeffs.items()]
-        return sorted(items, key=lambda tc: (len(tc[0]), tc[0]))
 
-
-def _check_data(data: Sequence[LabeledSample]) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n, packed indices, labels) of a nonempty dataset on one dimension."""
-    if not data:
-        raise ValueError("data must be nonempty")
-    n = data[0].x.n
-    if any(s.x.n != n for s in data):
-        raise ValueError("samples have inconsistent input dimensions")
-    idx = np.array([s.x.index for s in data], dtype=np.int64)
-    y = np.array([s.y for s in data], dtype=np.float64)
-    return n, idx, y
-
-
-def fit_low_degree(
-    data: Sequence[LabeledSample], d: int, ridge: float = 1e-10
-) -> MonomialModel:
+def fit_low_degree(data: Dataset, d: int, ridge: float = 1e-10) -> MonomialModel:
     """Least-squares fit over all monomials of degree <= d.
 
     Solves the normal equations with an optional ridge term for
@@ -124,30 +124,27 @@ def fit_low_degree(
     orthogonal and the solution equals the truncated Fourier expansion.
     Deterministic for fixed inputs.
     """
-    n, idx, y = _check_data(data)
-    X = index_signs(idx, n).astype(np.float64)
+    n = data.n
     if not 0 <= d <= n:
         raise ValueError(f"degree must lie in [0, {n}], got {d}")
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    monomials = subsets_up_to(n, d)
-    if len(monomials) > MAX_MONOMIALS:
-        raise CapacityError(
-            f"{len(monomials)} monomials exceed the cap of {MAX_MONOMIALS}"
-        )
-    Phi = _design_matrix(X, monomials)
+    count = sum(math.comb(n, size) for size in range(d + 1))
+    if count > MAX_MONOMIALS:
+        raise CapacityError(f"{count} monomials exceed the cap of {MAX_MONOMIALS}")
+    masks = _monomial_masks(n, d)
+    Phi = np.empty((len(data), count))
+    for col, mask in enumerate(masks):
+        Phi[:, col] = _character(data.idx, mask)
     G = Phi.T @ Phi
     if ridge > 0:
-        G = G + ridge * np.eye(len(monomials))
-    rhs = Phi.T @ y
+        G = G + ridge * np.eye(count)
+    rhs = Phi.T @ data.y
     try:
         c = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError:
         c, *_ = np.linalg.lstsq(G, rhs, rcond=None)
-    coeffs = {
-        Subset(n, frozenset(T)): float(cv) for T, cv in zip(monomials, c)
-    }
-    return MonomialModel(n=n, d=d, coeffs=coeffs)
+    return MonomialModel(n=n, d=d, masks=masks, coeffs=c)
 
 
 @dataclass(frozen=True)
@@ -159,12 +156,6 @@ class ListNode:
     leaf_v: tuple[float, ...]
     leaf_c: float
 
-    def fires(self, signs: np.ndarray) -> bool:
-        return float(np.dot(self.gate_w, signs)) - self.gate_b > 0.0
-
-    def leaf_value(self, signs: np.ndarray) -> float:
-        return float(np.dot(self.leaf_v, signs)) + self.leaf_c
-
 
 @dataclass(frozen=True)
 class GeneralizedDecisionList:
@@ -175,16 +166,13 @@ class GeneralizedDecisionList:
     default: float = 0.0
 
     def eval(self, x: CubePoint) -> float:
-        if x.n != self.n:
-            raise ValueError(f"dimension mismatch: list on {self.n}, point on {x.n}")
-        signs = x.signs().astype(np.float64)
-        for node in self.nodes:
-            if node.fires(signs):
-                return node.leaf_value(signs)
-        return self.default
+        return float(self.eval_batch(x.signs()[None])[0])
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
+        """Evaluate on an (N, n) array of +-1 rows; returns (N,) floats."""
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(f"expected (N, {self.n}) sign rows, got {X.shape}")
         out = np.full(X.shape[0], self.default)
         undecided = np.ones(X.shape[0], dtype=bool)
         for node in self.nodes:
@@ -196,27 +184,30 @@ class GeneralizedDecisionList:
         return out
 
 
-def _check_consistent(data: Sequence[LabeledSample], tol: float) -> None:
-    by_index: dict[int, float] = {}
-    for s in data:
-        prev = by_index.get(s.x.index)
-        if prev is not None and abs(prev - s.y) > tol:
-            raise InconsistentDataError(
-                f"input index {s.x.index} carries labels {prev} and {s.y}"
-            )
-        by_index.setdefault(s.x.index, s.y)
+def _check_consistent(data: Dataset, tol: float) -> None:
+    """Every sample's label lies within tol of the first label its input carries."""
+    _, first, inverse = np.unique(data.idx, return_index=True, return_inverse=True)
+    prev = data.y[first[inverse]]
+    bad = np.flatnonzero(np.abs(prev - data.y) > tol)
+    if bad.size:
+        i = bad[0]
+        raise InconsistentDataError(
+            f"input index {int(data.idx[i])} carries labels {float(prev[i])} "
+            f"and {float(data.y[i])}"
+        )
 
 
 def _affine_fit(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Least-squares affine fit; returns (v, c, max abs residual)."""
+    """Least-squares affine fit; returns (v, c, max abs residual), the residual
+    computed as ``GeneralizedDecisionList.eval_batch`` computes the leaf."""
     A = np.hstack([X, np.ones((X.shape[0], 1))])
     sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = A @ sol - y
-    return sol[:-1], float(sol[-1]), float(np.max(np.abs(resid)))
+    v, c = sol[:-1], float(sol[-1])
+    return v, c, float(np.max(np.abs(X @ v + c - y)))
 
 
 def fit_decision_list(
-    data: Sequence[LabeledSample], s: int, M: int, tol: float = 1e-6
+    data: Dataset, s: int, M: int, tol: float = 1e-6
 ) -> GeneralizedDecisionList:
     """Peel the data with integer-grid halfspace gates and exact affine leaves.
 
@@ -233,8 +224,7 @@ def fit_decision_list(
     Raises NoConsistentListError when a round finds no qualifying gate, and
     InconsistentDataError when duplicate inputs disagree beyond tol.
     """
-    n, idx, y = _check_data(data)
-    X = index_signs(idx, n).astype(np.float64)
+    n, y = data.n, data.y
     if s < 1:
         raise ValueError(f"target unit count must be >= 1, got {s}")
     if M < 1:
@@ -245,6 +235,7 @@ def fit_decision_list(
             f"got n={n}, M={M}"
         )
     _check_consistent(data, tol)
+    X = index_signs(data.idx, n).astype(np.float64)
 
     gates = np.array(
         list(itertools.product(range(-M, M + 1), repeat=n + 1)), dtype=np.float64
@@ -304,28 +295,21 @@ class LossReport:
     count: int
 
 
-def evaluate_loss(predictor, data: Sequence[LabeledSample]) -> LossReport:
+def evaluate_loss(predictor, data: Dataset) -> LossReport:
     """Mean loss of a predictor (anything :func:`~sparseact.fourier.values_at`
     accepts: a CubeFunction, a model with eval_batch, or a callable)."""
-    n, idx, y = _check_data(data)
-    preds = values_at(predictor, n, idx)
-    return LossReport(mse=float(np.mean(0.5 * (preds - y) ** 2)), count=len(data))
+    preds = values_at(predictor, data.n, data.idx)
+    return LossReport(mse=float(np.mean(0.5 * (preds - data.y) ** 2)), count=len(data))
 
 
-def sample_uniform_dataset(
-    f, n: int, m: int, rng: np.random.Generator
-) -> list[LabeledSample]:
+def sample_uniform_dataset(f, n: int, m: int, rng: np.random.Generator) -> Dataset:
     """m uniform inputs labeled by f (anything ``values_at`` accepts)."""
     if m < 1:
         raise ValueError(f"need at least one sample, got {m}")
     idx = rng.integers(0, 1 << n, size=m)
-    labels = values_at(f, n, idx)
-    return [LabeledSample(CubePoint(n, int(u)), float(v)) for u, v in zip(idx, labels)]
+    return Dataset(n, idx, values_at(f, n, idx))
 
 
-def full_cube_dataset(f, n: int) -> list[LabeledSample]:
+def full_cube_dataset(f, n: int) -> Dataset:
     """Every point of the cube labeled by f, in index order."""
-    table = tabulate(f, n)
-    return [
-        LabeledSample(CubePoint(n, u), float(v)) for u, v in enumerate(table.values)
-    ]
+    return Dataset(n, np.arange(1 << n), tabulate(f, n).values)

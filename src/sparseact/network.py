@@ -134,14 +134,12 @@ class SparseNet:
         d = json.loads(text)
         if not isinstance(d, dict) or not {"n", "s", "k", "u", "w", "b"} <= d.keys():
             raise ValueError("net JSON must be an object with keys n, s, k, u, w, b")
-        return cls(
-            n=int(d["n"]),
-            s=int(d["s"]),
-            k=int(d["k"]),
-            u=np.array(d["u"], dtype=np.float64),
-            w=np.array(d["w"], dtype=np.float64),
-            b=np.array(d["b"], dtype=np.float64),
-        )
+        try:
+            n, s, k = (int(d[key]) for key in ("n", "s", "k"))
+            u, w, b = (np.array(d[key], dtype=np.float64) for key in ("u", "w", "b"))
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"net JSON has a malformed field: {exc}") from None
+        return cls(n=n, s=s, k=k, u=u, w=w, b=b)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ from sparseact import (
     ClassParams,
     CubeFunction,
     CubePoint,
+    Dataset,
     InconsistentDataError,
     JuntaSpec,
-    LabeledSample,
     SparseNet,
     avg_sensitivity_bound,
     avg_sensitivity_exact,
@@ -189,8 +189,8 @@ def test_criterion_6_low_degree_oracle_equality():
     data = full_cube_dataset(f, n)
     model = fit_low_degree(data, d, ridge=0.0)
     spec = wht(f)
-    for T, c in model.coeffs.items():
-        assert abs(c - spec.coeffs[T.mask()]) <= 1e-8
+    for mask, c in zip(model.masks, model.coeffs):
+        assert abs(c - spec.coeffs[mask]) <= 1e-8
     loss = evaluate_loss(model, data).mse
     assert abs(loss - 0.5 * tail_mass(spec, d)) <= 1e-8
     report(6, "full-cube regression equals transform; loss equals tail/2")
@@ -233,16 +233,15 @@ def test_criterion_8_decision_list_recovery():
         assert verify_sparsity(net, 1, "exhaustive").max_active <= 1
         data = full_cube_dataset(net, n)
         dlist = fit_decision_list(data, s=s, M=1, tol=1e-6)
-        residuals = [abs(dlist.eval(sample.x) - sample.y) for sample in data]
+        residuals = [
+            abs(dlist.eval(CubePoint(n, int(u))) - y) for u, y in zip(data.idx, data.y)
+        ]
         assert max(residuals) <= 1e-6
         for u in range(1 << n):
             x = CubePoint(n, u)
             assert abs(dlist.eval(x) - net.eval(x)) <= 1e-6
-    x = CubePoint(3, 2)
     with pytest.raises(InconsistentDataError):
-        fit_decision_list(
-            [LabeledSample(x, 0.0), LabeledSample(x, 1.0)], s=1, M=1
-        )
+        fit_decision_list(Dataset(3, [2, 2], [0.0, 1.0]), s=1, M=1)
     report(8, "decision-list recovery exact on integer-grid 1-sparse targets")
 
 

@@ -1,10 +1,14 @@
 """Command-line contract: outputs, determinism, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sparseact import CubePoint, SparseNet, tabulate, wht
 from sparseact.cli import run
@@ -164,6 +168,23 @@ class TestLearnCommands:
         payload = json.loads(out.read_text())
         assert payload["train_loss"]["mse"] < 1e-12
 
+    def test_learn_low_degree_wide_csv(self, tmp_path):
+        # 30 sign columns: more than a CubePoint holds, within packed int64
+        n = 30
+        X = np.random.default_rng(30).choice([-1, 1], size=(200, n))
+        y = 0.5 + X[:, 3] - 2.0 * X[:, n - 1]
+        data = tmp_path / "wide.csv"
+        lines = [",".join(f"x{i}" for i in range(1, n + 1)) + ",y"]
+        lines += [",".join(map(str, row)) + f",{float(v)!r}" for row, v in zip(X, y)]
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "model.json"
+        assert run(["learn-low-degree", "--data", str(data), "--degree", "1",
+                    "--ridge", "0", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["train_loss"] == {"mse": pytest.approx(0.0, abs=1e-12), "count": 200}
+        coeffs = {tuple(t["T"]): t["c"] for t in payload["model"]["coeffs"]}
+        assert coeffs[(4,)] == pytest.approx(1.0) and coeffs[(n,)] == pytest.approx(-2.0)
+
 
 class TestRademacherCommand:
     def test_csv_columns_and_determinism(self, tmp_path):
@@ -230,6 +251,15 @@ class TestThreadDeterminism:
         assert outs[0] == outs[1]
 
 
+# subcommands that read a net JSON, with the arguments each needs besides --net
+_NET_COMMANDS = [
+    ["transform"],
+    ["sensitivity", "--rho", "0.5", "--trials", "64", "--seed", "1"],
+    ["learn-low-degree", "--samples", "16", "--seed", "1", "--degree", "1"],
+    ["learn-dlist", "--full-cube", "--s", "2", "--grid-m", "1"],
+]
+
+
 class TestBadInput:
     """Malformed inputs end in one error line and exit 2, never a traceback."""
 
@@ -257,6 +287,44 @@ class TestBadInput:
         grid.write_text(json.dumps([{"n": 10, "s": 4}, {"n": 10}]))
         self.assert_one_error_line(capsys, run(["bounds-table", "--grid", str(grid)]))
 
+    @pytest.mark.parametrize(
+        "body",
+        ["x1,x2,y\n1,inf,0.5\n", "x1,x2,y\n1,1.5,0.5\n", "x1,x2,y\n1,-1,0.5,7\n"],
+        ids=["inf-sign", "fractional-sign", "extra-field"],
+    )
+    @pytest.mark.parametrize("command", ["learn-low-degree", "learn-dlist"])
+    def test_malformed_dataset_csv(self, tmp_path, capsys, body, command):
+        data = tmp_path / "data.csv"
+        data.write_text(body)
+        args = {"learn-low-degree": ["--degree", "1"],
+                "learn-dlist": ["--s", "1", "--grid-m", "1"]}[command]
+        self.assert_one_error_line(capsys, run([command, "--data", str(data)] + args))
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [("k", "[1]"), ("n", "null"), ("u", '{"a": 1}'), ("n", "1e999")],
+        ids=["k-list", "n-null", "u-object", "n-overflow"],
+    )
+    @pytest.mark.parametrize("command", _NET_COMMANDS, ids=lambda argv: argv[0])
+    def test_malformed_net_field(self, tmp_path, capsys, key, text, command):
+        _, path = write_net(tmp_path)
+        payload = json.loads(path.read_text())
+        payload[key] = "PLACEHOLDER"
+        path.write_text(json.dumps(payload).replace('"PLACEHOLDER"', text))
+        rc = run([command[0], "--net", str(path)] + command[1:])
+        self.assert_one_error_line(capsys, rc)
+
+    @pytest.mark.parametrize(
+        "record",
+        ['{"n": null, "s": 4}', '{"n": 4, "s": 4, "k": null}', '{"n": 4, "s": 1e999}',
+         '{"n": 4, "s": 4, "W": 1e200}'],
+        ids=["n-null", "k-null", "s-overflow", "bound-overflow"],
+    )
+    def test_malformed_grid_record(self, tmp_path, capsys, record):
+        grid = tmp_path / "grid.json"
+        grid.write_text(f'[{{"n": 10, "s": 4}}, {record}]')
+        self.assert_one_error_line(capsys, run(["bounds-table", "--grid", str(grid)]))
+
 
 class TestThreadsFlag:
     @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -274,3 +342,112 @@ class TestThreadsFlag:
                     "--seed", "1", "--degree", "1", "--threads", "1"]) == 2
         assert run(["learn-dlist", "--net", str(path), "--full-cube", "--s", "2",
                     "--grid-m", "1", "--threads", "1"]) == 2
+
+
+# -- fuzzing the three input readers ------------------------------------------
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+_RAW = st.one_of(st.binary(max_size=24), st.text(max_size=24).map(str.encode))
+
+
+def _mutated(draw, payload: dict) -> dict:
+    """payload with up to two fields deleted or replaced by junk."""
+    keys = st.sets(st.sampled_from(sorted(payload)), max_size=2) if payload else st.just(())
+    for key in draw(keys):
+        if draw(st.booleans()):
+            del payload[key]
+        else:
+            payload[key] = draw(_JUNK)
+    return payload
+
+
+@st.composite
+def _net_files(draw) -> bytes:
+    n, s = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    weights = st.floats(-4.0, 4.0) | st.floats()
+    payload = {
+        "n": n,
+        "s": s,
+        "k": draw(st.integers(1, s)),
+        "u": draw(st.lists(weights, min_size=s, max_size=s)),
+        "w": draw(st.lists(st.lists(weights, min_size=n, max_size=n), min_size=s, max_size=s)),
+        "b": draw(st.lists(weights, min_size=s, max_size=s)),
+    }
+    return json.dumps(_mutated(draw, payload)).encode()
+
+
+@st.composite
+def _grid_files(draw) -> bytes:
+    values = st.integers(-1, 40) | st.floats(-2.0, 50.0) | st.floats() | _JUNK
+    keys = ["n", "s", "k", "W", "B", "R", "m", "eps", "delta", "rho", "C", "measured_x"]
+    records = [
+        _mutated(draw, {key: draw(values) for key in draw(st.sets(st.sampled_from(keys)))})
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    return json.dumps(records).encode()
+
+
+@st.composite
+def _dataset_files(draw) -> bytes:
+    n = draw(st.integers(1, 3))
+    cells = st.sampled_from(["1", "-1", "1.0", "-1e0", "0", "1.5", "inf", "nan", "", "x"])
+    signs = st.sampled_from(["1", "-1"])
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        width = draw(st.sampled_from([n + 1, n + 1, n + 1, n, n + 2]))
+        row = [draw(signs | cells) for _ in range(width)]
+        if width == n + 1:
+            row[-1] = draw(cells | st.floats().map(repr))
+        rows.append(",".join(row))
+    header = [f"x{i}" for i in range(1, n + 1)] + ["y"]
+    if draw(st.booleans()):
+        header = draw(st.lists(st.sampled_from(["x1", "y", "z", ""]), max_size=3))
+    return "\n".join([",".join(header)] + rows).encode()
+
+
+def _assert_clean_exit(argv: list[str]) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+_FUZZ = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestReaderFuzz:
+    """Whatever a reader is fed, the CLI exits 0, 1 or 2 and prints no traceback."""
+
+    @_FUZZ
+    @given(content=_net_files() | _RAW)
+    def test_net_json(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("net") / "net.json"
+        path.write_bytes(content)
+        for command in _NET_COMMANDS:
+            _assert_clean_exit([command[0], "--net", str(path)] + command[1:])
+
+    @_FUZZ
+    @given(content=_grid_files() | _RAW)
+    def test_grid_json(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("grid") / "grid.json"
+        path.write_bytes(content)
+        _assert_clean_exit(["bounds-table", "--grid", str(path)])
+
+    @_FUZZ
+    @given(content=_dataset_files() | _RAW)
+    def test_dataset_csv(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("data") / "data.csv"
+        path.write_bytes(content)
+        _assert_clean_exit(["learn-low-degree", "--data", str(path), "--degree", "1"])
+        _assert_clean_exit(["learn-dlist", "--data", str(path), "--s", "1", "--grid-m", "1"])

@@ -12,7 +12,6 @@ from sparseact import (
     sample_bucket_pair,
     sample_noisy,
     sample_uniform,
-    spawn_rngs,
 )
 from sparseact.hypercube import index_signs, pack_bits, pack_signs, sign_table
 
@@ -247,11 +246,3 @@ class TestBucketPair:
         a = sample_bucket_pair(8, 0.5, np.random.default_rng(99))
         b = sample_bucket_pair(8, 0.5, np.random.default_rng(99))
         assert a == b
-
-
-class TestSpawnRngs:
-    def test_deterministic_and_distinct(self):
-        first = [r.integers(0, 1 << 30) for r in spawn_rngs(5, 4)]
-        second = [r.integers(0, 1 << 30) for r in spawn_rngs(5, 4)]
-        assert first == second
-        assert len(set(first)) == 4

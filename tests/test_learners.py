@@ -7,18 +7,21 @@ import math
 import numpy as np
 import pytest
 from helpers import parity_function
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseact import (
     CapacityError,
     CubePoint,
+    Dataset,
     InconsistentDataError,
     JuntaSpec,
-    LabeledSample,
     MonomialModel,
     NoConsistentListError,
     SparseNet,
     Spectrum,
     Subset,
+    character,
     evaluate_loss,
     fit_decision_list,
     fit_low_degree,
@@ -40,6 +43,43 @@ def random_low_degree_function(rng, n, degree):
     return inverse_wht(Spectrum(n, coeffs))
 
 
+class TestDataset:
+    @pytest.mark.parametrize(
+        "n, idx, y",
+        [
+            (3, [0, 1], [0.5]),
+            (3, [0, 8], [0.5, 1.0]),
+            (3, [-1], [0.5]),
+            (3, [0, 1], [0.5, np.nan]),
+            (3, [0], [np.inf]),
+            (63, [0], [0.5]),
+            (3, [], []),
+            (3, [0.0, 1.5], [0.5, 1.0]),
+        ],
+        ids=[
+            "shape-mismatch",
+            "index-above-range",
+            "negative-index",
+            "nan-label",
+            "inf-label",
+            "n-63",
+            "empty",
+            "float-indices",
+        ],
+    )
+    def test_rejects(self, n, idx, y):
+        with pytest.raises(ValueError):
+            Dataset(n, idx, y)
+
+    def test_read_only_copies(self):
+        idx, y = np.array([3, 1]), np.array([0.5, -1.0])
+        data = Dataset(62, idx, y)
+        idx[0] = 0
+        assert len(data) == 2 and data.idx.dtype == np.int64 and data.idx[0] == 3
+        with pytest.raises(ValueError):
+            data.y[0] = 1.0
+
+
 class TestFitLowDegree:
     def test_full_cube_equals_transform(self):
         rng = np.random.default_rng(0)
@@ -47,30 +87,27 @@ class TestFitLowDegree:
         data = full_cube_dataset(f, 6)
         model = fit_low_degree(data, 2, ridge=0.0)
         spec = wht(f)
-        for mask in range(1 << 6):
-            T = Subset.from_mask(6, mask)
-            if T.size() <= 2:
-                assert model.coeffs[T] == pytest.approx(spec.coeffs[mask], abs=1e-8)
+        low = [mask for mask in range(1 << 6) if bin(mask).count("1") <= 2]
+        assert sorted(model.masks.tolist()) == low
+        for mask, c in zip(model.masks, model.coeffs):
+            assert c == pytest.approx(spec.coeffs[mask], abs=1e-8)
         assert evaluate_loss(model, data).mse == pytest.approx(0.0, abs=1e-12)
 
     def test_parity_above_degree_fits_zero(self):
         f = tabulate(parity_function(3, (1, 2)), 3)
         data = full_cube_dataset(f, 3)
         model = fit_low_degree(data, 1, ridge=0.0)
-        for sample in data:
-            assert model.eval(sample.x) == pytest.approx(0.0, abs=1e-10)
+        for u in data.idx:
+            assert model.eval(CubePoint(3, int(u))) == pytest.approx(0.0, abs=1e-10)
         assert evaluate_loss(model, data).mse == pytest.approx(0.5, abs=1e-10)
 
     def test_constant_labels_recovered(self):
         rng = np.random.default_rng(1)
-        data = [
-            LabeledSample(CubePoint(4, int(u)), 2.75)
-            for u in rng.integers(0, 16, size=30)
-        ]
+        data = Dataset(4, rng.integers(0, 16, size=30), np.full(30, 2.75))
         for d in (0, 1, 2):
             model = fit_low_degree(data, d)
-            for sample in data[:5]:
-                assert model.eval(sample.x) == pytest.approx(2.75, abs=1e-6)
+            for u in data.idx[:5]:
+                assert model.eval(CubePoint(4, int(u))) == pytest.approx(2.75, abs=1e-6)
 
     def test_training_loss_non_increasing_in_degree(self):
         rng = np.random.default_rng(2)
@@ -84,26 +121,26 @@ class TestFitLowDegree:
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            fit_low_degree([], 1)
+            fit_low_degree(Dataset(1, [], []), 1)
 
     def test_feature_capacity(self):
-        data = [LabeledSample(CubePoint(20, 0), 1.0)]
+        data = Dataset(20, [0], [1.0])
         with pytest.raises(CapacityError):
             fit_low_degree(data, 10)
 
     def test_degree_out_of_range(self):
-        data = [LabeledSample(CubePoint(3, 0), 1.0)]
+        data = Dataset(3, [0], [1.0])
         with pytest.raises(ValueError):
             fit_low_degree(data, 4)
 
 
 class TestPredict:
     def test_empty_model_is_zero(self):
-        model = MonomialModel(n=3, d=1, coeffs={})
+        model = MonomialModel(n=3, d=1, masks=[], coeffs=[])
         assert model.eval(CubePoint(3, 5)) == 0.0
 
     def test_constant_coefficient(self):
-        model = MonomialModel(n=3, d=0, coeffs={Subset(3): 3.0})
+        model = MonomialModel(n=3, d=0, masks=[0], coeffs=[3.0])
         for u in range(8):
             assert model.eval(CubePoint(3, u)) == 3.0
 
@@ -112,15 +149,8 @@ class TestPredict:
         f = tabulate(lambda x: float(rng.normal()), 6)  # arbitrary fixed table
         spec = wht(f)
         d = 2
-        model = MonomialModel(
-            n=6,
-            d=d,
-            coeffs={
-                Subset.from_mask(6, mask): float(spec.coeffs[mask])
-                for mask in range(1 << 6)
-                if bin(mask).count("1") <= d
-            },
-        )
+        masks = [mask for mask in range(1 << 6) if bin(mask).count("1") <= d]
+        model = MonomialModel(n=6, d=d, masks=masks, coeffs=spec.coeffs[masks])
         err = 0.0
         for u in range(1 << 6):
             err += (model.eval(CubePoint(6, u)) - f.values[u]) ** 2
@@ -128,13 +158,34 @@ class TestPredict:
         assert err == pytest.approx(tail_mass(spec, d), abs=1e-8)
 
     def test_dimension_mismatch(self):
-        model = MonomialModel(n=3, d=0, coeffs={})
+        model = MonomialModel(n=3, d=0, masks=[], coeffs=[])
         with pytest.raises(ValueError):
             model.eval(CubePoint(4, 0))
 
+    @given(st.integers(1, 10), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_eval_batch_equals_character_sum(self, n, data):
+        d = data.draw(st.integers(0, n))
+        masks = data.draw(
+            st.lists(
+                st.integers(0, (1 << n) - 1).filter(lambda m: bin(m).count("1") <= d),
+                max_size=12,
+            )
+        )
+        coeffs = data.draw(
+            st.lists(st.floats(-1e6, 1e6), min_size=len(masks), max_size=len(masks))
+        )
+        points = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16))
+        model = MonomialModel(n=n, d=d, masks=masks, coeffs=coeffs)
+        X = np.array([CubePoint(n, u).signs() for u in points])
+        for u, value in zip(points, model.eval_batch(X)):
+            x = CubePoint(n, u)
+            terms = [c * character(Subset.from_mask(n, m), x) for m, c in zip(masks, coeffs)]
+            assert value == sum(terms)
+
     def test_degree_invariant_enforced(self):
         with pytest.raises(ValueError):
-            MonomialModel(n=3, d=1, coeffs={Subset.of(3, 1, 2): 1.0})
+            MonomialModel(n=3, d=1, masks=[0b011], coeffs=[1.0])
 
 
 def pattern_unit_net(n, relevant, patterns, weights):
@@ -159,15 +210,12 @@ class TestFitDecisionList:
         data = full_cube_dataset(net, 2)
         dlist = fit_decision_list(data, s=1, M=1)
         assert evaluate_loss(dlist, data).mse == 0.0
-        for sample in data:
-            assert abs(dlist.eval(sample.x) - sample.y) <= 1e-6
+        for u, y in zip(data.idx, data.y):
+            assert abs(dlist.eval(CubePoint(2, int(u))) - y) <= 1e-6
 
     def test_inconsistent_duplicates_raise(self):
-        x = CubePoint(2, 1)
         with pytest.raises(InconsistentDataError):
-            fit_decision_list(
-                [LabeledSample(x, 0.0), LabeledSample(x, 1.0)], s=1, M=1
-            )
+            fit_decision_list(Dataset(2, [1, 1], [0.0, 1.0]), s=1, M=1)
 
     def test_consistent_duplicates_allowed(self):
         data = full_cube_dataset(
@@ -177,7 +225,8 @@ class TestFitDecisionList:
             ),
             2,
         )
-        dlist = fit_decision_list(data + data, s=1, M=1)
+        doubled = Dataset(2, np.tile(data.idx, 2), np.tile(data.y, 2))
+        dlist = fit_decision_list(doubled, s=1, M=1)
         assert evaluate_loss(dlist, data).mse == pytest.approx(0.0, abs=1e-12)
 
     def test_recovers_two_unit_target_exactly(self):
@@ -194,8 +243,8 @@ class TestFitDecisionList:
         net = pattern_unit_net(4, (2, 3), [(1, -1), (-1, 1), (1, 1)], rng.uniform(-2, 2, 3))
         data = full_cube_dataset(net, 4)
         dlist = fit_decision_list(data, s=3, M=1, tol=1e-6)
-        preds = [dlist.eval(s.x) for s in data]
-        assert max(abs(p - s.y) for p, s in zip(preds, data)) <= 1e-6
+        preds = [dlist.eval(CubePoint(4, int(u))) for u in data.idx]
+        assert max(abs(p - y) for p, y in zip(preds, data.y)) <= 1e-6
 
     def test_node_budget(self):
         rng = np.random.default_rng(6)
@@ -217,8 +266,8 @@ class TestFitDecisionList:
             )
 
         data = full_cube_dataset(f, n)
-        X = np.array([s.x.signs() for s in data], dtype=np.float64)
-        y = np.array([s.y for s in data])
+        X = np.array([CubePoint(n, int(u)).signs() for u in data.idx], dtype=np.float64)
+        y = data.y
         qualifying = 0
         for gate in itertools.product(range(-1, 2), repeat=n + 1):
             w = np.array(gate[:n], dtype=np.float64)
@@ -234,7 +283,7 @@ class TestFitDecisionList:
             fit_decision_list(data, s=1, M=1)
 
     def test_capacity_guard(self):
-        data = [LabeledSample(CubePoint(7, 0), 0.0)]
+        data = Dataset(7, [0], [0.0])
         with pytest.raises(CapacityError):
             fit_decision_list(data, s=1, M=1)
 
@@ -264,33 +313,35 @@ class TestDlPredict:
         net = pattern_unit_net(3, (1, 3), [(1, -1), (-1, 1)], rng.uniform(-1, 1, 2))
         data = full_cube_dataset(net, 3)
         dlist = fit_decision_list(data, s=2, M=1)
-        X = np.array([s.x.signs() for s in data], dtype=np.float64)
+        X = np.array([CubePoint(3, int(u)).signs() for u in data.idx], dtype=np.float64)
         batch = dlist.eval_batch(X)
-        for sample, value in zip(data, batch):
-            assert value == pytest.approx(dlist.eval(sample.x), abs=1e-12)
+        for u, value in zip(data.idx, batch):
+            assert value == pytest.approx(dlist.eval(CubePoint(3, int(u))), abs=1e-12)
 
 
 class TestEvaluateLoss:
     def test_perfect_predictor(self):
-        data = [LabeledSample(CubePoint(2, u), float(u)) for u in range(4)]
+        data = Dataset(2, [0, 1, 2, 3], [0.0, 1.0, 2.0, 3.0])
         table = {u: float(u) for u in range(4)}
         report = evaluate_loss(lambda x: table[x.index], data)
         assert report.mse == 0.0 and report.count == 4
 
     def test_zero_predictor_on_sign_labels(self):
-        data = [LabeledSample(CubePoint(2, u), 1.0 if u % 2 else -1.0) for u in range(4)]
+        data = Dataset(2, [0, 1, 2, 3], [-1.0, 1.0, -1.0, 1.0])
         assert evaluate_loss(lambda x: 0.0, data).mse == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_loss(lambda x: 0.0, [])
+            evaluate_loss(lambda x: 0.0, Dataset(2, [], []))
 
     def test_net_table_and_callable_agree(self):
         net = junta_to_net(JuntaSpec(n=6, relevant=(2, 5), table=[0.5, -1.0, 0.25, 2.0]))
         forms = (net, tabulate(net, 6), net.eval)
         datasets = [sample_uniform_dataset(f, 6, 200, np.random.default_rng(9)) for f in forms]
-        assert datasets[0] == datasets[1] == datasets[2]
-        data = [LabeledSample(s.x, 0.0) for s in datasets[0]]
+        for other in datasets[1:]:
+            assert np.array_equal(other.idx, datasets[0].idx)
+            assert np.array_equal(other.y, datasets[0].y)
+        data = Dataset(6, datasets[0].idx, np.zeros(len(datasets[0])))
         losses = [evaluate_loss(f, data).mse for f in forms]
         assert losses[0] > 0 and losses[0] == losses[1] == losses[2]
 
@@ -308,8 +359,8 @@ class TestEvaluateLoss:
         holdout = sample_uniform_dataset(net, 8, 4000, rng)
         report = evaluate_loss(model, holdout)
         per_point = 0.5 * (model.eval_batch(
-            np.array([s.x.signs() for s in holdout], dtype=np.float64)
-        ) - np.array([s.y for s in holdout])) ** 2
+            np.array([CubePoint(8, int(u)).signs() for u in holdout.idx], dtype=np.float64)
+        ) - holdout.y) ** 2
         slack = 4 * float(np.std(per_point, ddof=1) / np.sqrt(len(holdout)))
         assert report.mse <= 0.5 * tail_mass(spec, d) + slack
 
@@ -319,11 +370,11 @@ class TestSampleDatasets:
         rng = np.random.default_rng(9)
         net = junta_to_net(JuntaSpec(n=5, relevant=(2,), table=np.array([1.0, -1.0])))
         data = sample_uniform_dataset(net, 5, 50, rng)
-        for sample in data:
-            assert sample.y == net.eval(sample.x)
+        for u, y in zip(data.idx, data.y):
+            assert y == net.eval(CubePoint(5, int(u)))
 
     def test_full_cube_order(self):
         f = tabulate(parity_function(3, (1,)), 3)
         data = full_cube_dataset(f, 3)
-        assert [s.x.index for s in data] == list(range(8))
-        assert all(s.y == f.values[s.x.index] for s in data)
+        assert data.idx.tolist() == list(range(8))
+        assert all(y == f.values[u] for u, y in zip(data.idx, data.y))
