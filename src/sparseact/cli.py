@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -42,8 +43,11 @@ from .rademacher_lab import compare_to_bound, random_sparse_pool, uniform_sample
 
 
 def _fmt(value) -> str:
-    """Round-trip text for CSV cells ('.' decimal, full precision)."""
+    """Round-trip text for CSV cells ('.' decimal, full precision); refuses
+    inf and nan."""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite result {value}")
         return repr(value)
     return str(value)
 
@@ -66,7 +70,8 @@ def _rows_to_csv(header: list[str], rows: list[list]) -> str:
 
 
 def _rows_to_json(header: list[str], rows: list[list]) -> str:
-    return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    records = [dict(zip(header, row)) for row in rows]
+    return json.dumps(records, indent=2, allow_nan=False) + "\n"
 
 
 def _emit_table(args, header: list[str], rows: list[list]) -> None:
@@ -77,7 +82,11 @@ def _emit_table(args, header: list[str], rows: list[list]) -> None:
 
 def _load_net(path: str) -> SparseNet:
     with open(path, "r", encoding="utf-8") as fh:
-        return SparseNet.from_json(fh.read())
+        text = fh.read()
+    try:
+        return SparseNet.from_json(text)
+    except RecursionError:
+        raise ValueError(f"net JSON {path} is nested too deeply") from None
 
 
 def _thread_count(text: str) -> int:
@@ -157,7 +166,8 @@ def _cmd_construct(args) -> int:
 
 def _cmd_transform(args) -> int:
     net = _load_net(args.net)
-    spec = wht(tabulate(net, net.n))
+    with np.errstate(over="ignore", invalid="ignore"):  # _emit_table refuses inf/nan
+        spec = wht(tabulate(net, net.n))
     rows = [[mask, float(spec.coeffs[mask])] for mask in range(spec.coeffs.size)]
     _emit_table(args, ["bitmask", "coefficient"], rows)
     return 0
@@ -165,29 +175,31 @@ def _cmd_transform(args) -> int:
 
 def _cmd_sensitivity(args) -> int:
     net = _load_net(args.net)
-    f = tabulate(net, net.n)
-    spec = wht(f)
-    rows: list[list] = [
-        ["avg_sensitivity_exact", "", avg_sensitivity_exact(f), ""],
-        [
-            "avg_sensitivity_spectral",
-            "",
-            float(np.sum(spec.degrees() * spec.coeffs**2)),
-            "",
-        ],
-    ]
-    rhos = _parse_floats(args.rho) if args.rho else []
-    for rho in rhos:
-        rows.append(["noise_sensitivity_exact", rho, noise_sensitivity_exact(spec, rho), ""])
-    if args.trials:
-        if args.seed is None:
-            raise ValueError("--seed is required with --trials")
-        rng = np.random.default_rng(args.seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # _emit_table refuses inf/nan
+        f = tabulate(net, net.n)
+        spec = wht(f)
+        rows: list[list] = [
+            ["avg_sensitivity_exact", "", avg_sensitivity_exact(f), ""],
+            [
+                "avg_sensitivity_spectral",
+                "",
+                float(np.sum(spec.degrees() * spec.coeffs**2)),
+                "",
+            ],
+        ]
+        rhos = _parse_floats(args.rho) if args.rho else []
         for rho in rhos:
-            est, err = noise_sensitivity_mc(
-                f, rho, args.trials, rng, threads=args.threads
-            )
-            rows.append(["noise_sensitivity_mc", rho, est, err])
+            value = noise_sensitivity_exact(spec, rho)
+            rows.append(["noise_sensitivity_exact", rho, value, ""])
+        if args.trials:
+            if args.seed is None:
+                raise ValueError("--seed is required with --trials")
+            rng = np.random.default_rng(args.seed)
+            for rho in rhos:
+                est, err = noise_sensitivity_mc(
+                    f, rho, args.trials, rng, threads=args.threads
+                )
+                rows.append(["noise_sensitivity_mc", rho, est, err])
     _emit_table(args, ["quantity", "rho", "value", "stderr"], rows)
     return 0
 
@@ -207,7 +219,10 @@ _PARAM_COLUMNS = ["n", "s", "k", "W", "B", "R", "m", "eps", "delta", "rho"]
 
 def _cmd_bounds_table(args) -> int:
     with open(args.grid, "r", encoding="utf-8") as fh:
-        records = json.load(fh)
+        try:
+            records = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"grid JSON {args.grid} is nested too deeply") from None
     if not isinstance(records, list) or not all(
         isinstance(rec, dict) and "n" in rec and "s" in rec for rec in records
     ):

@@ -184,9 +184,11 @@ class GeneralizedDecisionList:
         return out
 
 
-def _check_consistent(data: Dataset, tol: float) -> None:
-    """Every sample's label lies within tol of the first label its input carries."""
-    _, first, inverse = np.unique(data.idx, return_index=True, return_inverse=True)
+def _distinct_inputs(data: Dataset, tol: float) -> tuple[np.ndarray, ...]:
+    """``np.unique(idx, return_index=True, return_inverse=True)``, after
+    checking that every sample's label lies within tol of the first label
+    its input carries."""
+    uniq, first, inverse = np.unique(data.idx, return_index=True, return_inverse=True)
     prev = data.y[first[inverse]]
     bad = np.flatnonzero(np.abs(prev - data.y) > tol)
     if bad.size:
@@ -195,6 +197,7 @@ def _check_consistent(data: Dataset, tol: float) -> None:
             f"input index {int(data.idx[i])} carries labels {float(prev[i])} "
             f"and {float(data.y[i])}"
         )
+    return uniq, first, inverse
 
 
 def _affine_fit(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -204,6 +207,58 @@ def _affine_fit(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, float]
     sol, *_ = np.linalg.lstsq(A, y, rcond=None)
     v, c = sol[:-1], float(sol[-1])
     return v, c, float(np.max(np.abs(X @ v + c - y)))
+
+
+def _gate_grid(n: int, M: int) -> np.ndarray:
+    """Every gate (w, b) in {-M..M}^{n+1} as a float32 row, in lexicographic
+    order; gate pre-activations on the cube are small integers, exact in float32."""
+    grid = np.indices((2 * M + 1,) * (n + 1), dtype=np.float32)
+    return grid.reshape(n + 1, -1).T - np.float32(M)
+
+
+def _edge_steps(uniq: np.ndarray, y1: np.ndarray, n: int) -> list[tuple]:
+    """Per coordinate i, the cube edges among the sorted distinct inputs
+    ``uniq``: positions (lo, hi) of the endpoints with coordinate i at +1
+    and at -1, and the label step y1[lo] - y1[hi] (inf where it
+    overflows), sorted by step."""
+    edges = []
+    for i in range(n):
+        lo = np.flatnonzero(uniq & (1 << i) == 0)
+        partner = uniq[lo] | (1 << i)
+        hi = np.minimum(np.searchsorted(uniq, partner), uniq.size - 1)
+        hit = uniq[hi] == partner
+        lo, hi = lo[hit], hi[hit]
+        with np.errstate(over="ignore"):
+            step = y1[lo] - y1[hi]
+        order = np.argsort(step, kind="stable")
+        edges.append((lo[order], hi[order], step[order]))
+    return edges
+
+
+def _within_spread(
+    fires: np.ndarray, candidates: np.ndarray, live: np.ndarray, edges: list, slack: float
+) -> np.ndarray:
+    """The candidate gates, in their given order, on whose live covered
+    edges no coordinate's label steps spread wider than ``slack``; a
+    non-finite spread rules nothing out.  ``fires`` is inputs by gates."""
+    ruled_out = np.zeros(fires.shape[1], dtype=bool)
+    idx = np.sort(candidates)  # ascending columns gather faster
+    with np.errstate(invalid="ignore"):  # inf - inf gives a nan spread
+        for lo, hi, step in edges:
+            keep = live[lo] & live[hi]
+            lo, hi, step = lo[keep], hi[keep], step[keep]
+            # steps ascend, and no gate's edges spread wider than all of them
+            if lo.size < 2 or step[-1] - step[0] <= slack:
+                continue
+            both = fires[lo][:, idx] & fires[hi][:, idx]
+            # a gate's spread runs from its first covered edge to its last
+            first = both.argmax(axis=0)
+            last = lo.size - 1 - both[::-1].argmax(axis=0)
+            spread = step[last] - step[first]
+            out = both[first, np.arange(idx.size)] & np.isfinite(spread) & (spread > slack)
+            ruled_out[idx[out]] = True
+            idx = idx[~out]
+    return candidates[~ruled_out[candidates]]
 
 
 def fit_decision_list(
@@ -221,51 +276,76 @@ def fit_decision_list(
     inactive region where it vanishes, hence the s+1 in the pigeonhole
     threshold.
 
-    Raises NoConsistentListError when a round finds no qualifying gate, and
-    InconsistentDataError when duplicate inputs disagree beyond tol.
+    Gates are evaluated once on the distinct inputs; coverage counts each
+    input with its multiplicity.  Before any least-squares solve, a round
+    rules out every candidate gate whose covered set carries two parallel
+    cube edges with label steps more than ``4*tol + 1e-9*max|y|`` apart,
+    which cannot change the result.  If a leaf (v, c) fits every covered
+    label within tol, then along any edge x -> x' that flips coordinate i
+    from +1 to -1 the step y(x) - y(x') equals 2*v_i up to 2*tol, so two
+    such steps differ by at most 4*tol.  The steps use the first label of
+    each input, which an accepted leaf fits like any other.  The second
+    term bounds floating-point rounding: the residual check, the steps and
+    their spread each round to within a few units in the last place of the
+    magnitudes involved, and those are O(max|y|) -- the design has +-1
+    entries and at most 7 columns, so by Cramer's rule (Hadamard's bound
+    over the 2^(k-1) that divides every k x k +-1 determinant) the
+    minimum-norm solution has |v_i| and |c| below a few hundred times
+    max|y| + tol.  (When tol >= max|y| no spread can exceed 4*tol.)  The
+    remaining candidates are fitted in the same order as without the test,
+    so the chosen gates and leaves are the same.
+
+    Raises ValueError for a negative or non-finite tol, NoConsistentListError
+    when a round finds no qualifying gate, and InconsistentDataError when
+    duplicate inputs disagree beyond tol.
     """
     n, y = data.n, data.y
     if s < 1:
         raise ValueError(f"target unit count must be >= 1, got {s}")
     if M < 1:
         raise ValueError(f"grid bound must be >= 1, got {M}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if n > MAX_LIST_N or M > MAX_LIST_M:
         raise CapacityError(
             f"grid search needs n <= {MAX_LIST_N} and M <= {MAX_LIST_M}, "
             f"got n={n}, M={M}"
         )
-    _check_consistent(data, tol)
+    uniq, first, inverse = _distinct_inputs(data, tol)
+    mult = np.bincount(inverse)
     X = index_signs(data.idx, n).astype(np.float64)
+    gates = _gate_grid(n, M)
+    X_ext = np.hstack([index_signs(uniq, n), -np.ones((uniq.size, 1), np.int8)])
+    fires = (X_ext.astype(np.float32) @ gates.T) > 0.0  # (distinct inputs, gates)
+    edges = _edge_steps(uniq, y[first], n)
+    slack = 4.0 * tol + 1e-9 * float(np.max(np.abs(y)))
 
-    gates = np.array(
-        list(itertools.product(range(-M, M + 1), repeat=n + 1)), dtype=np.float64
-    )
-    X_ext = np.hstack([X, -np.ones((X.shape[0], 1))])
-    fires_all = (X_ext @ gates.T) > 0.0  # (m, n_gates)
-
-    remaining = np.ones(len(data), dtype=bool)
+    live = np.ones(uniq.size, dtype=bool)  # inputs no node covers yet
     nodes: list[ListNode] = []
-    while remaining.any():
-        rem_idx = np.flatnonzero(remaining)
-        coverage = fires_all[rem_idx].sum(axis=0)
-        threshold = math.ceil(len(rem_idx) / (s + 1))
+    while live.any():
+        remaining = int(mult[live].sum())
+        # exact counts, one group per multiplicity (a single one on full-cube data)
+        coverage = sum(
+            m * np.count_nonzero(fires[live & (mult == m)], axis=0)
+            for m in np.unique(mult[live])
+        )
+        threshold = math.ceil(remaining / (s + 1))
         # max coverage first, lexicographic gate order within equal coverage
-        order = np.lexsort((np.arange(len(gates)), -coverage))
+        order = np.argsort(-coverage, kind="stable")
+        candidates = order[: np.count_nonzero(coverage >= threshold)]
         chosen = None
-        for gi in order:
-            if coverage[gi] < threshold:
-                break
-            covered = rem_idx[fires_all[rem_idx, gi]]
+        for gi in _within_spread(fires, candidates, live, edges, slack):
+            covered = np.flatnonzero((live & fires[:, gi])[inverse])
             v, c, max_resid = _affine_fit(X[covered], y[covered])
             if max_resid <= tol:
-                chosen = (gi, covered, v, c)
+                chosen = (gi, v, c)
                 break
         if chosen is None:
             raise NoConsistentListError(
                 f"no gate isolates an affine-fittable subset of size >= {threshold} "
-                f"among the {len(rem_idx)} remaining samples"
+                f"among the {remaining} remaining samples"
             )
-        gi, covered, v, c = chosen
+        gi, v, c = chosen
         nodes.append(
             ListNode(
                 gate_w=tuple(int(g) for g in gates[gi][:-1]),
@@ -274,7 +354,7 @@ def fit_decision_list(
                 leaf_c=float(c),
             )
         )
-        remaining[covered] = False
+        live &= ~fires[:, gi]
     result = GeneralizedDecisionList(n=n, nodes=tuple(nodes), default=0.0)
     # the peel order guarantees each sample fires exactly its covering node,
     # so the per-leaf residual bound transfers to the whole list; check it

@@ -8,6 +8,7 @@ what it computes, so any thread count yields byte-identical results.
 
 from __future__ import annotations
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
@@ -34,7 +35,9 @@ def run_chunked(
 
     The per-chunk generators are spawned from ``rng`` before any work runs,
     so the streams are a pure function of the generator state and the item
-    count.  Results are concatenated in chunk order.
+    count.  Results are concatenated in chunk order.  Each worker thread runs
+    in a copy of the caller's context, so settings such as ``np.errstate``
+    hold there too.
     """
     ranges = chunk_ranges(n_items, chunk)
     if not ranges:
@@ -45,7 +48,8 @@ def run_chunked(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(worker, lo, hi, r) for (lo, hi), r in zip(ranges, rngs)
+                pool.submit(contextvars.copy_context().run, worker, lo, hi, r)
+                for (lo, hi), r in zip(ranges, rngs)
             ]
             parts = [f.result() for f in futures]
     return np.concatenate(parts)

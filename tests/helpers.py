@@ -8,9 +8,23 @@ vectorized implementations is meaningful.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
-from sparseact import CubePoint, SparseNet, Subset, character
+from sparseact import (
+    CubePoint,
+    Dataset,
+    GeneralizedDecisionList,
+    InconsistentDataError,
+    ListNode,
+    NoConsistentListError,
+    SparseNet,
+    Subset,
+    character,
+)
+from sparseact.hypercube import index_signs
 
 
 def naive_spectrum(values: np.ndarray, n: int) -> np.ndarray:
@@ -78,3 +92,64 @@ def parity_function(n: int, members: tuple[int, ...]):
         return float(character(T, x))
 
     return f
+
+
+def reference_decision_list(data: Dataset, s: int, M: int, tol: float = 1e-6):
+    """Gate-by-gate oracle for ``fit_decision_list``: every gate whose coverage
+    reaches the threshold is fitted by least squares, in the visiting order,
+    until one fits within tol.  Same peel, same leaves, same errors."""
+    n, y = data.n, data.y
+    _, first, inverse = np.unique(data.idx, return_index=True, return_inverse=True)
+    prev = y[first[inverse]]
+    bad = np.flatnonzero(np.abs(prev - y) > tol)
+    if bad.size:
+        i = bad[0]
+        raise InconsistentDataError(
+            f"input index {int(data.idx[i])} carries labels {float(prev[i])} "
+            f"and {float(y[i])}"
+        )
+    X = index_signs(data.idx, n).astype(np.float64)
+    gates = np.array(
+        list(itertools.product(range(-M, M + 1), repeat=n + 1)), dtype=np.float64
+    )
+    fires_all = (np.hstack([X, -np.ones((X.shape[0], 1))]) @ gates.T) > 0.0
+    remaining = np.ones(len(data), dtype=bool)
+    nodes = []
+    while remaining.any():
+        rem_idx = np.flatnonzero(remaining)
+        coverage = fires_all[rem_idx].sum(axis=0)
+        threshold = math.ceil(len(rem_idx) / (s + 1))
+        order = np.lexsort((np.arange(len(gates)), -coverage))
+        chosen = None
+        for gi in order:
+            if coverage[gi] < threshold:
+                break
+            covered = rem_idx[fires_all[rem_idx, gi]]
+            A = np.hstack([X[covered], np.ones((covered.size, 1))])
+            sol, *_ = np.linalg.lstsq(A, y[covered], rcond=None)
+            v, c = sol[:-1], float(sol[-1])
+            if float(np.max(np.abs(X[covered] @ v + c - y[covered]))) <= tol:
+                chosen = (gi, covered, v, c)
+                break
+        if chosen is None:
+            raise NoConsistentListError(
+                f"no gate isolates an affine-fittable subset of size >= {threshold} "
+                f"among the {len(rem_idx)} remaining samples"
+            )
+        gi, covered, v, c = chosen
+        nodes.append(
+            ListNode(
+                gate_w=tuple(int(g) for g in gates[gi][:-1]),
+                gate_b=int(gates[gi][-1]),
+                leaf_v=tuple(float(t) for t in v),
+                leaf_c=float(c),
+            )
+        )
+        remaining[covered] = False
+    result = GeneralizedDecisionList(n=n, nodes=tuple(nodes), default=0.0)
+    achieved = float(np.max(np.abs(result.eval_batch(X) - y)))
+    if achieved > tol:
+        raise AssertionError(
+            f"internal error: training residual {achieved:.3g} exceeds tol {tol}"
+        )
+    return result

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from sparseact import CubePoint, SparseNet, tabulate, wht
 from sparseact.cli import run
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_net(tmp_path, name="net.json"):
@@ -136,6 +139,23 @@ class TestLearnCommands:
         assert payload["loss"]["mse"] <= 1e-12  # max residual <= tol
         assert payload["loss"]["count"] == 8
         assert payload["list"]["default"] == 0.0
+
+    @pytest.mark.parametrize(
+        "args, recorded",
+        [
+            (["--net", "dlist_junta6.json", "--full-cube", "--s", "8", "--grid-m", "2"],
+             "dlist_junta6.out"),
+            (["--data", "dlist_rows.csv", "--s", "4", "--grid-m", "2"],
+             "dlist_rows.out"),
+        ],
+        ids=["full-cube-junta", "csv"],
+    )
+    def test_learn_dlist_bytes_match_recorded(self, capsys, args, recorded):
+        # the .out files were written by the gate-by-gate learner, before
+        # the edge-step screen; the screen must not change a byte
+        args = [str(DATA / a) if a.startswith("dlist_") else a for a in args]
+        assert run(["learn-dlist"] + args) == 0
+        assert capsys.readouterr().out.encode() == (DATA / recorded).read_bytes()
 
     def test_learn_dlist_inconsistent_csv(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -281,6 +301,43 @@ class TestBadInput:
         del payload["b"]
         path.write_text(json.dumps(payload))
         self.assert_one_error_line(capsys, run([command, "--net", str(path)]))
+
+    @pytest.mark.parametrize("command", ["transform", "bounds-table"])
+    def test_deeply_nested_json(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        flag = {"transform": "--net", "bounds-table": "--grid"}[command]
+        self.assert_one_error_line(capsys, run([command, flag, str(path)]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, net",
+        [
+            (["transform"], {"u": [1.5e308], "w": [[0, 0]], "b": [-1]}),
+            (["transform", "--format", "json"], {"u": [1.5e308], "w": [[0, 0]], "b": [-1]}),
+            (["sensitivity", "--rho", "0.5"], {"u": [1e200], "w": [[1, 1]], "b": [0]}),
+            (["sensitivity", "--rho", "0.5", "--trials", "40000", "--seed", "1",
+              "--threads", "2"], {"u": [1e200], "w": [[1, 1]], "b": [0]}),
+        ],
+        ids=["transform", "transform-json", "sensitivity", "sensitivity-mc"],
+    )
+    def test_non_finite_result(self, tmp_path, capsys, command, net):
+        # no inf/nan row reaches stdout, and no numpy warning reaches stderr
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"n": 2, "s": 1, "k": 1, **net}))
+        rc = run([command[0], "--net", str(path)] + command[1:])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_learn_dlist_bad_tol(self, tmp_path, capsys, tol):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,y\n1,1,0.5\n1,-1,0.0\n")
+        rc = run(["learn-dlist", "--data", str(data), "--s", "1", "--grid-m", "1",
+                  "--tol", tol])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: tol must be") and err.count("\n") == 1
 
     def test_grid_record_without_s(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"

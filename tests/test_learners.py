@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import parity_function
+from helpers import parity_function, reference_decision_list
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +28,7 @@ from sparseact import (
     full_cube_dataset,
     inverse_wht,
     junta_to_net,
+    learners,
     sample_uniform_dataset,
     tabulate,
     tail_mass,
@@ -286,6 +287,96 @@ class TestFitDecisionList:
         data = Dataset(7, [0], [0.0])
         with pytest.raises(CapacityError):
             fit_decision_list(data, s=1, M=1)
+
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            fit_decision_list(Dataset(2, [0, 1], [0.0, 1.0]), s=1, M=1, tol=tol)
+
+
+_DL_FAMILIES = ("relu", "sparse", "junta", "affine", "random", "near-duplicate")
+
+
+def decision_list_case(seed):
+    """A seeded (data, s, M, tol) for the decision-list differential test:
+    n in 1..6, M in 1..2, s in 1..8, one of _DL_FAMILIES, full-cube or
+    sampled rows with repeats, labels scaled by 1e-12..1e12, tol in
+    1e-9..1e-1.  Grids stay at or below 5^6 gates, to bound the reference."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    M = int(rng.integers(1, 3)) if n <= 5 else 1
+    s = int(rng.integers(1, 9))
+    family = _DL_FAMILIES[seed % len(_DL_FAMILIES)]
+    if rng.random() < 0.5:
+        idx = np.arange(1 << n)
+    else:
+        idx = rng.integers(0, 1 << n, size=int(rng.integers(1, 3 << n)))
+    X = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
+    if family == "relu":
+        w, b = rng.integers(-M, M + 1, size=n), rng.integers(-M, M + 1)
+        y = rng.normal() * np.maximum(X @ w - b, 0.0)
+    elif family == "sparse":
+        relevant = tuple(int(i) + 1 for i in rng.choice(n, size=min(n, 2), replace=False))
+        patterns = list(itertools.product((1, -1), repeat=len(relevant)))
+        chosen = rng.choice(len(patterns), size=int(rng.integers(1, len(patterns) + 1)),
+                            replace=False)
+        net = pattern_unit_net(n, relevant, [patterns[j] for j in chosen],
+                               rng.uniform(-2, 2, chosen.size))
+        y = net.eval_batch(X)
+    elif family == "junta":
+        p = int(rng.integers(1, n + 1))
+        relevant = tuple(int(i) + 1 for i in rng.choice(n, size=p, replace=False))
+        table = rng.uniform(-1, 1, 1 << p)
+        net = junta_to_net(JuntaSpec(n=n, relevant=relevant, table=table))
+        y = net.eval_batch(X)
+    elif family == "affine":
+        y = X @ rng.normal(size=n) + rng.normal()
+    elif family == "random":
+        y = rng.normal(size=idx.size)
+    else:
+        y = np.maximum(X @ rng.integers(-M, M + 1, size=n), 0.0)
+    tol = float(10 ** rng.uniform(-9, -1))
+    y = y * float(10 ** rng.uniform(-12, 12))
+    if family == "near-duplicate":
+        # repeats within tol of each other, and now and then beyond it
+        y = y + rng.uniform(-0.45, 0.45, size=idx.size) * tol * (1 + 4 * (seed % 5 == 0))
+    return Dataset(n, idx, y), s, M, tol
+
+
+def _outcome(fit, *args):
+    try:
+        return repr(fit(*args))
+    except (NoConsistentListError, InconsistentDataError, AssertionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestDecisionListScreen:
+    """The edge-step screen only skips gates whose least-squares fit would
+    fail, so the list equals the gate-by-gate reference bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(72))
+    def test_matches_reference(self, seed):
+        case = decision_list_case(seed)
+        expected = _outcome(reference_decision_list, *case)
+        assert _outcome(fit_decision_list, *case) == expected
+
+    def test_full_cube_junta_needs_few_solves(self, monkeypatch):
+        # the gate-by-gate reference solves about 23,600 least-squares
+        # problems on this input
+        rng = np.random.default_rng(3)
+        net = junta_to_net(JuntaSpec(n=6, relevant=(1, 3, 5), table=rng.uniform(-1, 1, 8)))
+        calls = []
+        fit = learners._affine_fit
+
+        def counted(X, y):
+            calls.append(len(y))
+            return fit(X, y)
+
+        monkeypatch.setattr(learners, "_affine_fit", counted)
+        dlist = fit_decision_list(full_cube_dataset(net, 6), s=8, M=2)
+        assert len(calls) <= 8
+        assert len(dlist.nodes) <= len(calls)
 
 
 class TestDlPredict:
