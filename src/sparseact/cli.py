@@ -60,24 +60,94 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _rows_to_csv(header: list[str], rows: list[list]) -> str:
+def _column_texts(columns: Sequence[Sequence], cell) -> list[list[str]]:
+    """The text of every cell, column by column.
+
+    A column of floats is checked for finiteness once and formatted in one
+    pass, a column of ints likewise; any other column goes through ``cell``
+    one value at a time.  When a cell is refused, the error names the first
+    bad cell in row order, as a row-by-row writer would.
+    """
+    try:
+        texts = []
+        for column in columns:
+            kinds = set(map(type, column))
+            if kinds <= {float}:
+                if not np.isfinite(np.array(column, dtype=np.float64)).all():
+                    raise ValueError("non-finite result")
+                texts.append(list(map(float.__repr__, column)))
+            elif kinds == {int}:
+                texts.append(list(map(int.__repr__, column)))
+            else:
+                texts.append(list(map(cell, column)))
+        return texts
+    except (TypeError, ValueError):
+        for row in zip(*columns):
+            for value in row:
+                cell(value)
+        raise
+
+
+def _join_rows(texts: list[list[str]], seps: list[str]) -> str:
+    """Each row as seps[0] cell_0 seps[1] ... cell_{k-1} seps[k], rows joined:
+    one C-level join over interleaved references, no per-row string."""
+    rows = len(texts[0]) if texts else 0
+    step = 2 * len(texts) + 1
+    parts = [""] * (step * rows)
+    for j, sep in enumerate(seps):
+        parts[2 * j :: step] = [sep] * rows
+    for j, column in enumerate(texts):
+        parts[2 * j + 1 :: step] = column
+    return "".join(parts)
+
+
+def _columns_to_csv(header: list[str], columns: Sequence[Sequence]) -> str:
+    """CSV text of a table given as columns of cell values."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+    head = buf.getvalue()
+
+    def cell(value) -> str:
+        # csv quoting for the rare non-numeric cell; the empty second field
+        # keeps an empty cell unquoted, as it is in a row of several fields
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((_fmt(value), ""))
+        return buf.getvalue()[:-2]
+
+    texts = _column_texts(columns, cell)
+    if len(texts) == 1:  # csv writes a row of one empty field as ""
+        texts = [['""' if text == "" else text for text in texts[0]]]
+    return head + _join_rows(texts, [""] + [","] * (len(texts) - 1) + ["\n"])
 
 
-def _rows_to_json(header: list[str], rows: list[list]) -> str:
-    records = [dict(zip(header, row)) for row in rows]
-    return json.dumps(records, indent=2, allow_nan=False) + "\n"
+def _json_cell(value) -> str:
+    # nested values sit two levels deep in the indent=2 layout
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n    ")
 
 
-def _emit_table(args, header: list[str], rows: list[list]) -> None:
+def _columns_to_json(header: list[str], columns: Sequence[Sequence]) -> str:
+    """``json.dumps(records, indent=2, allow_nan=False)`` of the table's rows
+    as records keyed by the (distinct) header names, plus a newline."""
+    texts = _column_texts(columns, _json_cell)
+    if not texts or not texts[0]:
+        return "[]\n"
+    keys = [f"    {json.dumps(key)}: " for key in header]
+    seps = ["  {\n" + keys[0]] + [",\n" + key for key in keys[1:]] + ["\n  },\n"]
+    # the last record ends "  }" rather than "  },"
+    return "[\n" + _join_rows(texts, seps)[:-2] + "\n]\n"
+
+
+def _emit_table(args, header: list[str], columns: Sequence[Sequence]) -> None:
     fmt = getattr(args, "format", "csv")
-    text = _rows_to_json(header, rows) if fmt == "json" else _rows_to_csv(header, rows)
-    _write_text(args.out, text)
+    convert = _columns_to_json if fmt == "json" else _columns_to_csv
+    _write_text(args.out, convert(header, columns))
+
+
+def _emit_rows(args, header: list[str], rows: list[list]) -> None:
+    """``_emit_table`` for a short table built row by row."""
+    _emit_table(args, header, [[row[j] for row in rows] for j in range(len(header))])
 
 
 def _load_net(path: str) -> SparseNet:
@@ -166,41 +236,37 @@ def _cmd_construct(args) -> int:
 
 def _cmd_transform(args) -> int:
     net = _load_net(args.net)
-    with np.errstate(over="ignore", invalid="ignore"):  # _emit_table refuses inf/nan
-        spec = wht(tabulate(net, net.n))
-    rows = [[mask, float(spec.coeffs[mask])] for mask in range(spec.coeffs.size)]
-    _emit_table(args, ["bitmask", "coefficient"], rows)
+    spec = wht(tabulate(net, net.n))
+    columns = [range(spec.coeffs.size), spec.coeffs.tolist()]
+    _emit_table(args, ["bitmask", "coefficient"], columns)
     return 0
 
 
 def _cmd_sensitivity(args) -> int:
     net = _load_net(args.net)
-    with np.errstate(over="ignore", invalid="ignore"):  # _emit_table refuses inf/nan
-        f = tabulate(net, net.n)
-        spec = wht(f)
-        rows: list[list] = [
-            ["avg_sensitivity_exact", "", avg_sensitivity_exact(f), ""],
-            [
-                "avg_sensitivity_spectral",
-                "",
-                float(np.sum(spec.degrees() * spec.coeffs**2)),
-                "",
-            ],
-        ]
-        rhos = _parse_floats(args.rho) if args.rho else []
+    f = tabulate(net, net.n)
+    spec = wht(f)
+    rows: list[list] = [
+        ["avg_sensitivity_exact", "", avg_sensitivity_exact(f), ""],
+        [
+            "avg_sensitivity_spectral",
+            "",
+            float(np.sum(spec.degrees() * spec.coeffs**2)),
+            "",
+        ],
+    ]
+    rhos = _parse_floats(args.rho) if args.rho else []
+    for rho in rhos:
+        value = noise_sensitivity_exact(spec, rho)
+        rows.append(["noise_sensitivity_exact", rho, value, ""])
+    if args.trials:
+        if args.seed is None:
+            raise ValueError("--seed is required with --trials")
+        rng = np.random.default_rng(args.seed)
         for rho in rhos:
-            value = noise_sensitivity_exact(spec, rho)
-            rows.append(["noise_sensitivity_exact", rho, value, ""])
-        if args.trials:
-            if args.seed is None:
-                raise ValueError("--seed is required with --trials")
-            rng = np.random.default_rng(args.seed)
-            for rho in rhos:
-                est, err = noise_sensitivity_mc(
-                    f, rho, args.trials, rng, threads=args.threads
-                )
-                rows.append(["noise_sensitivity_mc", rho, est, err])
-    _emit_table(args, ["quantity", "rho", "value", "stderr"], rows)
+            est, err = noise_sensitivity_mc(f, rho, args.trials, rng, threads=args.threads)
+            rows.append(["noise_sensitivity_mc", rho, est, err])
+    _emit_rows(args, ["quantity", "rho", "value", "stderr"], rows)
     return 0
 
 
@@ -285,7 +351,7 @@ def _cmd_bounds_table(args) -> int:
             raise ValueError(f"grid record {pos}: a bound overflows ({exc})") from None
         row.extend([rec.get(key, "") for key in measured_keys])
         rows.append(row)
-    _emit_table(args, header, rows)
+    _emit_rows(args, header, rows)
     return 0
 
 
@@ -323,7 +389,7 @@ def _cmd_learn_low_degree(args) -> int:
     }
     if holdout is not None:
         payload["holdout_loss"] = vars(evaluate_loss(model, holdout))
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    _write_text(args.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -354,7 +420,7 @@ def _cmd_learn_dlist(args) -> int:
         },
         "loss": vars(evaluate_loss(dlist, data)),
     }
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    _write_text(args.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -371,11 +437,8 @@ def _cmd_rademacher(args) -> int:
         mode=args.mode,
         threads=args.threads,
     )
-    rows = [
-        [r["m"], r["estimate"], r["stderr"], r["bound"], r["ratio"]]
-        for r in rows_dicts
-    ]
-    _emit_table(args, ["m", "estimate", "stderr", "bound", "ratio"], rows)
+    header = ["m", "estimate", "stderr", "bound", "ratio"]
+    _emit_table(args, header, [[r[key] for r in rows_dicts] for key in header])
     return 0
 
 
@@ -490,7 +553,10 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        # overflow to inf/nan is refused where results are written (tables,
+        # learner JSON), so numpy's warning lines would only add noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except (CapacityError, NoConsistentListError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

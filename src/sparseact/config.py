@@ -17,12 +17,12 @@ RECON_TOL = 1e-10
 MC_SIGMA = 4.0
 
 # Hard cap on dense 2^n tabulation.  values array at n=20 is 2^20 doubles
-# (8 MiB); the sign table adds 2^20 x 20 int8 (20 MiB).
+# (8 MiB); the pre-activations come in fixed-size blocks on top of that.
 MAX_TABULATE_N = 20
 
-# Exhaustive sparsity scans walk indices without materialising the full
-# sign table, so they stretch a little further.  This is also the largest
-# dimension of a CubePoint or Subset.
+# Exhaustive sparsity scans keep only one block of pre-activations at a time
+# (hypercube.affine_blocks), so they stretch a little further.  This is also
+# the largest dimension of a CubePoint or Subset.
 MAX_EXHAUSTIVE_N = 24
 
 # Edge-decomposition of average sensitivity keeps per-unit activation

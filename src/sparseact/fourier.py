@@ -15,7 +15,8 @@ import numpy as np
 
 from .config import MAX_PACKED_N, MAX_TABULATE_N, MC_CHUNK
 from .errors import CapacityError
-from .hypercube import CubePoint, index_signs, pack_bits
+from .hypercube import CubePoint, affine_blocks, index_signs, pack_bits
+from .network import SparseNet
 from .parallel import mean_and_stderr, run_chunked
 
 
@@ -67,9 +68,18 @@ class Spectrum:
         return float(self.coeffs[mask])
 
     def degrees(self) -> np.ndarray:
-        """|T| for every subset bitmask, aligned with ``coeffs``."""
-        masks = np.arange(1 << self.n, dtype=np.uint64)
-        return np.bitwise_count(masks).astype(np.int64)
+        """|T| for every subset bitmask, aligned with ``coeffs``.
+
+        Read-only; computed on the first call and kept with the spectrum,
+        since every noise-sensitivity row of a spectrum reads it.
+        """
+        deg = self.__dict__.get("_degrees")
+        if deg is None:
+            masks = np.arange(1 << self.n, dtype=np.uint64)
+            deg = np.bitwise_count(masks).astype(np.int64)
+            deg.setflags(write=False)
+            object.__setattr__(self, "_degrees", deg)
+        return deg
 
     def total_mass(self) -> float:
         return float(np.sum(self.coeffs**2))
@@ -96,7 +106,8 @@ def tabulate(f, n: int) -> CubeFunction:
     """Evaluate f on every cube point in index order.
 
     Accepts anything :func:`values_at` does; a CubeFunction is returned
-    as-is.
+    as-is, and a SparseNet's pre-activations come from
+    :func:`~sparseact.hypercube.affine_blocks`.
     """
     if isinstance(f, CubeFunction):
         if f.n != n:
@@ -106,6 +117,13 @@ def tabulate(f, n: int) -> CubeFunction:
         raise CapacityError(f"tabulation needs n <= {MAX_TABULATE_N}, got {n}")
     size = 1 << n
     values = np.empty(size)
+    if isinstance(f, SparseNet):
+        if f.n != n:
+            raise ValueError(f"net has n={f.n}, requested {n}")
+        for lo, z in affine_blocks(f.w, -f.b):
+            np.maximum(z, 0.0, out=z)
+            values[lo : lo + z.shape[1]] = f.u @ z
+        return CubeFunction(n, values)
     chunk = 1 << 16
     for lo in range(0, size, chunk):
         values[lo : lo + chunk] = values_at(f, n, np.arange(lo, min(lo + chunk, size)))
@@ -168,10 +186,12 @@ def avg_sensitivity_exact(f: CubeFunction) -> float:
 
     Equals the degree-weighted coefficient mass sum_T |T| f_hat(T)^2.
     """
-    idx = np.arange(f.values.size)
     total = 0.0
     for i in range(f.n):
-        total += float(((f.values - f.values[idx ^ (1 << i)]) ** 2).sum())
+        # the edges along coordinate i pair the two halves of each 2^(i+1) run
+        pairs = f.values.reshape(-1, 2, 1 << i)
+        d = pairs[:, 0, :] - pairs[:, 1, :]
+        total += 2.0 * float(np.vdot(d, d))
     return 0.25 * total / f.values.size
 
 
@@ -179,8 +199,8 @@ def noise_sensitivity_exact(spec: Spectrum, rho: float) -> float:
     """sum_T (1 - rho^|T|) f_hat(T)^2 / 2, the exact noise sensitivity."""
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    deg = spec.degrees()
-    return float(np.sum(0.5 * (1.0 - np.float_power(rho, deg)) * spec.coeffs**2))
+    powers = np.float_power(rho, np.arange(spec.n + 1))  # rho^d, indexed by degree
+    return float(np.sum(0.5 * (1.0 - powers[spec.degrees()]) * spec.coeffs**2))
 
 
 def noise_sensitivity_mc(

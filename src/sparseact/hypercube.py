@@ -12,6 +12,8 @@ with plain array indexing.
 Coordinates are 1-indexed throughout the public API; only storage is
 0-indexed.  ``index_signs`` and ``pack_bits`` are the only converters
 between packed indices and sign rows; everything else goes through them.
+Whole-cube affine maps (a net's pre-activations at all 2^n points) come
+from ``affine_blocks``, which never unpacks an index.
 """
 
 from __future__ import annotations
@@ -147,6 +149,52 @@ def sign_table(n: int) -> np.ndarray:
     """
     _check_dim(n)
     return index_signs(np.arange(1 << n), n)
+
+
+# Points in the base block of ``affine_blocks``: the low 13 coordinates.  At
+# s = 64 units a block is 4 MiB, small enough to stay in cache while callers
+# reduce it, large enough that the per-block Python overhead is negligible.
+_BLOCK_BITS = 13
+
+
+def _doubling(W: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Columns ``W @ x + start`` for every x in {-1,+1}^m in index order, where
+    W is (s, m): T_i = [T_{i-1} + w_i, T_{i-1} - w_i], O(s 2^m) additions."""
+    s, m = W.shape
+    T = np.empty((s, 1 << m))
+    T[:, 0] = start
+    for i in range(m):
+        h = 1 << i
+        w = W[:, i : i + 1]
+        np.subtract(T[:, :h], w, out=T[:, h : 2 * h])
+        T[:, :h] += w
+    return T
+
+
+def affine_blocks(W, c) -> Iterator[tuple[int, np.ndarray]]:
+    """The affine map x -> W x + c over the whole cube, in aligned blocks.
+
+    W is (s, n) and c is (s,).  Yields ``(lo, Z)`` in index order, where
+    column r of the fresh (s, cols) float64 array Z is ``W @ x + c`` at the
+    point lo + r; the blocks tile [0, 2^n).  The low coordinates come from
+    one base block built by the doubling recursion (starting from c), the
+    high ones from a table of per-block offsets, so memory is bounded by the
+    block and no sign table or n-wide matmul is built.  With small dyadic
+    weights (the constructions) every entry is exact, including the zero
+    ties the strict ``> 0`` rule reads.
+    """
+    W = np.asarray(W, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    if W.ndim != 2 or c.shape != W.shape[:1]:
+        raise ValueError(
+            f"need W of shape (s, n) and c of shape (s,), got {W.shape} and {c.shape}"
+        )
+    _check_dim(W.shape[1])
+    low = min(W.shape[1], _BLOCK_BITS)
+    base = _doubling(W[:, :low], c)
+    offsets = _doubling(W[:, low:], np.zeros_like(c))
+    for high in range(offsets.shape[1]):
+        yield high << low, base + offsets[:, high : high + 1]
 
 
 def pack_signs(signs: np.ndarray) -> np.ndarray:

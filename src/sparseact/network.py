@@ -17,9 +17,7 @@ import numpy as np
 
 from .config import MAX_EXHAUSTIVE_N, MAX_SPLIT_N
 from .errors import CapacityError
-from .hypercube import CubePoint, index_signs, sign_table
-
-_SCAN_CHUNK = 1 << 16
+from .hypercube import CubePoint, affine_blocks, index_signs
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -210,14 +208,14 @@ def verify_sparsity(
         max_active = 0
         witness: Optional[CubePoint] = None
         violations = 0
-        for lo in range(0, total, _SCAN_CHUNK):
-            idx = np.arange(lo, min(lo + _SCAN_CHUNK, total), dtype=np.int64)
-            counts = net.active_counts(index_signs(idx, net.n))
+        for lo, z in affine_blocks(net.w, -net.b):
+            counts = np.count_nonzero(z > 0.0, axis=0)
             max_active = max(max_active, int(counts.max()))
             over = counts > k
-            violations += int(over.sum())
-            if witness is None and over.any():
-                witness = CubePoint(net.n, int(idx[np.argmax(over)]))
+            found = int(np.count_nonzero(over))
+            violations += found
+            if witness is None and found:
+                witness = CubePoint(net.n, lo + int(np.argmax(over)))
         return SparsityReport(
             max_active=max_active,
             violating_input=witness,
@@ -271,20 +269,26 @@ def avg_sensitivity_split(net: SparseNet) -> SensitivitySplit:
     if net.n > MAX_SPLIT_N:
         raise CapacityError(f"decomposition needs n <= {MAX_SPLIT_N}, got {net.n}")
     size = 1 << net.n
-    X = sign_table(net.n).astype(np.float64)
-    pre = X @ net.w.T - net.b  # (2^n, s)
-    active = pre > 0.0
-    values = np.maximum(pre, 0.0) @ net.u
+    active = np.empty((net.s, size), dtype=bool)
+    values = np.empty(size)
+    for lo, z in affine_blocks(net.w, -net.b):
+        hi = lo + z.shape[1]
+        np.greater(z, 0.0, out=active[:, lo:hi])
+        np.maximum(z, 0.0, out=z)
+        values[lo:hi] = net.u @ z
 
     same = 0.0
     changed = 0.0
-    idx = np.arange(size)
     for i in range(net.n):
-        flipped = idx ^ (1 << i)
-        jump_sq = (values - values[flipped]) ** 2
-        same_mask = ~(active ^ active[flipped]).any(axis=1)
-        same += 0.25 * float(jump_sq[same_mask].sum())
-        changed += 0.25 * float(jump_sq[~same_mask].sum())
+        # the edges along coordinate i pair the two halves of each 2^(i+1)
+        # run; each edge stands for both of its directed terms, hence 2/4
+        h = 1 << i
+        v = values.reshape(-1, 2, h)
+        jump_sq = (v[:, 0, :] - v[:, 1, :]) ** 2
+        a = active.reshape(net.s, -1, 2, h)
+        same_mask = ~(a[:, :, 0] ^ a[:, :, 1]).any(axis=0)
+        same += 0.5 * float(jump_sq[same_mask].sum())
+        changed += 0.5 * float(jump_sq[~same_mask].sum())
     return SensitivitySplit(same_region=same / size, changed_region=changed / size)
 
 

@@ -8,7 +8,10 @@ vectorized implementations is meaningful.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -21,6 +24,7 @@ from sparseact import (
     ListNode,
     NoConsistentListError,
     SparseNet,
+    SparsityReport,
     Subset,
     character,
 )
@@ -153,3 +157,43 @@ def reference_decision_list(data: Dataset, s: int, M: int, tol: float = 1e-6):
             f"internal error: training residual {achieved:.3g} exceeds tol {tol}"
         )
     return result
+
+
+def reference_scan(net: SparseNet, k: int, chunk: int = 1 << 16) -> SparsityReport:
+    """Exhaustive sparsity scan by unpacking every index and multiplying out
+    the pre-activations, chunk by chunk; the oracle for ``verify_sparsity``."""
+    total = 1 << net.n
+    max_active, violations, witness = 0, 0, None
+    for lo in range(0, total, chunk):
+        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        counts = net.active_counts(index_signs(idx, net.n))
+        max_active = max(max_active, int(counts.max()))
+        over = counts > k
+        violations += int(over.sum())
+        if witness is None and over.any():
+            witness = CubePoint(net.n, int(idx[np.argmax(over)]))
+    return SparsityReport(max_active, witness, violations / total, "exhaustive", total)
+
+
+def _reference_cell(value) -> str:
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite result {value}")
+        return repr(value)
+    return str(value)
+
+
+def reference_csv(header: list[str], rows: list[list]) -> str:
+    """Row-by-row CSV writer: the oracle for the CLI's column-wise tables."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_reference_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def reference_json(header: list[str], rows: list[list]) -> str:
+    """Record-by-record JSON writer: the oracle for the CLI's JSON tables."""
+    records = [dict(zip(header, row)) for row in rows]
+    return json.dumps(records, indent=2, allow_nan=False) + "\n"

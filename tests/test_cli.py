@@ -2,17 +2,19 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from helpers import reference_csv, reference_json
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sparseact import CubePoint, SparseNet, tabulate, wht
-from sparseact.cli import run
+from sparseact.cli import _columns_to_csv, _columns_to_json, run
 
 DATA = Path(__file__).parent / "data"
 
@@ -96,6 +98,96 @@ class TestSensitivity:
         _, path = write_net(tmp_path)
         assert run(["sensitivity", "--net", str(path), "--rho", "0.5",
                     "--trials", "100"]) == 2
+
+
+class TestRecordedTables:
+    """Transform and sensitivity tables of a junta and an index net, byte for
+    byte as recorded (sha256) from the row-by-row writer and the sign-table
+    tabulation; both nets have dyadic weights, so not a digit may move."""
+
+    RECORDED = json.loads((DATA / "dense_tables.sha256.json").read_text())
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["transform"],
+         ["sensitivity", "--rho", "0.3,0.6,0.9", "--trials", "4096", "--seed", "5"]],
+        ids=["transform", "sensitivity"],
+    )
+    @pytest.mark.parametrize("net", ["junta14", "index3"])
+    def test_bytes_match_recorded(self, tmp_path, capsys, net, argv, fmt):
+        args = [argv[0], "--net", str(DATA / f"{net}.json"), "--format", fmt] + argv[1:]
+        assert run(args) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert run(args + ["--out", str(tmp_path / "table")]) == 0
+        assert (tmp_path / "table").read_bytes() == stdout
+        assert hashlib.sha256(stdout).hexdigest() == self.RECORDED[f"{net} {argv[0]} {fmt}"]
+
+
+_TEXT = st.text(
+    alphabet=st.sampled_from(list("ab, \"\n\r%é€") + ["\u2028", "\x00"]), max_size=4
+)
+_FLOATS = st.floats() | st.sampled_from([-0.0, 1e-300, 1e300])
+_CELLS = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    _FLOATS,
+    st.just(""),
+    _TEXT,
+    st.none(),
+    st.lists(st.integers(-2, 2) | _FLOATS, max_size=2),
+)
+
+
+@st.composite
+def _tables(draw):
+    """(header, columns): all-float, all-int and mixed columns of equal height."""
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(_TEXT, min_size=width, max_size=width, unique=True))
+    height = draw(st.integers(0, 6))
+    columns = [
+        draw(st.lists(draw(st.sampled_from([_FLOATS, st.integers(), _CELLS])),
+                      min_size=height, max_size=height))
+        for _ in range(width)
+    ]
+    return header, columns
+
+
+def _text_or_error(write, header, table):
+    try:
+        return write(header, table)
+    except (TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestTableWriters:
+    """Column-wise writers against the row-by-row csv.writer and json.dumps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=_tables())
+    @example(table=(["a"], [[""]]))
+    @example(table=(["x", "y"], [[], []]))
+    @example(table=(["x", "y"], [[1.0, float("inf")], [float("nan"), 2.0]]))
+    @example(table=(["x", "y"], [[1.0, 2.0], ["", float("-inf")]]))
+    def test_same_bytes_and_errors(self, table):
+        header, columns = table
+        rows = [list(row) for row in zip(*columns)]
+        assert _text_or_error(_columns_to_csv, header, columns) == _text_or_error(
+            reference_csv, header, rows
+        )
+        assert _text_or_error(_columns_to_json, header, columns) == _text_or_error(
+            reference_json, header, rows
+        )
+
+    @pytest.mark.parametrize(
+        "write, message",
+        [(_columns_to_csv, "non-finite result inf"),
+         (_columns_to_json, "Out of range float values are not JSON compliant: inf")],
+    )
+    def test_first_non_finite_cell_in_row_order(self, write, message):
+        with pytest.raises(ValueError) as exc:
+            write(["x", "y"], [[1.0, float("nan")], [float("inf"), 2.0]])
+        assert str(exc.value) == message
 
 
 class TestBoundsTable:
@@ -329,6 +421,34 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, net, data",
+        [
+            (["learn-low-degree", "--samples", "20", "--seed", "1", "--degree", "1"],
+             {"n": 2, "s": 1, "k": 1, "u": [1e200], "w": [[1, 1]], "b": [0]}, None),
+            (["learn-low-degree", "--degree", "0"], None,
+             "x1,x2,y\n1,1,1e200\n1,-1,0\n-1,1,0\n-1,-1,0\n"),
+            (["learn-dlist", "--s", "1", "--grid-m", "1", "--tol", "1e300"], None,
+             "x1,x2,y\n1,1,1e200\n1,-1,0\n-1,1,0\n-1,-1,0\n"),
+        ],
+        ids=["low-degree-net", "low-degree-csv", "dlist-csv"],
+    )
+    def test_learner_non_finite_loss(self, tmp_path, capsys, command, net, data):
+        # the loss overflows: no Infinity in the JSON, no numpy warning line
+        if net is not None:
+            source = tmp_path / "net.json"
+            source.write_text(json.dumps(net))
+            command = command + ["--net", str(source)]
+        else:
+            source = tmp_path / "data.csv"
+            source.write_text(data)
+            command = command + ["--data", str(source)]
+        rc = run(command)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "error: Out of range float values are not JSON compliant: inf\n"
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_learn_dlist_bad_tol(self, tmp_path, capsys, tol):

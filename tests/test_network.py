@@ -1,9 +1,13 @@
 """Network evaluation, activation sets, sparsity checks, decomposition,
 rebucketing, and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from helpers import brute_split, random_net
+from helpers import brute_split, random_net, reference_scan
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseact import (
     CapacityError,
@@ -12,6 +16,8 @@ from sparseact import (
     avg_sensitivity_exact,
     avg_sensitivity_split,
     embed_lift,
+    gamma_gated_net,
+    index_net,
     junta_to_net,
     parity_lift,
     rebucket,
@@ -20,6 +26,8 @@ from sparseact import (
     verify_sparsity,
     JuntaSpec,
 )
+from sparseact.config import REL_TOL_EXACT
+from sparseact.hypercube import _BLOCK_BITS, affine_blocks, index_signs
 
 
 def single_unit_net():
@@ -345,3 +353,107 @@ class TestEvalEnvelope:
             cap = 1 * (scale.W * np.sqrt(net.n) + scale.B)
             values = tabulate(net, net.n).values
             assert np.max(np.abs(values)) <= cap + 1e-12
+
+
+# n from 1 to three past the kernel's base block, so nets fall below, at and
+# above one block; index and parity-lift nets exist only at their own n.
+_KERNEL_N = st.integers(1, _BLOCK_BITS + 3)
+
+
+@st.composite
+def _kernel_nets(draw):
+    """(net, dyadic): a random, junta, index, parity-lift or gamma net."""
+    kind = draw(st.sampled_from(["random", "junta", "index", "parity", "gamma"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return random_net(rng, draw(_KERNEL_N), draw(st.integers(1, 6))), False
+    if kind == "junta":
+        n = draw(_KERNEL_N)
+        p = draw(st.integers(0, min(n, 4)))
+        relevant = tuple(int(i) + 1 for i in rng.choice(n, size=p, replace=False))
+        spec = JuntaSpec(n=n, relevant=relevant, table=rng.uniform(-1, 1, size=1 << p))
+        return junta_to_net(spec), True
+    if kind == "index":
+        return index_net(draw(st.integers(1, 3))), True
+    if kind == "parity":
+        m = draw(st.integers(1, 4))
+        S = draw(st.lists(st.integers(1, m), min_size=1, unique=True))
+        return parity_lift(m, S), True
+    b = draw(st.integers(1, 3))
+    q = draw(st.integers(1, _BLOCK_BITS + 3 - b))
+    table = rng.normal(size=(1 << b, q))
+    table /= np.linalg.norm(table, axis=1, keepdims=True)
+    return gamma_gated_net(b, q, float(np.sqrt(q)), table), False
+
+
+class TestCubeKernel:
+    """``affine_blocks`` against unpacking every index and multiplying out."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_kernel_nets())
+    def test_matches_sign_table_oracle(self, case):
+        net, dyadic = case
+        blocks = list(affine_blocks(net.w, -net.b))
+        assert [lo for lo, _ in blocks] == list(
+            range(0, 1 << net.n, blocks[0][1].shape[1])
+        )
+        got = np.concatenate([z for _, z in blocks], axis=1).T
+        signs = index_signs(np.arange(1 << net.n), net.n).astype(np.float64)
+        want = signs @ net.w.T - net.b
+        if dyadic:
+            assert np.array_equal(got, want)
+            assert np.array_equal(tabulate(net, net.n).values, net.eval_batch(signs))
+        else:
+            scale = np.abs(net.w).sum(axis=1) + np.abs(net.b)
+            assert np.all(np.abs(got - want) <= REL_TOL_EXACT * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_kernel_nets(), data=st.data())
+    def test_scan_matches_chunked_scan(self, case, data):
+        net, _ = case
+        k = data.draw(st.integers(1, net.s))
+        got = verify_sparsity(net, k, "exhaustive")
+        want = reference_scan(net, k)
+        assert got.max_active == want.max_active
+        assert got.violation_fraction == want.violation_fraction
+        assert got.violating_input == want.violating_input
+        assert got.samples == want.samples == 1 << net.n
+
+    def test_index_net_zero_ties_stay_inactive(self):
+        # the matching unit sits at exactly 0 when the addressed bit is -1
+        net = index_net(3)
+        blocks = affine_blocks(net.w, -net.b)
+        zeros = sum(int(np.count_nonzero(z == 0.0)) for _, z in blocks)
+        assert zeros > 0
+        assert verify_sparsity(net, 1, "exhaustive").max_active == 1
+
+    def test_witness_beyond_first_block(self):
+        # both units fire exactly when the top coordinate is -1, so the
+        # first violation sits at the first index of the upper half
+        n = _BLOCK_BITS + 2
+        w = np.zeros((2, n))
+        w[:, -1] = -1.0
+        net = SparseNet(n=n, s=2, k=1, u=np.ones(2), w=w, b=np.full(2, 0.5))
+        report = verify_sparsity(net, 1, "exhaustive")
+        assert report.violating_input == CubePoint(n, 1 << (n - 1))
+        assert report.violation_fraction == 0.5 and report.max_active == 2
+
+    def test_memory_bounded_by_block(self):
+        rng = np.random.default_rng(5)
+        net = random_net(rng, 22, 8)
+        tracemalloc.start()
+        try:
+            report = verify_sparsity(net, 4, "exhaustive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.samples == 1 << 22
+        # one (2^n, s) float array alone would be 256 MiB, a sign table 88 MiB
+        assert peak < 8 * (1 << 20)
+
+    @pytest.mark.parametrize(
+        "W, c", [(np.zeros(3), np.zeros(1)), (np.zeros((2, 3)), np.zeros(3))]
+    )
+    def test_shape_mismatch(self, W, c):
+        with pytest.raises(ValueError):
+            next(affine_blocks(W, c))
