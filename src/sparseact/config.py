@@ -22,15 +22,13 @@ MAX_TABULATE_N = 20
 
 # Exhaustive sparsity scans keep only one block of pre-activations at a time
 # (hypercube.affine_blocks), so they stretch a little further.  This is also
-# the largest dimension of a CubePoint or Subset.
+# the largest dimension of a CubePoint and the largest sample size whose 2^m
+# Rademacher sign vectors are enumerated exactly.
 MAX_EXHAUSTIVE_N = 24
 
 # Edge-decomposition of average sensitivity keeps per-unit activation
 # tables in memory, hence the tighter cap.
 MAX_SPLIT_N = 16
-
-# Exact Rademacher enumeration over all 2^m sign patterns.
-MAX_EXACT_RADEMACHER_M = 16
 
 # Largest dimension whose points fit a non-negative int64 index; learner
 # datasets and Monte-Carlo sampling use packed indices.

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import MAX_GATE_BITS, MAX_INDEX_BITS, MAX_JUNTA_P, MAX_LIFT_M, MAX_PAYLOAD_DIM
 from .errors import CapacityError
-from .hypercube import CubePoint, sign_table
+from .hypercube import CubePoint, index_signs
 from .network import SparseNet
 
 
@@ -81,7 +81,7 @@ def junta_to_net(spec: JuntaSpec) -> SparseNet:
     w = np.zeros((s, spec.n))
     if p > 0:
         cols = [i - 1 for i in spec.relevant]
-        w[:, cols] = sign_table(p)
+        w[:, cols] = index_signs(np.arange(s), p)
     b = np.full(s, float(p - 1))
     return SparseNet(n=spec.n, s=s, k=1, u=spec.table.copy(), w=w, b=b)
 

@@ -137,9 +137,8 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     while h < m:
         b = a.reshape(-1, 2, h)
         x = b[:, 0, :].copy()
-        y = b[:, 1, :].copy()
-        b[:, 0, :] = x + y
-        b[:, 1, :] = x - y
+        b[:, 0, :] += b[:, 1, :]
+        np.subtract(x, b[:, 1, :], out=b[:, 1, :])
         h *= 2
     return a
 

@@ -1,4 +1,4 @@
-"""Points, characters, and samplers on the sign hypercube {-1,+1}^n.
+"""Points and samplers on the sign hypercube {-1,+1}^n.
 
 Encoding
 --------
@@ -18,12 +18,12 @@ from ``affine_blocks``, which never unpacks an index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .config import MAX_EXHAUSTIVE_N
+from .config import MAX_EXHAUSTIVE_N, MAX_PACKED_N
 
 
 def _check_dim(n: int) -> None:
@@ -50,6 +50,22 @@ def pack_bits(bits) -> np.ndarray:
     """Packed indices of bit rows along the last axis; bit 1 means coordinate -1."""
     bits = np.asarray(bits, dtype=np.int64)
     return bits @ _PLACE_VALUES[: bits.shape[-1]]
+
+
+def packed_indices(idx, n: int) -> np.ndarray:
+    """``idx`` as a fresh nonempty 1-d int64 array of packed points of
+    {-1,+1}^n (n <= MAX_PACKED_N); ValueError for other dtypes, shapes or values."""
+    if not 1 <= n <= MAX_PACKED_N:
+        raise ValueError(f"dimension must be in [1, {MAX_PACKED_N}], got {n}")
+    raw = np.asarray(idx)
+    if raw.size and raw.dtype.kind not in "iu":
+        raise ValueError(f"indices must be integers, got dtype {raw.dtype}")
+    out = np.array(raw, dtype=np.int64)
+    if out.ndim != 1 or out.size == 0:
+        raise ValueError(f"need a nonempty 1-d index array, got shape {out.shape}")
+    if out.min() < 0 or out.max() >= 1 << n:
+        raise ValueError(f"indices out of range [0, 2^{n})")
+    return out
 
 
 @dataclass(frozen=True)
@@ -95,57 +111,11 @@ class CubePoint:
         return iter(int(s) for s in self.signs())
 
 
-@dataclass(frozen=True)
-class Subset:
-    """A subset of coordinate indices {1..n}, the index set of a character."""
-
-    n: int
-    members: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        _check_dim(self.n)
-        members = frozenset(int(i) for i in self.members)
-        object.__setattr__(self, "members", members)
-        bad = [i for i in members if not 1 <= i <= self.n]
-        if bad:
-            raise ValueError(f"members {sorted(bad)} out of range [1, {self.n}]")
-
-    @classmethod
-    def of(cls, n: int, *members: int) -> "Subset":
-        return cls(n, frozenset(members))
-
-    @classmethod
-    def from_mask(cls, n: int, mask: int) -> "Subset":
-        """Subset whose member i corresponds to bit i-1 of ``mask``."""
-        if not 0 <= mask < (1 << n):
-            raise ValueError(f"mask {mask} out of range for dimension {n}")
-        return cls(n, frozenset(i + 1 for i in range(n) if (mask >> i) & 1))
-
-    def mask(self) -> int:
-        """Bitmask encoding: bit i-1 set iff i is a member."""
-        m = 0
-        for i in self.members:
-            m |= 1 << (i - 1)
-        return m
-
-    def size(self) -> int:
-        return len(self.members)
-
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-
-def character(T: Subset, x: CubePoint) -> int:
-    """The monomial prod_{i in T} x_i, in {-1,+1}; the empty product is +1."""
-    if T.n != x.n:
-        raise ValueError(f"dimension mismatch: subset on {T.n}, point on {x.n}")
-    return -1 if bin(x.index & T.mask()).count("1") & 1 else 1
-
-
 def sign_table(n: int) -> np.ndarray:
     """The full (2^n, n) int8 table of coordinates in index order.
 
-    Row u is CubePoint(n, u).signs().  Memory: 2^n * n bytes.
+    Row u is CubePoint(n, u).signs().  Memory: 2^n * n bytes.  No code in
+    the package calls it; the benchmark's tracer still wraps it by name.
     """
     _check_dim(n)
     return index_signs(np.arange(1 << n), n)

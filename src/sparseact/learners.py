@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_LIST_M, MAX_LIST_N, MAX_MONOMIALS, MAX_PACKED_N
+from .config import MAX_LIST_M, MAX_LIST_N, MAX_MONOMIALS
 from .errors import CapacityError, InconsistentDataError, NoConsistentListError
 from .fourier import tabulate, values_at
-from .hypercube import CubePoint, index_signs, pack_signs
+from .hypercube import CubePoint, index_signs, pack_signs, packed_indices
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -40,21 +40,12 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_PACKED_N:
-            raise ValueError(f"dimension must be in [1, {MAX_PACKED_N}], got {self.n}")
-        raw = np.asarray(self.idx)
-        if raw.size and raw.dtype.kind not in "iu":
-            raise ValueError(f"indices must be integers, got dtype {raw.dtype}")
-        idx = _frozen(np.array(raw, dtype=np.int64))
+        idx = _frozen(packed_indices(self.idx, self.n))
         y = _frozen(np.array(self.y, dtype=np.float64))
         object.__setattr__(self, "idx", idx)
         object.__setattr__(self, "y", y)
-        if idx.ndim != 1 or idx.shape != y.shape:
-            raise ValueError(f"need 1-d idx and y of one shape, got {idx.shape}, {y.shape}")
-        if idx.size == 0:
-            raise ValueError("data must be nonempty")
-        if idx.min() < 0 or idx.max() >= 1 << self.n:
-            raise ValueError(f"indices out of range [0, 2^{self.n})")
+        if idx.shape != y.shape:
+            raise ValueError(f"need idx and y of one shape, got {idx.shape}, {y.shape}")
         if not np.all(np.isfinite(y)):
             raise ValueError("labels must be finite")
 

@@ -2,8 +2,10 @@
 
 The class quantity maximizes over infinitely many networks; here we
 maximize over an explicit finite pool, which lower-bounds the class value,
-and compare against the theorem's closed-form upper envelope.  For small
-sample sizes the expectation over sign vectors is enumerated exactly.
+and compare against the theorem's closed-form upper envelope.  Samples are
+packed point indices (the encoding of :mod:`sparseact.hypercube`).  Up to
+m = MAX_EXHAUSTIVE_N the expectation over sign vectors is enumerated exactly
+with the whole-cube kernel ``affine_blocks``.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import bounds
-from .config import MAX_EXACT_RADEMACHER_M, MC_CHUNK
+from .config import MAX_EXHAUSTIVE_N, MC_CHUNK
 from .constructions import JuntaSpec, junta_to_net
 from .errors import CapacityError
 from .fourier import values_at
-from .hypercube import CubePoint, sign_table
+from .hypercube import affine_blocks, packed_indices
 from .network import SparseNet, verify_sparsity
 from .parallel import mean_and_stderr, run_chunked
 
@@ -39,13 +41,9 @@ class HypothesisPool:
         if not self.members:
             raise ValueError("pool must be nonempty")
 
-    def value_matrix(self, S: Sequence[CubePoint]) -> np.ndarray:
-        """(pool, m) matrix of member values on the sample."""
-        if not S:
-            raise ValueError("sample must be nonempty")
-        if any(x.n != self.n for x in S):
-            raise ValueError("sample points do not match the pool dimension")
-        idx = np.array([x.index for x in S])
+    def value_matrix(self, idx) -> np.ndarray:
+        """(pool, m) matrix of member values at the m packed sample indices."""
+        idx = packed_indices(idx, self.n)
         return np.array([values_at(h, self.n, idx) for h in self.members])
 
 
@@ -64,32 +62,31 @@ class RademacherEstimate:
 
 def empirical_rademacher(
     pool: HypothesisPool,
-    S: Sequence[CubePoint],
+    idx,
     trials: int,
     rng: np.random.Generator | None = None,
     mode: str = "auto",
     threads: int = 1,
 ) -> RademacherEstimate:
-    """Estimate the empirical Rademacher complexity of the pool on S.
+    """Estimate the empirical Rademacher complexity of the pool on the
+    sample of packed indices ``idx``.
 
-    mode "exact" enumerates all 2^m sign vectors (m <= 16); "mc" averages
-    over ``trials`` uniform sign vectors drawn from ``rng``; "auto" picks
-    exact when m is small enough.
+    mode "exact" enumerates all 2^m sign vectors (m <= MAX_EXHAUSTIVE_N);
+    "mc" averages over ``trials`` uniform sign vectors drawn from ``rng``;
+    "auto" picks exact exactly when m <= MAX_EXHAUSTIVE_N.
     """
-    H = pool.value_matrix(S)
+    H = pool.value_matrix(idx)
     m = H.shape[1]
     if mode == "auto":
-        mode = "exact" if m <= MAX_EXACT_RADEMACHER_M else "mc"
+        mode = "exact" if m <= MAX_EXHAUSTIVE_N else "mc"
     if mode == "exact":
-        if m > MAX_EXACT_RADEMACHER_M:
-            raise CapacityError(
-                f"exact enumeration needs m <= {MAX_EXACT_RADEMACHER_M}, got {m}"
-            )
-        Z = sign_table(m).astype(np.float64)  # (2^m, m)
-        sups = (Z @ H.T).max(axis=1) / m
-        return RademacherEstimate(
-            mean=float(sups.mean()), stderr=0.0, trials=Z.shape[0], m=m
+        if m > MAX_EXHAUSTIVE_N:
+            raise CapacityError(f"exact enumeration needs m <= {MAX_EXHAUSTIVE_N}, got {m}")
+        # column z of a block holds <z, h(S)> for every member h, z a sign vector
+        total = sum(
+            float(Z.max(axis=0).sum()) for _, Z in affine_blocks(H, np.zeros(len(H)))
         )
+        return RademacherEstimate(mean=total / (m << m), stderr=0.0, trials=1 << m, m=m)
     if mode != "mc":
         raise ValueError(f"mode must be 'auto', 'exact', or 'mc', got {mode!r}")
     if trials < 1:
@@ -168,7 +165,7 @@ def _stack(nets: Sequence[SparseNet], k: int) -> SparseNet:
 
 def compare_to_bound(
     pool: HypothesisPool,
-    sample_set: Callable[[int, np.random.Generator], Sequence[CubePoint]],
+    sample_set: Callable[[int, np.random.Generator], np.ndarray],
     m_grid: Sequence[int],
     trials: int,
     rng: np.random.Generator,
@@ -187,8 +184,8 @@ def compare_to_bound(
         raise ValueError(f"m grid must be strictly increasing, got {m_grid}")
     rows = []
     for m in m_grid:
-        S = sample_set(m, rng)
-        est = empirical_rademacher(pool, S, trials, rng, mode=mode, threads=threads)
+        idx = sample_set(m, rng)
+        est = empirical_rademacher(pool, idx, trials, rng, mode=mode, threads=threads)
         bound = bounds.rademacher_bound(
             bounds.ClassParams(
                 n=pool.n, s=pool.s, k=pool.k, W=pool.W, B=pool.B, m=m
@@ -206,12 +203,10 @@ def compare_to_bound(
     return rows
 
 
-def uniform_sample_set(
-    n: int,
-) -> Callable[[int, np.random.Generator], list[CubePoint]]:
-    """Sample-set generator drawing m uniform cube points."""
+def uniform_sample_set(n: int) -> Callable[[int, np.random.Generator], np.ndarray]:
+    """Sample-set generator drawing the packed indices of m uniform cube points."""
 
-    def gen(m: int, rng: np.random.Generator) -> list[CubePoint]:
-        return [CubePoint(n, int(u)) for u in rng.integers(0, 1 << n, size=m)]
+    def gen(m: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.integers(0, 1 << n, size=m)
 
     return gen

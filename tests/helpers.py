@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's fast paths: the reference
 transform multiplies out characters term by term, and the sensitivity
 oracles walk edges with single-point evaluations, so agreement with the
-vectorized implementations is meaningful.
+vectorized implementations is meaningful.  Subsets are bitmasks (bit i-1
+set iff coordinate i is a member), as in the library.
 """
 
 from __future__ import annotations
@@ -25,10 +26,13 @@ from sparseact import (
     NoConsistentListError,
     SparseNet,
     SparsityReport,
-    Subset,
-    character,
 )
 from sparseact.hypercube import index_signs
+
+
+def chi(mask: int, u: int) -> int:
+    """The character of subset bitmask ``mask`` at packed point ``u``, +-1."""
+    return -1 if bin(mask & u).count("1") & 1 else 1
 
 
 def naive_spectrum(values: np.ndarray, n: int) -> np.ndarray:
@@ -36,12 +40,32 @@ def naive_spectrum(values: np.ndarray, n: int) -> np.ndarray:
     size = 1 << n
     out = np.zeros(size)
     for mask in range(size):
-        T = Subset.from_mask(n, mask)
         total = 0.0
         for u in range(size):
-            total += values[u] * character(T, CubePoint(n, u))
+            total += values[u] * chi(mask, u)
         out[mask] = total / size
     return out
+
+
+def reference_fwht(a: np.ndarray) -> np.ndarray:
+    """The butterfly with four half-size temporaries per stage: the oracle
+    for ``fourier._fwht``, which updates in place with one."""
+    h = 1
+    while h < a.size:
+        b = a.reshape(-1, 2, h)
+        x = b[:, 0, :].copy()
+        y = b[:, 1, :].copy()
+        b[:, 0, :] = x + y
+        b[:, 1, :] = x - y
+        h *= 2
+    return a
+
+
+def reference_rademacher(H: np.ndarray) -> float:
+    """Exact empirical Rademacher complexity of the (pool, m) value matrix H
+    through the full (2^m, m) table of sign vectors."""
+    m = H.shape[1]
+    return float((index_signs(np.arange(1 << m), m) @ H.T).max(axis=1).mean() / m)
 
 
 def brute_sensitivity_at(f, n: int, x: CubePoint) -> float:
@@ -90,10 +114,10 @@ def random_net(rng: np.random.Generator, n: int, s: int, k: int | None = None) -
 
 
 def parity_function(n: int, members: tuple[int, ...]):
-    T = Subset(n, frozenset(members))
+    mask = sum(1 << (i - 1) for i in set(members))
 
     def f(x: CubePoint) -> float:
-        return float(character(T, x))
+        return float(chi(mask, x.index))
 
     return f
 

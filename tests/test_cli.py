@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from sparseact import CubePoint, SparseNet, tabulate, wht
 from sparseact.cli import _columns_to_csv, _columns_to_json, run
+from sparseact.config import REL_TOL_EXACT
 
 DATA = Path(__file__).parent / "data"
 
@@ -310,6 +311,42 @@ class TestRademacherCommand:
             rows = list(csv.DictReader(fh))
         assert [int(r["m"]) for r in rows] == [8, 16]
         assert all(float(r["bound"]) > 0 for r in rows)
+
+
+class TestRecordedRademacher:
+    """``rademacher`` tables as recorded before exact mode moved to the
+    whole-cube kernel: Monte-Carlo bytes must not move at all, and exact
+    rows only within REL_TOL_EXACT."""
+
+    ARGS = ["rademacher", "--n", "6", "--s", "4", "--pool-count", "4",
+            "--trials", "20000", "--seed", "3"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mc_bytes_match_recorded(self, capsys, fmt):
+        recorded = json.loads((DATA / "rademacher_tables.sha256.json").read_text())
+        args = self.ARGS + ["--mode", "mc", "--m-grid", "8,32", "--format", fmt]
+        assert run(args) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == recorded[f"mc {fmt}"]
+
+    def test_exact_rows_match_recorded(self, capsys):
+        recorded = json.loads((DATA / "rademacher_exact_rows.json").read_text())
+        args = self.ARGS + ["--mode", "exact", "--m-grid", "4,8,12,16", "--format", "json"]
+        assert run(args) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["m"] for r in rows] == [r["m"] for r in recorded] == [4, 8, 12, 16]
+        for row, want in zip(rows, recorded):
+            assert row["stderr"] == 0.0
+            assert row["bound"] == want["bound"]
+            for key in ("estimate", "ratio"):
+                assert abs(row[key] - want[key]) <= REL_TOL_EXACT * abs(want[key])
+
+    def test_exact_past_the_cap_is_runtime_failure(self, capsys):
+        args = self.ARGS + ["--mode", "exact", "--m-grid", "25"]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error:")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestVerifyCommand:

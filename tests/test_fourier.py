@@ -5,19 +5,21 @@ import pytest
 from helpers import (
     brute_avg_sensitivity,
     brute_sensitivity_at,
+    chi,
     naive_spectrum,
     parity_function,
     random_net,
+    reference_fwht,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseact import (
     CapacityError,
     CubeFunction,
     CubePoint,
     SparseNet,
-    Subset,
     avg_sensitivity_exact,
-    character,
     halfspace_sensitivity_bound,
     inverse_wht,
     noise_sensitivity_exact,
@@ -28,8 +30,8 @@ from sparseact import (
     wht,
 )
 from sparseact.config import REL_TOL_EXACT
-from sparseact.fourier import values_at
-from sparseact.hypercube import sign_table
+from sparseact.fourier import _fwht, values_at
+from sparseact.hypercube import index_signs
 
 
 def random_function(rng, n):
@@ -42,7 +44,7 @@ class TestTabulate:
         assert np.array_equal(f.values, np.ones(8))
 
     def test_character_alternates_with_encoding(self):
-        f = tabulate(lambda x: float(character(Subset.of(2, 1), x)), 2)
+        f = tabulate(lambda x: float(chi(0b01, x.index)), 2)
         # bit 0 of the index decides coordinate 1
         assert list(f.values) == [1.0, -1.0, 1.0, -1.0]
 
@@ -70,7 +72,7 @@ class TestTabulate:
 
 class TestWht:
     def test_single_character(self):
-        f = tabulate(lambda x: float(character(Subset.of(2, 1, 2), x)), 2)
+        f = tabulate(lambda x: float(chi(0b11, x.index)), 2)
         spec = wht(f)
         assert np.allclose(spec.coeffs, [0, 0, 0, 1], atol=1e-12)
 
@@ -87,6 +89,12 @@ class TestWht:
             assert np.allclose(
                 wht(f).coeffs, naive_spectrum(f.values, n), atol=1e-12
             )
+
+    @given(st.integers(1, 16), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_in_place_butterfly_matches_reference_bit_for_bit(self, n, seed):
+        a = np.random.default_rng(seed).normal(size=1 << n)
+        assert np.array_equal(_fwht(a.copy()), reference_fwht(a.copy()))
 
     def test_reconstruction(self):
         rng = np.random.default_rng(6)
@@ -305,7 +313,7 @@ class TestHalfspaceTrend:
         def halfspace_table(rng, n):
             w = rng.normal(size=n)
             shift = rng.normal() * np.sqrt(n) * 0.5
-            X = sign_table(n).astype(np.float64)
+            X = index_signs(np.arange(1 << n), n).astype(np.float64)
             return CubeFunction(n, (X @ w <= shift).astype(np.float64))
 
         def ratio(f):

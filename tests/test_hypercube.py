@@ -2,18 +2,18 @@
 
 import numpy as np
 import pytest
+from helpers import chi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseact import (
     CubePoint,
-    Subset,
-    character,
     sample_bucket_pair,
     sample_noisy,
     sample_uniform,
 )
 from sparseact.hypercube import index_signs, pack_bits, pack_signs, sign_table
+from sparseact.learners import _character
 
 
 class TestCubePoint:
@@ -89,43 +89,34 @@ class TestEncodingKernels:
 
 
 class TestCharacter:
+    """``learners._character``, the one character kernel, against the
+    popcount-parity oracle; subsets are bitmasks."""
+
     def test_empty_subset_is_one(self):
-        for u in range(8):
-            assert character(Subset(3), CubePoint(3, u)) == 1
+        assert np.array_equal(_character(np.arange(8), 0), np.ones(8))
 
     def test_singleton(self):
-        assert character(Subset.of(2, 1), CubePoint.from_signs([-1, 1])) == -1
+        assert _character(np.array([CubePoint.from_signs([-1, 1]).index]), 0b01)[0] == -1
 
     def test_pair(self):
-        assert character(Subset.of(3, 1, 2), CubePoint.from_signs([-1, -1, 1])) == 1
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            character(Subset.of(3, 1), CubePoint.from_signs([1, 1]))
+        assert _character(np.array([CubePoint.from_signs([-1, -1, 1]).index]), 0b011)[0] == 1
 
     def test_orthogonality_sums(self):
         n = 4
         for mask in range(1 << n):
-            T = Subset.from_mask(n, mask)
-            total = sum(character(T, CubePoint(n, u)) for u in range(1 << n))
+            total = _character(np.arange(1 << n), mask).sum()
             assert total == ((1 << n) if mask == 0 else 0)
 
-    @given(st.integers(1, 8), st.data())
+    @given(st.integers(1, 62), st.data())
     @settings(deadline=None)
     def test_multiplicative_on_symmetric_difference(self, n, data):
-        a = data.draw(st.integers(0, (1 << n) - 1))
-        b = data.draw(st.integers(0, (1 << n) - 1))
-        u = data.draw(st.integers(0, (1 << n) - 1))
-        x = CubePoint(n, u)
-        Ta, Tb = Subset.from_mask(n, a), Subset.from_mask(n, b)
-        Tab = Subset.from_mask(n, a ^ b)
-        assert character(Ta, x) * character(Tb, x) == character(Tab, x)
-
-    def test_subset_validation(self):
-        with pytest.raises(ValueError):
-            Subset.of(3, 4)
-        with pytest.raises(ValueError):
-            Subset.of(3, 0)
+        a, b = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
+        idx = np.array(
+            data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8)),
+            dtype=np.int64,
+        )
+        assert np.array_equal(_character(idx, a) * _character(idx, b), _character(idx, a ^ b))
+        assert _character(idx, a).tolist() == [chi(a, int(u)) for u in idx]
 
 
 class TestSampleUniform:

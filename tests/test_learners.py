@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import parity_function, reference_decision_list
+from helpers import chi, parity_function, reference_decision_list
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +20,6 @@ from sparseact import (
     NoConsistentListError,
     SparseNet,
     Spectrum,
-    Subset,
-    character,
     evaluate_loss,
     fit_decision_list,
     fit_low_degree,
@@ -180,8 +178,7 @@ class TestPredict:
         model = MonomialModel(n=n, d=d, masks=masks, coeffs=coeffs)
         X = np.array([CubePoint(n, u).signs() for u in points])
         for u, value in zip(points, model.eval_batch(X)):
-            x = CubePoint(n, u)
-            terms = [c * character(Subset.from_mask(n, m), x) for m, c in zip(masks, coeffs)]
+            terms = [c * chi(m, u) for m, c in zip(masks, coeffs)]
             assert value == sum(terms)
 
     def test_degree_invariant_enforced(self):

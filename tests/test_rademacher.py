@@ -1,15 +1,19 @@
 """Empirical Rademacher estimation: exact enumeration, Monte-Carlo, pools,
-and the comparison harness."""
+and the comparison harness.  Samples are arrays of packed point indices."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from helpers import reference_rademacher
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseact import (
     CapacityError,
     ClassParams,
-    CubePoint,
+    CubeFunction,
     HypothesisPool,
     SparseNet,
     compare_to_bound,
@@ -19,6 +23,7 @@ from sparseact import (
     uniform_sample_set,
     verify_sparsity,
 )
+from sparseact.config import MAX_EXHAUSTIVE_N, MC_SIGMA, REL_TOL_EXACT
 
 
 class ConstantPredictor:
@@ -40,7 +45,7 @@ def constant_pool(n, values):
 class TestEmpiricalRademacher:
     def test_zero_pool_is_exactly_zero(self):
         pool = constant_pool(3, [0.0])
-        S = [CubePoint(3, u) for u in range(5)]
+        S = np.arange(5)
         exact = empirical_rademacher(pool, S, trials=0, mode="exact")
         assert exact.mean == 0.0 and exact.stderr == 0.0
         mc = empirical_rademacher(
@@ -52,7 +57,7 @@ class TestEmpiricalRademacher:
         # max over {+c, -c} of (c/m) sum z_i = (c/m) |sum z_i|
         c, m = 2.0, 4
         pool = constant_pool(3, [c, -c])
-        S = [CubePoint(3, u % 8) for u in range(m)]
+        S = np.arange(m) % 8
         est = empirical_rademacher(pool, S, trials=0, mode="exact")
         want = np.mean(
             [abs(sum(z)) * c / m for z in itertools.product([-1, 1], repeat=m)]
@@ -71,7 +76,7 @@ class TestEmpiricalRademacher:
         ]
         small = HypothesisPool(members=tuple(nets[:2]), n=4, s=2, k=2, W=5.0, B=5.0)
         large = HypothesisPool(members=tuple(nets), n=4, s=2, k=2, W=5.0, B=5.0)
-        S = [CubePoint(4, u) for u in (0, 3, 7, 9, 12)]
+        S = np.array([0, 3, 7, 9, 12])
         est_small = empirical_rademacher(small, S, trials=0, mode="exact")
         est_large = empirical_rademacher(large, S, trials=0, mode="exact")
         assert est_small.mean <= est_large.mean + 1e-15
@@ -86,7 +91,7 @@ class TestEmpiricalRademacher:
             for _ in range(6)
         ]
         pool = HypothesisPool(members=tuple(nets), n=5, s=2, k=2, W=5.0, B=5.0)
-        S = [CubePoint(5, int(u)) for u in rng.integers(0, 32, size=10)]
+        S = rng.integers(0, 32, size=10)
         exact = empirical_rademacher(pool, S, trials=0, mode="exact")
         mc = empirical_rademacher(pool, S, trials=20_000, rng=rng, mode="mc")
         assert abs(exact.mean - mc.mean) <= 4 * mc.stderr
@@ -99,7 +104,7 @@ class TestEmpiricalRademacher:
         )
         negated = SparseNet(n=4, s=3, k=3, u=-net.u, w=net.w, b=net.b)
         pool = HypothesisPool(members=(net, negated), n=4, s=3, k=3, W=5.0, B=5.0)
-        S = [CubePoint(4, u) for u in (1, 2, 8, 13)]
+        S = np.array([1, 2, 8, 13])
         est = empirical_rademacher(pool, S, trials=0, mode="exact")
         assert est.mean >= 0.0
 
@@ -110,7 +115,7 @@ class TestEmpiricalRademacher:
             u=rng.uniform(-1, 1, 2), w=rng.normal(size=(2, 4)), b=rng.normal(size=2),
         )
         pool = HypothesisPool(members=(net,), n=4, s=2, k=2, W=5.0, B=5.0)
-        S = [CubePoint(4, u) for u in (0, 5, 9, 14, 2)]
+        S = np.array([0, 5, 9, 14, 2])
         a = empirical_rademacher(pool, S, trials=0, mode="exact")
         b = empirical_rademacher(pool, S[::-1], trials=0, mode="exact")
         assert a.mean == pytest.approx(b.mean, rel=1e-12)
@@ -129,22 +134,18 @@ class TestEmpiricalRademacher:
 
     def test_mode_and_argument_errors(self):
         pool = constant_pool(3, [1.0])
-        S = [CubePoint(3, 0)]
+        S = np.array([0])
         with pytest.raises(ValueError):
             empirical_rademacher(pool, S, trials=10, mode="bogus")
         with pytest.raises(ValueError):
             empirical_rademacher(pool, S, trials=10, mode="mc")  # no rng
         with pytest.raises(ValueError):
             empirical_rademacher(pool, [], trials=10, mode="exact")
-        with pytest.raises(CapacityError):
-            empirical_rademacher(
-                pool, [CubePoint(3, 0)] * 17, trials=0, mode="exact"
-            )
 
     def test_stderr_scales_with_trials(self):
         rng = np.random.default_rng(13)
         pool = constant_pool(4, [1.0, -1.0])
-        S = [CubePoint(4, u % 16) for u in range(9)]
+        S = np.arange(9) % 16
         a = empirical_rademacher(pool, S, trials=5_000, rng=rng, mode="mc")
         b = empirical_rademacher(pool, S, trials=20_000, rng=rng, mode="mc")
         assert abs(a.stderr / b.stderr - 2.0) < 0.4
@@ -153,10 +154,93 @@ class TestEmpiricalRademacher:
         rng_a = np.random.default_rng(6)
         rng_b = np.random.default_rng(6)
         pool = constant_pool(4, [1.0, -1.0])
-        S = [CubePoint(4, u % 16) for u in range(20)]
+        S = np.arange(20) % 16
         a = empirical_rademacher(pool, S, trials=40_000, rng=rng_a, mode="mc", threads=1)
         b = empirical_rademacher(pool, S, trials=40_000, rng=rng_b, mode="mc", threads=4)
         assert a.mean == b.mean and a.stderr == b.stderr
+
+
+def table_pool(H):
+    """A pool whose value matrix on the sample ``np.arange(m)`` is H."""
+    pool_size, m = H.shape
+    n = max(1, (m - 1).bit_length())
+    rows = np.zeros((pool_size, 1 << n))
+    rows[:, :m] = H
+    members = tuple(CubeFunction(n, row) for row in rows)
+    return HypothesisPool(members=members, n=n, s=1, k=1, W=0.0, B=1.0)
+
+
+class TestExactEnumeration:
+    """Exact mode on the whole-cube kernel against the sign-table oracle."""
+
+    @given(st.integers(1, 16), st.integers(1, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dyadic_values_match_sign_table_oracle_exactly(self, m, pool_size, data):
+        eighths = data.draw(
+            st.lists(st.integers(-64, 64), min_size=pool_size * m, max_size=pool_size * m)
+        )
+        H = np.array(eighths, dtype=np.float64).reshape(pool_size, m) / 8
+        est = empirical_rademacher(table_pool(H), np.arange(m), trials=0, mode="exact")
+        assert est.mean == reference_rademacher(H)
+        assert est.stderr == 0.0 and est.trials == 1 << m and est.m == m
+
+    @given(st.integers(1, 16), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_gaussian_values_match_sign_table_oracle(self, m, pool_size, seed):
+        H = np.random.default_rng(seed).normal(size=(pool_size, m))
+        est = empirical_rademacher(table_pool(H), np.arange(m), trials=0, mode="exact")
+        want = reference_rademacher(H)
+        assert abs(est.mean - want) <= REL_TOL_EXACT * max(abs(want), 1.0)
+
+    def test_exact_matches_monte_carlo_at_m20(self):
+        rng = np.random.default_rng(20)
+        pool = random_sparse_pool(ClassParams(n=8, s=8, k=1), 8, rng)
+        S = uniform_sample_set(8)(20, rng)
+        exact = empirical_rademacher(pool, S, trials=0, mode="exact")
+        mc = empirical_rademacher(pool, S, trials=40_000, rng=rng, mode="mc")
+        assert exact.trials == 1 << 20
+        assert abs(exact.mean - mc.mean) <= MC_SIGMA * mc.stderr
+
+    def test_exact_cap_is_capacity_error(self):
+        pool = constant_pool(3, [1.0])
+        S = np.zeros(MAX_EXHAUSTIVE_N + 1, dtype=np.int64)
+        with pytest.raises(CapacityError):
+            empirical_rademacher(pool, S, trials=0, mode="exact")
+
+    def test_auto_is_exact_through_the_cap(self):
+        # max over {+c, -c} of (c/m) sum z_i = (c/m) |sum z_i|, summed exactly
+        c, m = 2.0, MAX_EXHAUSTIVE_N
+        pool = constant_pool(3, [c, -c])
+        est = empirical_rademacher(pool, np.zeros(m, dtype=np.int64), trials=100)
+        want = c * sum(math.comb(m, j) * abs(m - 2 * j) for j in range(m + 1)) / (m << m)
+        assert est.stderr == 0.0 and est.trials == 1 << m
+        assert abs(est.mean - want) <= REL_TOL_EXACT * want
+
+    def test_auto_is_monte_carlo_past_the_cap(self):
+        pool = constant_pool(3, [1.0, -1.0])
+        S = np.zeros(MAX_EXHAUSTIVE_N + 1, dtype=np.int64)
+        est = empirical_rademacher(pool, S, trials=100, rng=np.random.default_rng(0))
+        assert est.trials == 100 and est.stderr > 0.0
+
+
+class TestSampleIndices:
+    @pytest.mark.parametrize(
+        "idx",
+        [np.array([0.0, 1.0]), np.array([[0, 1]]), np.array([], dtype=np.int64),
+         np.array([8]), np.array([-1]), [True]],
+        ids=["float", "2-d", "empty", "past-end", "negative", "bool"],
+    )
+    def test_bad_index_arrays_rejected(self, idx):
+        pool = constant_pool(3, [1.0])
+        with pytest.raises(ValueError):
+            pool.value_matrix(idx)
+        with pytest.raises(ValueError):
+            empirical_rademacher(pool, idx, trials=0, mode="exact")
+
+    def test_sample_set_draws_packed_indices(self):
+        a = uniform_sample_set(10)(50, np.random.default_rng(4))
+        b = np.random.default_rng(4).integers(0, 1 << 10, size=50)
+        assert a.dtype.kind == "i" and np.array_equal(a, b)
 
 
 class TestRandomSparsePool:
