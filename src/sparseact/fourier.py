@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import MAX_PACKED_N, MAX_TABULATE_N, MC_CHUNK
 from .errors import CapacityError
-from .hypercube import CubePoint, affine_blocks, index_signs, pack_bits
+from .hypercube import CubePoint, affine_blocks, flip_masks, index_signs
 from .network import SparseNet
 from .parallel import mean_and_stderr, run_chunked
 
@@ -237,9 +237,7 @@ def noise_sensitivity_mc(
     def worker(lo: int, hi: int, crng: np.random.Generator) -> np.ndarray:
         count = hi - lo
         xs = crng.integers(0, 1 << dim, size=count)
-        flips = crng.random((count, dim)) < flip_p
-        masks = pack_bits(flips)
+        masks = flip_masks(dim, flip_p, count, crng)
         return 0.25 * (values_at(f, dim, xs) - values_at(f, dim, xs ^ masks)) ** 2
 
-    samples = run_chunked(worker, trials, rng, threads=threads, chunk=MC_CHUNK)
-    return mean_and_stderr(samples)
+    return mean_and_stderr(run_chunked(worker, trials, rng, threads=threads, chunk=MC_CHUNK))

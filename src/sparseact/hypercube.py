@@ -11,7 +11,8 @@ with plain array indexing.
 
 Coordinates are 1-indexed throughout the public API; only storage is
 0-indexed.  ``index_signs`` and ``pack_bits`` are the only converters
-between packed indices and sign rows; everything else goes through them.
+between packed indices and sign rows; everything else goes through them,
+except ``flip_masks``, which packs the Monte-Carlo flip draws in place.
 Whole-cube affine maps (a net's pre-activations at all 2^n points) come
 from ``affine_blocks``, which never unpacks an index.
 """
@@ -178,15 +179,46 @@ def sample_uniform(n: int, rng: np.random.Generator) -> CubePoint:
     return CubePoint(n, int(rng.integers(0, 1 << n)))
 
 
+# Multiplier that gathers the low bits of the 8 bytes of a uint64 into its
+# top byte: byte k, holding 0 or 1, lands on bit 56 + k of the product, and
+# no other partial product reaches the top byte or carries into it.
+_BYTE_GATHER = np.uint64(0x0102040810204080)
+
+
+def flip_masks(n: int, p: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Packed masks of ``count`` rows of n independent flips of probability p.
+
+    Draws ``rng.random((count, n))`` and returns the int64 array equal to
+    ``pack_bits(rng.random((count, n)) < p)`` for the same generator state,
+    without the int64 matmul: the comparison writes into a zeroed bool
+    buffer padded to whole bytes of 8 coordinates, each uint64 word of which
+    is folded into one byte by a multiply and a shift, and the bytes are
+    ORed into place.
+    """
+    if not 1 <= n <= MAX_PACKED_N:
+        raise ValueError(f"dimension must be in [1, {MAX_PACKED_N}], got {n}")
+    u = rng.random((count, n))
+    bits = np.zeros((count, -(-n // 8) * 8), dtype=bool)
+    np.less(u, p, out=bits[:, :n])
+    words = bits.view(np.uint64)
+    words *= _BYTE_GATHER
+    words >>= np.uint64(56)
+    masks = words[:, 0].copy()
+    for j in range(1, words.shape[1]):
+        masks |= words[:, j] << np.uint64(8 * j)
+    return masks.view(np.int64)
+
+
 def sample_noisy(x: CubePoint, rho: float, rng: np.random.Generator) -> CubePoint:
     """Flip each coordinate of x independently with probability (1-rho)/2.
 
     rho=1 returns x itself, rho=-1 its negation; rho=0 resamples uniformly.
+    The one-row case of ``flip_masks``, with the same draws.
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    flips = rng.random(x.n) < (1.0 - rho) / 2.0
-    return CubePoint(x.n, x.index ^ int(pack_bits(flips)))
+    mask = flip_masks(x.n, (1.0 - rho) / 2.0, 1, rng)[0]
+    return CubePoint(x.n, x.index ^ int(mask))
 
 
 def sample_bucket_pair(
@@ -194,13 +226,18 @@ def sample_bucket_pair(
 ) -> tuple[CubePoint, CubePoint, int, int]:
     """Correlated pair (x, y) via the bucket procedure; returns (x, y, r, b).
 
-    With r = floor(2 / (1 - rho)): draw z uniform on the cube, assign each
-    coordinate to one of r buckets uniformly and independently, draw one
-    uniform sign per bucket, and set x = z * bucket signs.  Flip the sign of
-    one uniformly chosen bucket b (1-indexed) to obtain y.  Each coordinate
-    of y then differs from x independently with probability exactly 1/r,
-    which equals (1 - rho)/2 precisely when 2/(1 - rho) is an integer;
-    callers should compare flip rates against 1/r.
+    With r = floor(2 / (1 - rho)): assign each coordinate to one of r
+    buckets uniformly and independently, draw x uniform on the cube, and
+    flip the sign of one uniformly chosen bucket b (1-indexed) to obtain y.
+    Each coordinate of y then differs from x independently with probability
+    exactly 1/r, which equals (1 - rho)/2 precisely when 2/(1 - rho) is an
+    integer; callers should compare flip rates against 1/r.
+
+    The procedure as stated draws z uniform, one sign v_j per bucket, and
+    sets x = z * v[buckets].  Since z is uniform and independent of the
+    buckets, of v and of b, so is z * v[buckets]: x = z has the same joint
+    law with (y, r, b).  Skipping the r bucket signs keeps memory bounded by
+    n, not by r, which grows without bound as rho -> 1.
     """
     _check_dim(n)
     if not 0.0 <= rho < 1.0:
@@ -208,10 +245,8 @@ def sample_bucket_pair(
     r = int(np.floor(2.0 / (1.0 - rho)))
     z = rng.integers(0, 2, size=n)  # bit 1 means coordinate -1
     buckets = rng.integers(0, r, size=n)
-    v = rng.integers(0, 2, size=r)  # per-bucket sign bits
     b = int(rng.integers(0, r))
 
-    x = int(pack_bits(z ^ v[buckets]))
+    x = int(pack_bits(z))
     y = x ^ int(pack_bits(buckets == b))
     return CubePoint(n, x), CubePoint(n, y), r, b + 1
-

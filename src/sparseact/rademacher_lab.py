@@ -26,6 +26,11 @@ from .network import SparseNet, verify_sparsity
 from .parallel import mean_and_stderr, run_chunked
 
 
+# Entries per draw of Monte-Carlo sign rows: 512 KiB of int64 signs and as
+# much of float64, in place of (MC_CHUNK, m) arrays of each.
+_SIGN_DRAW_ENTRIES = 1 << 16
+
+
 @dataclass(frozen=True)
 class HypothesisPool:
     """Finite list of real-valued predictors plus its scale envelope."""
@@ -95,12 +100,30 @@ def empirical_rademacher(
         raise ValueError("mc mode needs a generator")
 
     def worker(lo: int, hi: int, crng: np.random.Generator) -> np.ndarray:
-        Z = 1.0 - 2.0 * crng.integers(0, 2, size=(hi - lo, m))
-        return (Z @ H.T).max(axis=1) / m
+        return _sign_sups(H, hi - lo, crng)
 
-    sups = run_chunked(worker, trials, rng, threads=threads, chunk=MC_CHUNK)
-    mean, stderr = mean_and_stderr(sups)
+    moments = run_chunked(worker, trials, rng, threads=threads, chunk=MC_CHUNK)
+    mean, stderr = mean_and_stderr(moments)
     return RademacherEstimate(mean=mean, stderr=stderr, trials=trials, m=m)
+
+
+def _sign_sups(H: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """max_h <z, h(S)> / m for ``count`` uniform sign rows z, H being (pool, m).
+
+    The rows are drawn about _SIGN_DRAW_ENTRIES entries at a time; the
+    generator's stream runs on across draws, so they are the rows of one
+    ``rng.integers(0, 2, size=(count, m))`` draw.  BLAS may sum a product of
+    slice size in another order than one of ``count`` rows, so with
+    non-integer values a sup can differ from the one-draw form's last bit.
+    """
+    m = H.shape[1]
+    rows = max(1, _SIGN_DRAW_ENTRIES // m)
+    sups = np.empty(count)
+    for a in range(0, count, rows):
+        Z = 1.0 - 2.0 * rng.integers(0, 2, size=(min(rows, count - a), m))
+        np.max(Z @ H.T, axis=1, out=sups[a : a + rows])
+    sups /= m
+    return sups
 
 
 def random_sparse_pool(

@@ -27,7 +27,7 @@ from sparseact import (
     SparseNet,
     SparsityReport,
 )
-from sparseact.hypercube import index_signs
+from sparseact.hypercube import index_signs, pack_bits
 
 
 def chi(mask: int, u: int) -> int:
@@ -66,6 +66,37 @@ def reference_rademacher(H: np.ndarray) -> float:
     through the full (2^m, m) table of sign vectors."""
     m = H.shape[1]
     return float((index_signs(np.arange(1 << m), m) @ H.T).max(axis=1).mean() / m)
+
+
+def reference_chunk_samples(worker, n_items: int, rng: np.random.Generator, chunk: int):
+    """Every chunk's samples, from generators spawned all at once: the
+    concatenating form of ``parallel.run_chunked``, one array per chunk."""
+    ranges = [(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
+    return [worker(lo, hi, r) for (lo, hi), r in zip(ranges, rng.spawn(len(ranges)))]
+
+
+def reference_mean_and_stderr(samples) -> tuple[float, float]:
+    """Mean and ``std(ddof=1) / sqrt(N)`` in one pass over all samples: the
+    oracle for ``parallel.mean_and_stderr`` on merged chunk moments."""
+    arr = np.asarray(samples, dtype=np.float64)
+    mean = float(arr.mean())
+    if arr.size == 1:
+        return mean, 0.0
+    return mean, float(arr.std(ddof=1) / np.sqrt(arr.size))
+
+
+def reference_flip_masks(n: int, p: float, count: int, rng: np.random.Generator):
+    """Packed flip masks by the int64 matmul of ``pack_bits``: the oracle
+    for ``hypercube.flip_masks``."""
+    return pack_bits(rng.random((count, n)) < p)
+
+
+def reference_sign_sups(H: np.ndarray, count: int, rng: np.random.Generator):
+    """Sups over the pool from one (count, m) draw of sign rows: the oracle
+    for ``rademacher_lab._sign_sups``, which draws them in row slices."""
+    m = H.shape[1]
+    Z = 1.0 - 2.0 * rng.integers(0, 2, size=(count, m))
+    return (Z @ H.T).max(axis=1) / m
 
 
 def brute_sensitivity_at(f, n: int, x: CubePoint) -> float:

@@ -314,9 +314,12 @@ class TestRademacherCommand:
 
 
 class TestRecordedRademacher:
-    """``rademacher`` tables as recorded before exact mode moved to the
-    whole-cube kernel: Monte-Carlo bytes must not move at all, and exact
-    rows only within REL_TOL_EXACT."""
+    """``rademacher`` tables as recorded.  Exact rows were recorded before
+    exact mode moved to the whole-cube kernel and may move only within
+    REL_TOL_EXACT.  The Monte-Carlo run spans 2 chunks; its bytes were
+    re-recorded when per-chunk moments merged in chunk order replaced one
+    pass over all samples, and every number must stay within 1e-15 relative
+    of the rows recorded from that one pass (``rademacher_mc_rows.json``)."""
 
     ARGS = ["rademacher", "--n", "6", "--s", "4", "--pool-count", "4",
             "--trials", "20000", "--seed", "3"]
@@ -326,8 +329,19 @@ class TestRecordedRademacher:
         recorded = json.loads((DATA / "rademacher_tables.sha256.json").read_text())
         args = self.ARGS + ["--mode", "mc", "--m-grid", "8,32", "--format", fmt]
         assert run(args) == 0
-        stdout = capsys.readouterr().out.encode()
-        assert hashlib.sha256(stdout).hexdigest() == recorded[f"mc {fmt}"]
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == recorded[f"mc {fmt}"]
+        if fmt == "csv":
+            reader = csv.DictReader(io.StringIO(stdout))
+            rows = [{k: float(v) for k, v in r.items()} for r in reader]
+        else:
+            rows = json.loads(stdout)
+        one_pass = json.loads((DATA / "rademacher_mc_rows.json").read_text())
+        assert len(rows) == len(one_pass) == 2
+        for row, want in zip(rows, one_pass):
+            assert row.keys() == want.keys()
+            for key, value in want.items():
+                assert abs(row[key] - value) <= 1e-15 * abs(value), key
 
     def test_exact_rows_match_recorded(self, capsys):
         recorded = json.loads((DATA / "rademacher_exact_rows.json").read_text())

@@ -1,8 +1,10 @@
 """Points, characters, and the three samplers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from helpers import chi
+from helpers import chi, reference_flip_masks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +14,8 @@ from sparseact import (
     sample_noisy,
     sample_uniform,
 )
-from sparseact.hypercube import index_signs, pack_bits, pack_signs, sign_table
+from sparseact.config import MAX_PACKED_N
+from sparseact.hypercube import flip_masks, index_signs, pack_bits, pack_signs, sign_table
 from sparseact.learners import _character
 
 
@@ -176,6 +179,35 @@ class TestSampleNoisy:
             sample_noisy(CubePoint(2, 0), 1.5, np.random.default_rng(0))
 
 
+class TestFlipMasks:
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("n", range(1, MAX_PACKED_N + 1))
+    def test_matches_pack_bits(self, n, p):
+        got = flip_masks(n, p, 300, np.random.default_rng(n))
+        want = reference_flip_masks(n, p, 300, np.random.default_rng(n))
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @given(st.integers(1, MAX_PACKED_N), st.floats(0.0, 1.0), st.integers(0, 64), st.data())
+    @settings(deadline=None)
+    def test_leaves_generator_where_pack_bits_does(self, n, p, count, data):
+        seed = data.draw(st.integers(0, 2**32))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(flip_masks(n, p, count, a), reference_flip_masks(n, p, count, b))
+        assert a.random() == b.random()
+
+    def test_sample_noisy_is_one_row(self):
+        x = CubePoint(20, 12345)
+        a, b = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(50):
+            y = sample_noisy(x, 0.3, a)
+            assert y.index == x.index ^ int(flip_masks(20, 0.35, 1, b)[0])
+
+    @pytest.mark.parametrize("n", [0, MAX_PACKED_N + 1])
+    def test_dimension_range(self, n):
+        with pytest.raises(ValueError):
+            flip_masks(n, 0.5, 4, np.random.default_rng(0))
+
+
 class TestBucketPair:
     @pytest.mark.parametrize("rho,r_want", [(0.0, 2), (0.5, 4)])
     def test_flip_rate_matches_one_over_r(self, rho, r_want):
@@ -232,6 +264,20 @@ class TestBucketPair:
                 )
                 _, pvalue, _, _ = scipy_stats.chi2_contingency(table)
                 assert pvalue > 0.001
+
+    def test_memory_bounded_as_rho_nears_one(self):
+        rho = 1.0 - 2.0**-19  # r = 2^20 buckets
+        rng = np.random.default_rng(3)
+        sample_bucket_pair(20, 0.5, rng)  # lazy imports of a first call
+        tracemalloc.start()
+        try:
+            _, _, r, b = sample_bucket_pair(20, rho, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r == 1 << 20 and 1 <= b <= r
+        # one int64 sign per bucket alone would take 8 MiB
+        assert peak < 64 * 1024
 
     def test_deterministic(self):
         a = sample_bucket_pair(8, 0.5, np.random.default_rng(99))

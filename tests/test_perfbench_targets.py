@@ -1,29 +1,38 @@
-"""Every function the benchmark's tracer wraps must exist in the package.
+"""Every function the benchmark's tracer wraps must exist in the package,
+and its counters must read what the package returns.
 
 ``perfbench/spans.py`` wraps its ``TARGETS`` by name when a traced run
 installs it, so renaming or deleting a traced function would break
-``perfbench/run.py --trace 1`` at install time.  The module imports only the
-standard library, so it is loaded straight from its path.
+``perfbench/run.py --trace 1`` at install time.  A changed signature or
+return type breaks it silently instead: the recorder counts the counter's
+error and goes on.  The module imports only the standard library, so it is
+loaded straight from its path.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import sparseact.cli  # noqa: F401  the recorder patches every traced layer
+import sparseact.selfcheck  # noqa: F401
+from sparseact import CubeFunction, HypothesisPool, fourier, parallel, rademacher_lab
+from sparseact.config import MC_CHUNK
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _targets():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 @pytest.mark.parametrize(
-    "module_name,path", [(t[0], t[1]) for t in _targets()], ids=lambda v: v
+    "module_name,path", [(t[0], t[1]) for t in _spans().TARGETS], ids=lambda v: v
 )
 def test_target_resolves(module_name, path):
     module = importlib.import_module(f"sparseact.{module_name}")
@@ -32,3 +41,27 @@ def test_target_resolves(module_name, path):
         assert attr in getattr(module, cls_name).__dict__
     else:
         assert callable(getattr(module, path))
+
+
+def test_recorder_reads_chunked_monte_carlo():
+    f = CubeFunction(6, np.random.default_rng(1).standard_normal(1 << 6))
+    pool = HypothesisPool(members=(f, f), n=6, s=1, k=1, W=1.0, B=1.0)
+    idx = np.arange(40)
+    rng = np.random.default_rng(2)
+    recorder = _spans().Recorder()
+    recorder.install()
+    try:
+        fourier.noise_sensitivity_mc(f, 0.5, 3 * MC_CHUNK - 1, rng, threads=2)
+        rademacher_lab.empirical_rademacher(pool, idx, MC_CHUNK + 1, rng, "mc", threads=2)
+    finally:
+        recorder.uninstall()
+    assert fourier.run_chunked is parallel.run_chunked
+    assert recorder.counter_errors == 0
+    counts = recorder.take_counts()
+    assert counts["parallel.run_chunked.calls"] == 2
+    assert counts["parallel.run_chunked.chunks"] == 3 + 2
+    assert counts["parallel.run_chunked.threads"] == 2
+    assert counts["parallel.run_chunked.result_bytes"] == (3 + 2) * 3 * 8
+    assert counts["parallel.run_chunked.cpu_s"] > 0
+    assert counts["parallel.mean_and_stderr.calls"] == 2
+    assert counts["rademacher_lab.empirical_rademacher.sign_vectors"] == MC_CHUNK + 1

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import reference_rademacher
+from helpers import reference_rademacher, reference_sign_sups
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +23,8 @@ from sparseact import (
     uniform_sample_set,
     verify_sparsity,
 )
-from sparseact.config import MAX_EXHAUSTIVE_N, MC_SIGMA, REL_TOL_EXACT
+from sparseact.config import MAX_EXHAUSTIVE_N, MC_CHUNK, MC_SIGMA, REL_TOL_EXACT
+from sparseact.rademacher_lab import _sign_sups
 
 
 class ConstantPredictor:
@@ -168,6 +169,29 @@ def table_pool(H):
     rows[:, :m] = H
     members = tuple(CubeFunction(n, row) for row in rows)
     return HypothesisPool(members=members, n=n, s=1, k=1, W=0.0, B=1.0)
+
+
+class TestSlicedSignDraws:
+    @pytest.mark.parametrize("m", [1, 3, 7, 384, 1000])
+    def test_matches_one_block(self, m):
+        # integer values make every <z, h> exact whatever order BLAS sums
+        # in, so the sups agree bit for bit exactly when the sign rows do;
+        # m = 3 slices 65535 entries, an odd count, so the generator's
+        # buffered half-word carries from one slice into the next
+        H = np.random.default_rng(m).integers(-3, 4, size=(5, m)).astype(np.float64)
+        count = min(MC_CHUNK, (1 << 21) // m)
+        got = _sign_sups(H, count, np.random.default_rng(2))
+        assert np.array_equal(got, reference_sign_sups(H, count, np.random.default_rng(2)))
+
+    @pytest.mark.parametrize("m", [7, 384, 1000])
+    def test_real_values_within_rounding(self, m):
+        # BLAS may sum a slice-sized product in another order than the
+        # whole chunk's, which moves the last bits of a sup
+        H = np.random.default_rng(m).standard_normal((5, m))
+        count = min(MC_CHUNK, (1 << 21) // m)
+        got = _sign_sups(H, count, np.random.default_rng(2))
+        want = reference_sign_sups(H, count, np.random.default_rng(2))
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(H).sum(axis=1).max() / m)
 
 
 class TestExactEnumeration:
