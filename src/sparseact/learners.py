@@ -3,8 +3,9 @@ distribution, and an improper generalized-decision-list learner for
 1-sparse targets under arbitrary distributions.
 
 The regression learner fits least squares over all monomials of degree at
-most d; on full-cube data with no ridge its coefficients coincide with the
-exact Fourier coefficients, which the tests exploit as an oracle.  The list
+most d, from normal equations read off the transformed sample histogram;
+on full-cube data with no ridge its coefficients are the exact Fourier
+coefficients, which the tests exploit as an oracle.  The list
 learner peels the training set with integer-grid halfspace gates whose
 positive side admits an exact affine fit.  Both learn from a
 :class:`Dataset` of packed int64 indices and float64 labels.
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_LIST_M, MAX_LIST_N, MAX_MONOMIALS
+from .config import MAX_LIST_M, MAX_LIST_N, MAX_MONOMIALS, MAX_TABULATE_N
 from .errors import CapacityError, InconsistentDataError, NoConsistentListError
-from .fourier import tabulate, values_at
+from .fourier import _fwht, tabulate, values_at
 from .hypercube import CubePoint, index_signs, pack_signs, packed_indices
 
 
@@ -107,30 +108,53 @@ class MonomialModel:
         return out
 
 
+def _normal_equations(data: Dataset, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrix G[S, T] = sum_i chi_S(x_i) chi_T(x_i) and the
+    right-hand side rhs[S] = sum_i chi_S(x_i) y_i of the monomials ``masks``.
+
+    Since chi_S chi_T = chi_{S xor T}, both are read off the transforms of
+    two histograms over the cube: sample counts and label sums per input.
+    G holds exact integer sums, equal to ``Phi.T @ Phi`` of the design
+    matrix Phi bit for bit; rhs is summed in another order than
+    ``Phi.T @ y``.  This costs O(n 2^n + m + count^2) time and
+    O(2^n + count^2) memory, whatever the sample count m.  Above
+    MAX_TABULATE_N the histograms would not fit, and the (m, count) design
+    matrix is built.
+    """
+    if data.n <= MAX_TABULATE_N:
+        size = 1 << data.n
+        h = _fwht(np.bincount(data.idx, minlength=size).astype(np.float64))
+        hy = _fwht(np.bincount(data.idx, weights=data.y, minlength=size))
+        return h[masks[:, None] ^ masks[None, :]], hy[masks]
+    Phi = np.empty((len(data), masks.size))
+    for col, mask in enumerate(masks):
+        Phi[:, col] = _character(data.idx, mask)
+    return Phi.T @ Phi, Phi.T @ data.y
+
+
 def fit_low_degree(data: Dataset, d: int, ridge: float = 1e-10) -> MonomialModel:
     """Least-squares fit over all monomials of degree <= d.
 
-    Solves the normal equations with an optional ridge term for
-    conditioning; ridge=0 is exact on full-cube data, where the design is
-    orthogonal and the solution equals the truncated Fourier expansion.
-    Deterministic for fixed inputs.
+    Solves the normal equations (see :func:`_normal_equations`) with an
+    optional ridge term for conditioning, falling back to least squares
+    when they are singular.  On full-cube data the Gram matrix is 2^n I,
+    so with ridge=0 and n <= MAX_TABULATE_N the coefficients equal the
+    transform's ``wht(f).coeffs[masks]`` bit for bit.  Deterministic for
+    fixed inputs.  Raises ValueError for a degree outside [0, n] or a
+    negative or non-finite ridge.
     """
     n = data.n
     if not 0 <= d <= n:
         raise ValueError(f"degree must lie in [0, {n}], got {d}")
-    if ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     count = sum(math.comb(n, size) for size in range(d + 1))
     if count > MAX_MONOMIALS:
         raise CapacityError(f"{count} monomials exceed the cap of {MAX_MONOMIALS}")
     masks = _monomial_masks(n, d)
-    Phi = np.empty((len(data), count))
-    for col, mask in enumerate(masks):
-        Phi[:, col] = _character(data.idx, mask)
-    G = Phi.T @ Phi
+    G, rhs = _normal_equations(data, masks)
     if ridge > 0:
         G = G + ridge * np.eye(count)
-    rhs = Phi.T @ data.y
     try:
         c = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError:

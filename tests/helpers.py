@@ -23,6 +23,7 @@ from sparseact import (
     GeneralizedDecisionList,
     InconsistentDataError,
     ListNode,
+    MonomialModel,
     NoConsistentListError,
     SparseNet,
     SparsityReport,
@@ -212,6 +213,35 @@ def reference_decision_list(data: Dataset, s: int, M: int, tol: float = 1e-6):
             f"internal error: training residual {achieved:.3g} exceeds tol {tol}"
         )
     return result
+
+
+def reference_normal_equations(data: Dataset, masks: np.ndarray):
+    """``(Phi.T @ Phi, Phi.T @ y)`` from the (m, count) design matrix
+    Phi[i, j] = chi_{masks[j]}(x_i), built column by column: the oracle for
+    ``learners._normal_equations``, which reads both off transformed
+    histograms."""
+    Phi = np.empty((len(data), masks.size))
+    for col, mask in enumerate(masks):
+        Phi[:, col] = 1.0 - 2.0 * (np.bitwise_count(data.idx & mask) & 1)
+    return Phi.T @ Phi, Phi.T @ data.y
+
+
+def reference_fit_low_degree(data: Dataset, d: int, ridge: float = 1e-10) -> MonomialModel:
+    """``fit_low_degree`` solving the normal equations of the design matrix,
+    with the same ridge, solve and least-squares fallback."""
+    masks = np.array(
+        [sum(1 << i for i in T) for size in range(d + 1)
+         for T in itertools.combinations(range(data.n), size)],
+        dtype=np.int64,
+    )
+    G, rhs = reference_normal_equations(data, masks)
+    if ridge > 0:
+        G = G + ridge * np.eye(masks.size)
+    try:
+        c = np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        c, *_ = np.linalg.lstsq(G, rhs, rcond=None)
+    return MonomialModel(n=data.n, d=d, masks=masks, coeffs=c)
 
 
 def reference_scan(net: SparseNet, k: int, chunk: int = 1 << 16) -> SparsityReport:

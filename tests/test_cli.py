@@ -510,6 +510,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: tol must be") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("ridge", ["nan", "inf", "-1"])
+    def test_learn_low_degree_bad_ridge(self, tmp_path, capsys, ridge):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,y\n1,1,0.5\n1,-1,0.0\n")
+        rc = run(["learn-low-degree", "--data", str(data), "--degree", "1",
+                  "--ridge", ridge])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ridge must be") and err.count("\n") == 1
+
     def test_grid_record_without_s(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps([{"n": 10, "s": 4}, {"n": 10}]))

@@ -3,15 +3,23 @@ peeling against generator networks."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import chi, parity_function, reference_decision_list
-from hypothesis import given, settings
+from helpers import (
+    chi,
+    parity_function,
+    reference_decision_list,
+    reference_fit_low_degree,
+    reference_normal_equations,
+)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparseact import (
     CapacityError,
+    CubeFunction,
     CubePoint,
     Dataset,
     InconsistentDataError,
@@ -32,6 +40,7 @@ from sparseact import (
     tail_mass,
     wht,
 )
+from sparseact.config import REL_TOL_EXACT
 
 
 def random_low_degree_function(rng, n, degree):
@@ -131,6 +140,65 @@ class TestFitLowDegree:
         data = Dataset(3, [0], [1.0])
         with pytest.raises(ValueError):
             fit_low_degree(data, 4)
+
+    @pytest.mark.parametrize("ridge", [-1.0, -1e-300, math.nan, math.inf])
+    def test_ridge_must_be_finite_and_nonnegative(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+            fit_low_degree(Dataset(2, [0, 1], [0.0, 1.0]), 1, ridge=ridge)
+
+    @pytest.mark.parametrize(
+        "n, d", [(n, d) for n in range(1, 13) for d in range(min(n, 4) + 1)]
+    )
+    def test_full_cube_coefficients_are_the_transform(self, n, d):
+        # the Gram matrix is exactly 2^n I, so the solve divides by a power of two
+        f = CubeFunction(n, np.random.default_rng(n).normal(size=1 << n))
+        model = fit_low_degree(full_cube_dataset(f, n), d, ridge=0.0)
+        assert np.array_equal(model.coeffs, wht(f).coeffs[model.masks])
+
+
+@st.composite
+def repeated_samples(draw):
+    """(data, d): n in 1..14, d <= 3, up to 300 samples drawn from a few
+    distinct inputs, labels at a scale from 1e-6 to 1e6."""
+    n = draw(st.integers(1, 14))
+    d = draw(st.integers(0, min(n, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.integers(0, 1 << n, size=draw(st.integers(1, 60)))
+    m = draw(st.integers(1, 300))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    return Dataset(n, rng.choice(distinct, size=m), scale * rng.normal(size=m)), d
+
+
+class TestNormalEquations:
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_samples())
+    @example((Dataset(10, [5, 9, 9, 700], [1.0, -2.0, -2.0, 3.0]), 3))  # interpolates
+    def test_match_design_matrix(self, case):
+        data, d = case
+        masks = learners._monomial_masks(data.n, d)
+        G, rhs = learners._normal_equations(data, masks)
+        G_ref, rhs_ref = reference_normal_equations(data, masks)
+        assert np.array_equal(G, G_ref)
+        assert np.max(np.abs(rhs - rhs_ref)) <= 1e-12 * np.sum(np.abs(data.y))
+        loss = evaluate_loss(fit_low_degree(data, d), data).mse
+        loss_ref = evaluate_loss(reference_fit_low_degree(data, d), data).mse
+        # on the scale of the zero predictor's loss: an interpolating fit
+        # leaves a loss made of rounding alone, which no relative test fits
+        scale = 0.5 * np.mean(data.y**2)
+        assert loss == pytest.approx(loss_ref, rel=REL_TOL_EXACT, abs=REL_TOL_EXACT * scale)
+
+    def test_memory_independent_of_sample_count(self):
+        rng = np.random.default_rng(16)
+        data = Dataset(16, rng.integers(0, 1 << 16, size=50_000), rng.normal(size=50_000))
+        fit_low_degree(data, 2)  # lazy imports and set-up outside the trace
+        tracemalloc.start()
+        try:
+            fit_low_degree(data, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (50000, 137) design matrix alone would take 55 MB
+        assert peak < 4 << 20
 
 
 class TestPredict:
