@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -203,10 +204,20 @@ def _read_dataset_csv(path: str) -> Dataset:
 # -- subcommands -------------------------------------------------------
 
 
+# The flags each kind cannot do without, in the order they are checked.
+_CONSTRUCT_FLAGS = {
+    "junta": ["relevant", "n"],
+    "index": ["bits"],
+    "parity": ["subset", "m"],
+    "gamma": ["gate_bits", "payload_dim"],
+}
+
+
 def _cmd_construct(args) -> int:
+    for name in _CONSTRUCT_FLAGS[args.kind]:
+        if getattr(args, name) is None:
+            raise ValueError(f"--{name.replace('_', '-')} is required for {args.kind}")
     if args.kind == "junta":
-        if args.relevant is None:
-            raise ValueError("--relevant is required for junta")
         relevant = _parse_ints(args.relevant)
         if args.table is not None:
             table = np.array(_parse_floats(args.table))
@@ -219,8 +230,6 @@ def _cmd_construct(args) -> int:
     elif args.kind == "index":
         net = index_net(args.bits)
     elif args.kind == "parity":
-        if args.subset is None:
-            raise ValueError("--subset is required for parity")
         net = parity_lift(args.m, _parse_ints(args.subset))
     else:  # gamma
         if args.seed is None:
@@ -280,7 +289,12 @@ _BOUND_COLUMNS = [
     "sample_complexity_list",
 ]
 
-_PARAM_COLUMNS = ["n", "s", "k", "W", "B", "R", "m", "eps", "delta", "rho"]
+# The grid record's ClassParams fields in column order, each with the type it
+# is cast to; a field the record leaves out takes the ClassParams default.
+_PARAM_TYPES = {
+    "n": int, "s": int, "k": int, "W": float, "B": float,
+    "R": float, "m": int, "eps": float, "delta": float, "rho": float,
+}
 
 
 def _cmd_bounds_table(args) -> int:
@@ -296,37 +310,18 @@ def _cmd_bounds_table(args) -> int:
     measured_keys = sorted(
         {key for rec in records for key in rec if key.startswith("measured_")}
     )
-    header = _PARAM_COLUMNS + _BOUND_COLUMNS + measured_keys
+    header = list(_PARAM_TYPES) + _BOUND_COLUMNS + measured_keys
     rows = []
     for pos, rec in enumerate(records, start=1):
         try:
             params = bounds.ClassParams(
-                n=int(rec["n"]),
-                s=int(rec["s"]),
-                k=int(rec.get("k", 1)),
-                W=float(rec.get("W", 0.0)),
-                B=float(rec.get("B", 0.0)),
-                R=float(rec["R"]) if "R" in rec else None,
-                m=int(rec["m"]) if "m" in rec else None,
-                eps=float(rec["eps"]) if "eps" in rec else None,
-                delta=float(rec["delta"]) if "delta" in rec else None,
-                rho=float(rec["rho"]) if "rho" in rec else None,
+                **{key: cast(rec[key]) for key, cast in _PARAM_TYPES.items() if key in rec}
             )
             C = float(rec.get("C", 1.0))
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"grid record {pos}: {exc}") from None
-        row: list = [
-            params.n,
-            params.s,
-            params.k,
-            params.W,
-            params.B,
-            params.radius,
-            params.m if params.m is not None else "",
-            params.eps if params.eps is not None else "",
-            params.delta if params.delta is not None else "",
-            params.rho if params.rho is not None else "",
-        ]
+        values = (params.radius if key == "R" else getattr(params, key) for key in _PARAM_TYPES)
+        row: list = ["" if value is None else value for value in values]
         try:
             row.append(bounds.avg_sensitivity_bound(params, C).value)
             row.append(
@@ -404,22 +399,7 @@ def _cmd_learn_dlist(args) -> int:
     else:
         raise ValueError("give --data or --net with --full-cube")
     dlist = fit_decision_list(data, args.s, args.grid_m, args.tol)
-    payload = {
-        "list": {
-            "n": dlist.n,
-            "nodes": [
-                {
-                    "gate_w": list(node.gate_w),
-                    "gate_b": node.gate_b,
-                    "leaf_v": list(node.leaf_v),
-                    "leaf_c": node.leaf_c,
-                }
-                for node in dlist.nodes
-            ],
-            "default": dlist.default,
-        },
-        "loss": vars(evaluate_loss(dlist, data)),
-    }
+    payload = {"list": dataclasses.asdict(dlist), "loss": vars(evaluate_loss(dlist, data))}
     _write_text(args.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return 0
 
@@ -443,6 +423,8 @@ def _cmd_rademacher(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     results = selfcheck.run_all(args.n_max, args.seed)
     lines = []
     for name, ok, detail in results:
@@ -557,13 +539,10 @@ def run(argv: Sequence[str]) -> int:
         # learner JSON), so numpy's warning lines would only add noise
         with np.errstate(over="ignore", invalid="ignore"):
             return args.fn(args)
-    except (CapacityError, NoConsistentListError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (CapacityError, NoConsistentListError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

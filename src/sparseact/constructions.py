@@ -1,5 +1,6 @@
 """Explicit sparsely activated networks: juntas, indexing, parity lifting,
-and the gate/payload network whose weight vectors are dense.
+and the gate/payload network whose weight vectors are dense; plus the seeded
+random net and random junta that the checks, tests and pools draw.
 
 All constructors return plain :class:`~sparseact.network.SparseNet` values
 whose sparsity can be re-checked with ``verify_sparsity``; nothing here is
@@ -94,6 +95,12 @@ def address_value(signs: Sequence[int]) -> int:
     return v
 
 
+def _address_signs(b: int) -> np.ndarray:
+    """Row v: the +-1 pattern of address value v (see :func:`address_value`),
+    most significant bit first."""
+    return -index_signs(np.arange(1 << b), b)[:, ::-1]
+
+
 def index_net(b: int) -> SparseNet:
     """The bit-indexing network on n = b + 2^b inputs.
 
@@ -110,12 +117,8 @@ def index_net(b: int) -> SparseNet:
     s = 1 << b
     n = b + s
     w = np.zeros((s, n))
-    for v in range(s):
-        # pattern alpha with address value v: most significant bit first
-        for t in range(b):
-            bit = (v >> (b - 1 - t)) & 1
-            w[v, t] = 1.0 if bit else -1.0
-        w[v, b + v] = 0.5
+    w[:, :b] = _address_signs(b)
+    w[:, b:] = np.eye(s) / 2
     bias = np.full(s, b - 0.5)
     return SparseNet(n=n, s=s, k=1, u=np.ones(s), w=w, b=bias)
 
@@ -223,13 +226,13 @@ def gamma_gated_net(
         raise CapacityError(f"gate bits must lie in [1, {MAX_GATE_BITS}], got {b}")
     if not 1 <= q <= MAX_PAYLOAD_DIM:
         raise CapacityError(f"payload dim must lie in [1, {MAX_PAYLOAD_DIM}], got {q}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     s = 1 << b
+    patterns = _address_signs(b)
     if isinstance(w_table, Mapping):
         rows = np.zeros((s, q))
-        for v in range(s):
-            pattern = tuple(1 if (v >> (b - 1 - t)) & 1 else -1 for t in range(b))
+        for v, pattern in enumerate(map(tuple, patterns.tolist())):
             if pattern not in w_table:
                 raise ValueError(f"w_table is missing the entry for pattern {pattern}")
             rows[v] = np.asarray(w_table[pattern], dtype=np.float64)
@@ -243,10 +246,27 @@ def gamma_gated_net(
 
     n = b + q
     w = np.zeros((s, n))
-    for v in range(s):
-        for t in range(b):
-            bit = (v >> (b - 1 - t)) & 1
-            w[v, t] = gamma if bit else -gamma
-        w[v, b:] = rows[v]
+    w[:, :b] = gamma * patterns
+    w[:, b:] = rows
     bias = np.full(s, gamma * b)
     return SparseNet(n=n, s=s, k=1, u=np.ones(s), w=w, b=bias)
+
+
+def random_net(rng: np.random.Generator, n: int, s: int) -> SparseNet:
+    """A net drawn from ``rng`` in the order u ~ U(-1, 1)^s, then w and b
+    standard normal, declared at level k = s (no promise)."""
+    return SparseNet(
+        n=n,
+        s=s,
+        k=s,
+        u=rng.uniform(-1, 1, size=s),
+        w=rng.normal(size=(s, n)),
+        b=rng.normal(size=s),
+    )
+
+
+def random_junta(rng: np.random.Generator, n: int, p: int) -> JuntaSpec:
+    """A p-junta on n inputs: p distinct relevant coordinates drawn from
+    ``rng``, then a table uniform on [-1, 1]^(2^p)."""
+    relevant = tuple(int(i) + 1 for i in rng.choice(n, size=p, replace=False))
+    return JuntaSpec(n=n, relevant=relevant, table=rng.uniform(-1, 1, size=1 << p))

@@ -64,9 +64,6 @@ class Spectrum:
                 f"need exactly 2^{self.n} coefficients, got shape {coeffs.shape}"
             )
 
-    def coeff(self, mask: int) -> float:
-        return float(self.coeffs[mask])
-
     def degrees(self) -> np.ndarray:
         """|T| for every subset bitmask, aligned with ``coeffs``.
 

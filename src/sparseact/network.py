@@ -190,16 +190,7 @@ def verify_sparsity(
             if any(p.n != net.n for p in points):
                 raise ValueError("support points do not match the net dimension")
             idx = np.array([p.index for p in points], dtype=np.int64)
-            counts = net.active_counts(index_signs(idx, net.n))
-            over = counts > k
-            witness = points[int(np.argmax(over))] if over.any() else None
-            return SparsityReport(
-                max_active=int(counts.max()),
-                violating_input=witness,
-                violation_fraction=float(over.mean()),
-                mode="exhaustive",
-                samples=len(points),
-            )
+            return _scan_points(net, k, idx, "exhaustive")
         if net.n > MAX_EXHAUSTIVE_N:
             raise CapacityError(
                 f"exhaustive scan needs n <= {MAX_EXHAUSTIVE_N}, got {net.n}"
@@ -227,19 +218,22 @@ def verify_sparsity(
         if count is None or rng is None:
             raise ValueError("sampled mode needs count and rng")
         idx = rng.integers(0, 1 << net.n, size=count)
-        counts = net.active_counts(index_signs(idx, net.n))
-        over = counts > k
-        witness = None
-        if over.any():
-            witness = CubePoint(net.n, int(idx[np.argmax(over)]))
-        return SparsityReport(
-            max_active=int(counts.max()),
-            violating_input=witness,
-            violation_fraction=float(over.mean()),
-            mode="sampled",
-            samples=count,
-        )
+        return _scan_points(net, k, idx, "sampled")
     raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+
+
+def _scan_points(net: SparseNet, k: int, idx: np.ndarray, mode: str) -> SparsityReport:
+    """The report of ``verify_sparsity`` on the packed points ``idx``."""
+    counts = net.active_counts(index_signs(idx, net.n))
+    over = counts > k
+    witness = CubePoint(net.n, int(idx[np.argmax(over)])) if over.any() else None
+    return SparsityReport(
+        max_active=int(counts.max()),
+        violating_input=witness,
+        violation_fraction=float(over.mean()),
+        mode=mode,
+        samples=idx.size,
+    )
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds
 from .config import MAX_EXHAUSTIVE_N, MC_CHUNK
-from .constructions import JuntaSpec, junta_to_net
+from .constructions import junta_to_net, random_junta
 from .errors import CapacityError
 from .fourier import values_at
 from .hypercube import affine_blocks, packed_indices
@@ -149,14 +149,7 @@ def random_sparse_pool(
     W_env = 0.0
     B_env = 0.0
     for _ in range(count):
-        blocks = []
-        for _ in range(k):
-            relevant = tuple(
-                int(i) + 1 for i in rng.choice(n, size=p, replace=False)
-            )
-            table = rng.uniform(-1.0, 1.0, size=1 << p)
-            blocks.append(junta_to_net(JuntaSpec(n=n, relevant=relevant, table=table)))
-        net = _stack(blocks, k)
+        net = _stack([junta_to_net(random_junta(rng, n, p)) for _ in range(k)], k)
         report = (
             verify_sparsity(net, k, "exhaustive")
             if n <= 14

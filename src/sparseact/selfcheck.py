@@ -12,16 +12,19 @@ from typing import Callable
 
 import numpy as np
 
+from .config import RECON_TOL, REL_TOL_EXACT
 from .constructions import (
-    JuntaSpec,
     embed_lift,
     gamma_gated_net,
     index_net,
     junta_to_net,
     parity_lift,
+    random_junta,
+    random_net,
     reference_index,
 )
 from .fourier import (
+    CubeFunction,
     avg_sensitivity_exact,
     inverse_wht,
     tabulate,
@@ -33,26 +36,10 @@ from .network import SparseNet, avg_sensitivity_split, verify_sparsity
 DEFAULT_SEED = 20240613
 
 
-def _random_net(rng: np.random.Generator, n: int, s: int) -> SparseNet:
-    return SparseNet(
-        n=n,
-        s=s,
-        k=s,
-        u=rng.uniform(-1, 1, size=s),
-        w=rng.normal(size=(s, n)),
-        b=rng.normal(size=s),
-    )
-
-
-def _random_junta(rng: np.random.Generator, n: int, p: int) -> JuntaSpec:
-    relevant = tuple(int(i) + 1 for i in rng.choice(n, size=p, replace=False))
-    return JuntaSpec(n=n, relevant=relevant, table=rng.uniform(-1, 1, size=1 << p))
-
-
 def check_junta_truth_table(n_max: int, rng: np.random.Generator):
     n = min(8, n_max)
     for p in range(0, min(4, n) + 1):
-        spec = _random_junta(rng, n, p)
+        spec = random_junta(rng, n, p)
         net = junta_to_net(spec)
         got = tabulate(net, n).values
         want = tabulate(spec.value, n).values
@@ -124,39 +111,33 @@ def check_gamma_gate(n_max: int, rng: np.random.Generator):
 def check_wht_roundtrip(n_max: int, rng: np.random.Generator):
     n = min(10, n_max)
     for _ in range(5):
-        f = tabulate_random(rng, n)
+        f = CubeFunction(n, rng.normal(size=1 << n))
         spec = wht(f)
         back = inverse_wht(spec).values
-        if np.max(np.abs(back - f.values)) > 1e-10:
+        if np.max(np.abs(back - f.values)) > RECON_TOL:
             return False, f"reconstruction off by {np.max(np.abs(back - f.values)):.3g}"
         lhs = f.norm2_sq()
         rhs = spec.total_mass()
-        if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
+        if abs(lhs - rhs) > REL_TOL_EXACT * max(1.0, abs(lhs)):
             return False, f"Parseval: {lhs} vs {rhs}"
     return True, f"5 random functions on n={n}"
-
-
-def tabulate_random(rng: np.random.Generator, n: int):
-    from .fourier import CubeFunction
-
-    return CubeFunction(n, rng.normal(size=1 << n))
 
 
 def check_spectral_sensitivity(n_max: int, rng: np.random.Generator):
     n = min(10, n_max)
     for _ in range(5):
-        f = tabulate_random(rng, n)
+        f = CubeFunction(n, rng.normal(size=1 << n))
         spec = wht(f)
         direct = avg_sensitivity_exact(f)
         weighted = float(np.sum(spec.degrees() * spec.coeffs**2))
-        if abs(direct - weighted) > 1e-9 * max(1.0, abs(direct)):
+        if abs(direct - weighted) > REL_TOL_EXACT * max(1.0, abs(direct)):
             return False, f"{direct} vs {weighted}"
     return True, f"5 random functions on n={n}"
 
 
 def check_linear_piece(n_max: int, rng: np.random.Generator):
     n = min(8, n_max)
-    net = _random_net(rng, n, 6)
+    net = random_net(rng, n, 6)
     for _ in range(100):
         x = CubePoint(n, int(rng.integers(0, 1 << n)))
         wR, bR = net.linear_piece(net.active_set(x))
@@ -168,7 +149,7 @@ def check_linear_piece(n_max: int, rng: np.random.Generator):
 
 def check_split_total(n_max: int, rng: np.random.Generator):
     n = min(8, n_max)
-    net = _random_net(rng, n, 5)
+    net = random_net(rng, n, 5)
     split = avg_sensitivity_split(net)
     exact = avg_sensitivity_exact(tabulate(net, n))
     if abs(split.total - exact) > 1e-12 * max(1.0, abs(exact)):
@@ -178,7 +159,7 @@ def check_split_total(n_max: int, rng: np.random.Generator):
 
 def check_eval_envelope(n_max: int, rng: np.random.Generator):
     n = min(8, n_max)
-    spec = _random_junta(rng, n, 3)
+    spec = random_junta(rng, n, min(3, n))
     net = junta_to_net(spec)
     scale = net.scale_params()
     cap = 1 * (scale.W * np.sqrt(n) + scale.B)  # k = 1 for junta nets
@@ -189,7 +170,7 @@ def check_eval_envelope(n_max: int, rng: np.random.Generator):
 
 
 def check_serialization(n_max: int, rng: np.random.Generator):
-    net = _random_net(rng, min(6, n_max), 4)
+    net = random_net(rng, min(6, n_max), 4)
     text = net.to_json()
     back = SparseNet.from_json(text)
     same = (

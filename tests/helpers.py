@@ -134,17 +134,6 @@ def brute_split(net: SparseNet) -> tuple[float, float]:
     return same / size, changed / size
 
 
-def random_net(rng: np.random.Generator, n: int, s: int, k: int | None = None) -> SparseNet:
-    return SparseNet(
-        n=n,
-        s=s,
-        k=k if k is not None else s,
-        u=rng.uniform(-1, 1, size=s),
-        w=rng.normal(size=(s, n)),
-        b=rng.normal(size=s),
-    )
-
-
 def parity_function(n: int, members: tuple[int, ...]):
     mask = sum(1 << (i - 1) for i in set(members))
 

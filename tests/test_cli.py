@@ -125,6 +125,28 @@ class TestRecordedTables:
         assert hashlib.sha256(stdout).hexdigest() == self.RECORDED[f"{net} {argv[0]} {fmt}"]
 
 
+class TestRecordedConstructs:
+    """Index nets (b = 1..10) and seeded gate/payload nets, byte for byte as
+    recorded (sha256) from the loop-built address patterns."""
+
+    RECORDED = json.loads((DATA / "construct_bytes.sha256.json").read_text())
+
+    @staticmethod
+    def argv(key):
+        kind, *fields = key.split()
+        argv = ["construct", "--kind", kind]
+        for field in fields:
+            name, _, value = field.partition("=")
+            argv += ["--" + name, value]
+        return argv
+
+    @pytest.mark.parametrize("key", sorted(RECORDED))
+    def test_bytes_match_recorded(self, capsys, key):
+        assert run(self.argv(key)) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == self.RECORDED[key]
+
+
 _TEXT = st.text(
     alphabet=st.sampled_from(list("ab, \"\n\r%é€") + ["\u2028", "\x00"]), max_size=4
 )
@@ -372,6 +394,11 @@ class TestVerifyCommand:
         assert len(lines) == 10
         assert all(line.startswith("PASS") for line in lines)
 
+    @pytest.mark.parametrize("n_max", ["1", "2"])
+    def test_smallest_cubes(self, capsys, n_max):
+        assert run(["verify", "--n-max", n_max]) == 0
+        assert capsys.readouterr().out.count("PASS") == 10
+
 
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
@@ -518,6 +545,36 @@ class TestBadInput:
                   "--ridge", ridge])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ridge must be") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--kind", "junta", "--relevant", "1", "--seed", "1"], "--n"),
+            (["--kind", "index"], "--bits"),
+            (["--kind", "parity", "--subset", "1"], "--m"),
+            (["--kind", "gamma", "--seed", "1"], "--gate-bits"),
+            (["--kind", "gamma", "--gate-bits", "2", "--seed", "1"], "--payload-dim"),
+        ],
+        ids=["junta-n", "index-bits", "parity-m", "gamma-gate-bits", "gamma-payload-dim"],
+    )
+    def test_construct_missing_flag(self, capsys, argv, flag):
+        rc = run(["construct"] + argv)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag} is required for {argv[1]}\n"
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "0"])
+    def test_construct_bad_gamma(self, capsys, gamma):
+        rc = run(["construct", "--kind", "gamma", "--gate-bits", "2", "--payload-dim", "3",
+                  "--seed", "1", "--gamma", gamma])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: gamma must be finite and positive")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_verify_n_max_below_one(self, capsys, n_max):
+        rc = run(["verify", "--n-max", n_max])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --n-max must be >= 1, got {n_max}\n"
 
     def test_grid_record_without_s(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"

@@ -226,6 +226,12 @@ class TestGammaGated:
         with pytest.raises(ValueError):
             gamma_gated_net(2, 3, 1.0, table)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        table = unit_norm_payloads(np.random.default_rng(9), 2, 3)
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            gamma_gated_net(2, 3, gamma, table)
+
     def test_missing_mapping_entry(self):
         rng = np.random.default_rng(6)
         mapping = {

@@ -8,7 +8,6 @@ from helpers import (
     chi,
     naive_spectrum,
     parity_function,
-    random_net,
     reference_fwht,
 )
 from hypothesis import given, settings
@@ -30,6 +29,7 @@ from sparseact import (
     wht,
 )
 from sparseact.config import REL_TOL_EXACT
+from sparseact.constructions import random_net
 from sparseact.fourier import _fwht, values_at
 from sparseact.hypercube import index_signs
 

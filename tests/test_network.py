@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import brute_split, random_net, reference_scan
+from helpers import brute_split, reference_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +27,7 @@ from sparseact import (
     JuntaSpec,
 )
 from sparseact.config import REL_TOL_EXACT
+from sparseact.constructions import random_net
 from sparseact.hypercube import _BLOCK_BITS, affine_blocks, index_signs
 
 
