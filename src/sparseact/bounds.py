@@ -77,6 +77,16 @@ class ClassParams:
         return math.sqrt(self.n) if self.R is None else self.R
 
 
+def require_level(p: ClassParams) -> None:
+    """ValueError unless k <= s, as for every net of the class.
+
+    ClassParams leaves this to its callers: the formulas extend to any k,
+    and their monotonicity in k is checked past s.
+    """
+    if p.s < p.k:
+        raise ValueError(f"need s >= k, got s={p.s}, k={p.k}")
+
+
 def _require_logs(p: ClassParams) -> None:
     if p.n < 2 or p.s < 2:
         raise ValueError(f"formula needs n >= 2 and s >= 2, got n={p.n}, s={p.s}")

@@ -184,21 +184,33 @@ def _read_dataset_csv(path: str) -> Dataset:
         n = len(header) - 1
         if n > MAX_PACKED_N:
             raise ValueError(f"dataset CSV has {n} sign columns, at most {MAX_PACKED_N}")
-        rows = []
-        for row in reader:
-            if len(row) != n + 1:
-                raise ValueError(
-                    f"dataset CSV line {reader.line_num} has {len(row)} fields, "
-                    f"expected {n + 1}"
-                )
-            cells = [float(v) for v in row]
-            if any(v != 1.0 and v != -1.0 for v in cells[:n]):
-                raise ValueError(f"dataset CSV line {reader.line_num}: a sign is not +-1")
-            rows.append(cells)
+        rows, lines = [], []
+        try:
+            for row in reader:
+                if len(row) != n + 1:
+                    raise ValueError(
+                        f"dataset CSV line {reader.line_num} has {len(row)} fields, "
+                        f"expected {n + 1}"
+                    )
+                rows.append(list(map(float, row)))
+                lines.append(reader.line_num)
+        except (ValueError, csv.Error):
+            _check_dataset_signs(np.array(rows), lines, n)  # an earlier line wins
+            raise
     if not rows:
         raise ValueError("dataset CSV contains no rows")
     table = np.array(rows)
+    _check_dataset_signs(table, lines, n)
     return Dataset(n, pack_signs(table[:, :n]), table[:, n])
+
+
+def _check_dataset_signs(table: np.ndarray, lines: list[int], n: int) -> None:
+    """ValueError naming the first line whose n sign cells are not all +-1."""
+    if lines:
+        signs = table[:, :n]
+        bad = np.flatnonzero(((signs != 1.0) & (signs != -1.0)).any(axis=1))
+        if bad.size:
+            raise ValueError(f"dataset CSV line {lines[bad[0]]}: a sign is not +-1")
 
 
 # -- subcommands -------------------------------------------------------
@@ -320,6 +332,7 @@ def _cmd_bounds_table(args) -> int:
             C = float(rec.get("C", 1.0))
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"grid record {pos}: {exc}") from None
+        bounds.require_level(params)
         values = (params.radius if key == "R" else getattr(params, key) for key in _PARAM_TYPES)
         row: list = ["" if value is None else value for value in values]
         try:

@@ -228,6 +228,8 @@ def gamma_gated_net(
         raise CapacityError(f"payload dim must lie in [1, {MAX_PAYLOAD_DIM}], got {q}")
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    if not np.isfinite(gamma * b):
+        raise ValueError(f"gamma * b must be finite, got gamma={gamma}, b={b}")
     s = 1 << b
     patterns = _address_signs(b)
     if isinstance(w_table, Mapping):

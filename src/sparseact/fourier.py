@@ -85,15 +85,20 @@ class Spectrum:
 def values_at(f, n: int, idx) -> np.ndarray:
     """f at the packed indices ``idx`` of {-1,+1}^n, as float64.
 
-    A CubeFunction is looked up; anything with an
-    ``eval_batch((N, n) signs) -> (N,)`` method (networks, monomial models,
-    decision lists) gets the unpacked sign rows; any other callable is
-    called once per CubePoint.
+    A CubeFunction is looked up; anything with an ``eval_indices(idx)``
+    method (monomial models) gets the packed indices as they are; anything
+    with an ``eval_batch((N, n) signs) -> (N,)`` method (networks, decision
+    lists) gets the unpacked sign rows; any other callable is called once
+    per CubePoint.
     """
     if isinstance(f, CubeFunction):
         if f.n != n:
             raise ValueError(f"function has n={f.n}, requested {n}")
         return f.values[idx]
+    if hasattr(f, "eval_indices"):
+        if f.n != n:
+            raise ValueError(f"model has n={f.n}, requested {n}")
+        return f.eval_indices(idx)
     if hasattr(f, "eval_batch"):
         return np.asarray(f.eval_batch(index_signs(idx, n)), dtype=np.float64)
     return np.array([f(CubePoint(n, int(u))) for u in idx], dtype=np.float64)

@@ -99,10 +99,30 @@ class MonomialModel:
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"expected (N, {self.n}) sign rows, got {X.shape}")
-        idx = pack_signs(X)
+        # the exact character sum in mask order; losses are computed by
+        # eval_indices and no longer depend on this summation order
+        return self._character_sum(pack_signs(X))
+
+    def eval_indices(self, idx) -> np.ndarray:
+        """Evaluate at packed int64 indices; returns a float64 array of
+        their length.
+
+        When the cube has n <= MAX_TABULATE_N and n 2^n <= len(idx) *
+        len(masks), the whole value table is one in-place transform of the
+        coefficients (duplicate masks summed) and is read at ``idx``, which
+        agrees with the character sum to rounding; otherwise the character
+        sum of :meth:`eval_batch` is taken, bit for bit.
+        """
+        idx = packed_indices(idx, self.n)
+        size = 1 << self.n
+        if self.n <= MAX_TABULATE_N and self.n * size <= idx.size * self.masks.size:
+            return _fwht(np.bincount(self.masks, weights=self.coeffs, minlength=size))[idx]
+        return self._character_sum(idx)
+
+    def _character_sum(self, idx: np.ndarray) -> np.ndarray:
+        """sum_j coeffs[j] chi_{masks[j]} at packed indices, term by term in
+        mask order rather than as a matrix product."""
         out = np.zeros(idx.size)
-        # term by term in mask order, not as a matrix product: reported
-        # losses depend on this summation order
         for mask, c in zip(self.masks, self.coeffs):
             out += c * _character(idx, mask)
         return out
@@ -392,7 +412,8 @@ class LossReport:
 
 def evaluate_loss(predictor, data: Dataset) -> LossReport:
     """Mean loss of a predictor (anything :func:`~sparseact.fourier.values_at`
-    accepts: a CubeFunction, a model with eval_batch, or a callable)."""
+    accepts: a CubeFunction, a model with eval_indices or eval_batch, or a
+    callable)."""
     preds = values_at(predictor, data.n, data.idx)
     return LossReport(mse=float(np.mean(0.5 * (preds - data.y) ** 2)), count=len(data))
 

@@ -138,9 +138,8 @@ def random_sparse_pool(
     """
     if count < 1:
         raise ValueError(f"need at least one member, got {count}")
+    bounds.require_level(params)
     n, s, k = params.n, params.s, params.k
-    if s < k:
-        raise ValueError(f"need s >= k, got s={s}, k={k}")
     p = 0
     while k * (1 << (p + 1)) <= s and p + 1 <= n:
         p += 1

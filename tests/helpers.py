@@ -28,7 +28,8 @@ from sparseact import (
     SparseNet,
     SparsityReport,
 )
-from sparseact.hypercube import index_signs, pack_bits
+from sparseact.config import MAX_PACKED_N
+from sparseact.hypercube import index_signs, pack_bits, pack_signs
 
 
 def chi(mask: int, u: int) -> int:
@@ -231,6 +232,43 @@ def reference_fit_low_degree(data: Dataset, d: int, ridge: float = 1e-10) -> Mon
     except np.linalg.LinAlgError:
         c, *_ = np.linalg.lstsq(G, rhs, rcond=None)
     return MonomialModel(n=data.n, d=d, masks=masks, coeffs=c)
+
+
+def reference_monomial_values(model: MonomialModel, idx: np.ndarray) -> np.ndarray:
+    """The model's character sum at packed indices, term by term in mask
+    order: the oracle for ``MonomialModel.eval_indices``."""
+    out = np.zeros(len(idx))
+    for mask, c in zip(model.masks, model.coeffs):
+        out += c * (1.0 - 2.0 * (np.bitwise_count(idx & mask) & 1))
+    return out
+
+
+def reference_read_dataset_csv(path) -> Dataset:
+    """The row-by-row dataset reader, checking each line's signs as it is
+    read: the oracle for ``cli._read_dataset_csv``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[-1] != "y" or not header[0].startswith("x"):
+            raise ValueError("dataset CSV needs header x1,...,xn,y")
+        n = len(header) - 1
+        if n > MAX_PACKED_N:
+            raise ValueError(f"dataset CSV has {n} sign columns, at most {MAX_PACKED_N}")
+        rows = []
+        for row in reader:
+            if len(row) != n + 1:
+                raise ValueError(
+                    f"dataset CSV line {reader.line_num} has {len(row)} fields, "
+                    f"expected {n + 1}"
+                )
+            cells = [float(v) for v in row]
+            if any(v != 1.0 and v != -1.0 for v in cells[:n]):
+                raise ValueError(f"dataset CSV line {reader.line_num}: a sign is not +-1")
+            rows.append(cells)
+    if not rows:
+        raise ValueError("dataset CSV contains no rows")
+    table = np.array(rows)
+    return Dataset(n, pack_signs(table[:, :n]), table[:, n])
 
 
 def reference_scan(net: SparseNet, k: int, chunk: int = 1 << 16) -> SparsityReport:

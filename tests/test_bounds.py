@@ -16,6 +16,7 @@ from sparseact import (
     rademacher_conjecture,
     sample_complexity_general,
 )
+from sparseact.bounds import require_level
 
 
 class TestAvgSensitivityBound:
@@ -269,6 +270,11 @@ class TestMonotonicity:
 
 
 class TestClassParams:
+    def test_require_level(self):
+        require_level(ClassParams(n=4, s=3, k=3))
+        with pytest.raises(ValueError, match=r"^need s >= k, got s=2, k=3$"):
+            require_level(ClassParams(n=4, s=2, k=3))
+
     def test_default_radius_is_sqrt_n(self):
         assert ClassParams(n=9, s=2).radius == 3.0
         assert ClassParams(n=9, s=2, R=1.5).radius == 1.5

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import reference_csv, reference_json
+from helpers import reference_csv, reference_json, reference_read_dataset_csv
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sparseact import CubePoint, SparseNet, tabulate, wht
-from sparseact.cli import _columns_to_csv, _columns_to_json, run
+from sparseact.cli import _columns_to_csv, _columns_to_json, _read_dataset_csv, run
 from sparseact.config import REL_TOL_EXACT
 
 DATA = Path(__file__).parent / "data"
@@ -570,6 +570,25 @@ class TestBadInput:
         assert rc == 2 and err.startswith("error: gamma must be finite and positive")
         assert err.count("\n") == 1
 
+    def test_construct_gamma_bias_overflow(self, capsys):
+        rc = run(["construct", "--kind", "gamma", "--gate-bits", "2", "--payload-dim", "3",
+                  "--seed", "1", "--gamma", "1e308"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: gamma * b must be finite, got gamma=1e+308, b=2\n"
+
+    def test_bounds_table_level_above_width(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"n": 4, "s": 2, "k": 3, "W": 1, "B": 1, "m": 10,
+                                     "eps": 0.1, "delta": 0.1}]))
+        assert run(["bounds-table", "--grid", str(grid)]) == 2
+        assert capsys.readouterr() == ("", "error: need s >= k, got s=2, k=3\n")
+
+    def test_rademacher_level_above_width(self, capsys):
+        rc = run(["rademacher", "--n", "4", "--s", "2", "--k", "3", "--pool-count", "2",
+                  "--m-grid", "8", "--trials", "10", "--seed", "1"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: need s >= k, got s=2, k=3\n")
+
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_verify_n_max_below_one(self, capsys, n_max):
         rc = run(["verify", "--n-max", n_max])
@@ -745,3 +764,85 @@ class TestReaderFuzz:
         path.write_bytes(content)
         _assert_clean_exit(["learn-low-degree", "--data", str(path), "--degree", "1"])
         _assert_clean_exit(["learn-dlist", "--data", str(path), "--s", "1", "--grid-m", "1"])
+
+
+# -- the dataset reader against the row-by-row reader -------------------------
+
+
+@st.composite
+def _dataset_texts(draw) -> str:
+    """Dataset CSV text with bad signs, short, long and non-numeric rows,
+    blank lines and quoted cells that hold newlines."""
+    n = draw(st.integers(1, 3))
+    cells = st.sampled_from(
+        ["1", "-1", "1.0", "0", "2", "inf", "nan", "", "x", '"1\n"', '"\n-1"', '"0\n5"']
+    )
+    signs = st.sampled_from(["1", "-1", '"-1\n"'])
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        width = draw(st.sampled_from([n + 1, n + 1, n + 1, n + 1, 0, n, n + 2]))
+        rows.append(",".join(draw(signs | cells) for _ in range(width)))
+    body = ",".join([f"x{i}" for i in range(1, n + 1)] + ["y"])
+    for row in rows:
+        body += draw(st.sampled_from(["\n", "\n", "\r\n", "\n\n"])) + row
+    return body + "\n"
+
+
+def _read_outcome(reader, path):
+    """The dataset a reader returns, or the text of its ValueError."""
+    try:
+        data = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return data.n, data.idx.tolist(), data.y.tolist()
+
+
+class TestDatasetReader:
+    """``_read_dataset_csv`` checks signs once over the whole table; the
+    first bad line in file order must still win, with the same text."""
+
+    @staticmethod
+    def assert_same_as_reference(path):
+        expected = _read_outcome(reference_read_dataset_csv, path)
+        assert _read_outcome(_read_dataset_csv, path) == expected
+        if isinstance(expected, str):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = run(["learn-low-degree", "--data", str(path), "--degree", "1"])
+            assert rc == 2
+            assert err.getvalue() == f"error: {expected}\n"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("x1,x2,y\n1,-1,0.5\n1,0,0.5\n1,-1\n", "line 3: a sign is not +-1"),
+            ("x1,x2,y\n1,2,0.5\n-1,x,0.5\n", "line 2: a sign is not +-1"),
+            ("x1,y\n0,1\n\n", "line 2: a sign is not +-1"),
+            ("x1,x2,y\n\n1,1,0.5\n", "line 2 has 0 fields, expected 3"),
+            ('x1,x2,y\n"1\n",1,0.5\n1,"\n3",0.5\n1,1\n', "line 5: a sign is not +-1"),
+            ('x1,y\n"\n0",1\n1,abc\n', "line 3: a sign is not +-1"),
+            ('x1,y\n1,"\n2"\n1,abc\n', "could not convert string to float: 'abc'"),
+        ],
+        ids=["sign-then-short", "sign-then-word", "sign-then-blank", "blank-line",
+             "quoted-newlines", "quoted-sign-then-word", "float-error"],
+    )
+    def test_first_bad_line_wins(self, tmp_path, body, message):
+        path = tmp_path / "data.csv"
+        path.write_text(body, newline="")
+        assert _read_outcome(_read_dataset_csv, path).endswith(message)
+        self.assert_same_as_reference(path)
+
+    def test_quoted_newlines_read(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('x1,x2,y\n"-1\n",1,0.5\n\r\n', newline="")
+        self.assert_same_as_reference(path)  # a trailing blank line is short
+        path.write_text('x1,x2,y\n"-1\n",1,0.5\r\n1,"\n-1",2\n', newline="")
+        assert _read_outcome(_read_dataset_csv, path) == (2, [1, 2], [0.5, 2.0])
+        self.assert_same_as_reference(path)
+
+    @_FUZZ
+    @given(text=_dataset_texts())
+    def test_matches_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("data") / "data.csv"
+        path.write_text(text, newline="")
+        self.assert_same_as_reference(path)

@@ -232,6 +232,12 @@ class TestGammaGated:
         with pytest.raises(ValueError, match="gamma must be finite and positive"):
             gamma_gated_net(2, 3, gamma, table)
 
+    def test_gamma_bias_must_not_overflow(self):
+        table = unit_norm_payloads(np.random.default_rng(9), 2, 3)
+        with pytest.raises(ValueError, match=r"gamma \* b must be finite, got gamma=1e\+308"):
+            gamma_gated_net(2, 3, 1e308, table)
+        assert gamma_gated_net(2, 3, 8e307, table).b.tolist() == [1.6e308] * 4
+
     def test_missing_mapping_entry(self):
         rng = np.random.default_rng(6)
         mapping = {

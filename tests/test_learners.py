@@ -12,6 +12,7 @@ from helpers import (
     parity_function,
     reference_decision_list,
     reference_fit_low_degree,
+    reference_monomial_values,
     reference_normal_equations,
 )
 from hypothesis import example, given, settings
@@ -31,7 +32,9 @@ from sparseact import (
     evaluate_loss,
     fit_decision_list,
     fit_low_degree,
+    fourier,
     full_cube_dataset,
+    hypercube,
     inverse_wht,
     junta_to_net,
     learners,
@@ -40,7 +43,8 @@ from sparseact import (
     tail_mass,
     wht,
 )
-from sparseact.config import REL_TOL_EXACT
+from sparseact.config import MAX_TABULATE_N, REL_TOL_EXACT
+from sparseact.hypercube import index_signs
 
 
 def random_low_degree_function(rng, n, degree):
@@ -199,6 +203,79 @@ class TestNormalEquations:
             tracemalloc.stop()
         # the (50000, 137) design matrix alone would take 55 MB
         assert peak < 4 << 20
+
+
+@st.composite
+def models_at_points(draw):
+    """(model, idx): n in 1..20 or 21..62, d <= 3, up to 1500 masks drawn
+    from a seeded generator (none, or with repeats), coefficients at a scale
+    from 1e-6 to 1e6, and 1 to 5000 packed points."""
+    n = draw(st.integers(1, MAX_TABULATE_N) | st.integers(MAX_TABULATE_N + 1, 62))
+    d = draw(st.integers(0, min(n, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.sampled_from([0, 1, 7, 200, 1500]))
+    masks = [
+        sum(1 << int(i) for i in rng.choice(n, size=size, replace=False))
+        for size in rng.integers(0, d + 1, size=count)
+    ]
+    if masks and draw(st.booleans()):
+        masks += rng.choice(masks, size=draw(st.integers(1, 20))).tolist()
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    coeffs = scale * rng.normal(size=len(masks))
+    m = draw(st.sampled_from([1, 2, 64, 5000]))
+    idx = rng.integers(0, 1 << n, size=m, dtype=np.int64)
+    return MonomialModel(n=n, d=d, masks=masks, coeffs=coeffs), idx
+
+
+class TestEvalIndices:
+    @staticmethod
+    def assert_near_reference(model, idx, got):
+        want = reference_monomial_values(model, idx)
+        tol = REL_TOL_EXACT * (np.sum(np.abs(model.coeffs)) + 1.0)
+        assert got.shape == want.shape and np.max(np.abs(got - want)) <= tol
+
+    @settings(max_examples=80, deadline=None)
+    @given(models_at_points())
+    @example((MonomialModel(n=3, d=2, masks=[], coeffs=[]), np.array([5])))
+    @example((MonomialModel(n=62, d=1, masks=[0, 1 << 61, 0], coeffs=[1.5, -2.0, 0.25]),
+              np.array([(1 << 62) - 1])))
+    @example((MonomialModel(n=4, d=2, masks=[3, 3, 0, 3], coeffs=[1.0, 2.0, -1.0, 4.0]),
+              np.arange(16)))
+    def test_matches_character_sum(self, case):
+        model, idx = case
+        got = model.eval_indices(idx)
+        self.assert_near_reference(model, idx, got)
+        tabulated = model.n <= MAX_TABULATE_N and model.n << model.n <= idx.size * model.masks.size
+        if not tabulated:
+            assert np.array_equal(got, model.eval_batch(index_signs(idx, model.n)))
+
+    def test_table_path_at_the_cap(self):
+        rng = np.random.default_rng(20)
+        n, d = MAX_TABULATE_N, 2
+        masks = learners._monomial_masks(n, d)
+        model = MonomialModel(n=n, d=d, masks=masks, coeffs=rng.normal(size=masks.size))
+        idx = rng.integers(0, 1 << n, size=-(-(n << n) // masks.size))  # just tabulated
+        self.assert_near_reference(model, idx, model.eval_indices(idx))
+
+    def test_rejects_bad_indices(self):
+        model = MonomialModel(n=3, d=1, masks=[1], coeffs=[1.0])
+        for idx in ([8], [-1], [], [[1]], [0.5]):
+            with pytest.raises(ValueError):
+                model.eval_indices(idx)
+
+    def test_values_at_never_unpacks(self, monkeypatch):
+        def unpack(*args):
+            raise AssertionError("index_signs called")
+
+        for module in (fourier, learners, hypercube):
+            monkeypatch.setattr(module, "index_signs", unpack)
+        rng = np.random.default_rng(11)
+        data = Dataset(12, rng.integers(0, 1 << 12, size=3000), rng.normal(size=3000))
+        model = fit_low_degree(data, 2)
+        assert evaluate_loss(model, data).count == 3000
+        assert len(sample_uniform_dataset(model, 12, 5, rng)) == 5
+        with pytest.raises(ValueError, match="model has n=12, requested 11"):
+            fourier.values_at(model, 11, np.arange(4))
 
 
 class TestPredict:
