@@ -17,6 +17,13 @@ its samples; with two or more chunks the merge sums in another order than
 one pass over all samples would, and the last digits of the mean and
 stderr differ from it (the multi-chunk ``rademacher --mode mc`` values
 moved in their last digit when the merge replaced that pass).
+
+Squared deviations below 2**-1022 are subnormal and keep only some of their
+bits, so a chunk whose samples all lie within about 2**-450 of zero has its
+M2 taken at ``2**_SHIFT`` times their scale (an exact power-of-two scaling),
+and the row holds that scaled M2 negated; ``mean_and_stderr`` merges in that
+scale when every row is that small, so tiny samples lose no more than
+rounding.  Rows of larger samples, and their merge, are untouched by this.
 """
 
 from __future__ import annotations
@@ -35,6 +42,14 @@ from .config import MC_CHUNK
 # busy while the caller collects the oldest result.
 _WINDOW_PER_THREAD = 2
 
+# Rows with |mean| below _TINY and M2 below _TINY_M2 are tiny; their M2 is
+# taken, and all-tiny rows are merged, at 2**_SHIFT times the sample scale,
+# where squared deviations of normal samples stay normal and no sum of them
+# comes near overflow.
+_TINY = 2.0**-450
+_TINY_M2 = 2.0**-900
+_SHIFT = 600
+
 
 def chunk_ranges(n_items: int, chunk: int = MC_CHUNK) -> list[tuple[int, int]]:
     """Split [0, n_items) into consecutive half-open ranges of size <= chunk."""
@@ -43,13 +58,22 @@ def chunk_ranges(n_items: int, chunk: int = MC_CHUNK) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
 
 
-def _chunk_moments(worker, lo: int, hi: int, crng: np.random.Generator) -> tuple:
-    """Run one chunk and reduce its samples to (count, mean, M2)."""
-    x = np.asarray(worker(lo, hi, crng), dtype=np.float64)
+def _mean_and_m2(x: np.ndarray) -> tuple:
     mean = x.mean()
     d = x - mean
     d *= d
-    return x.size, mean, d.sum()
+    return mean, d.sum()
+
+
+def _chunk_moments(worker, lo: int, hi: int, crng: np.random.Generator) -> tuple:
+    """Run one chunk and reduce its samples to (count, mean, M2); for tiny
+    samples the last entry is -M2 * 2**(2 * _SHIFT) (or 0.0 if M2 is 0)."""
+    x = np.asarray(worker(lo, hi, crng), dtype=np.float64)
+    mean, m2 = _mean_and_m2(x)
+    if abs(mean) < _TINY and m2 < _TINY_M2:
+        m2 = _mean_and_m2(np.ldexp(x, _SHIFT))[1]
+        return x.size, mean, -m2 if m2 else 0.0
+    return x.size, mean, m2
 
 
 def _spawned(ranges, rng: np.random.Generator, window: int):
@@ -71,7 +95,8 @@ def run_chunked(
     """Run ``worker(lo, hi, chunk_rng)`` over fixed chunks; per-chunk moments.
 
     Returns a float64 array of shape (chunks, 3) whose row i is
-    ``(count, mean, M2)`` of the samples chunk i returned, in chunk order;
+    ``(count, mean, M2)`` of the samples chunk i returned, in chunk order
+    (with M2 scaled and negated for tiny samples, see the module notes);
     ``mean_and_stderr`` turns it into an estimate.  The per-chunk generators
     are spawned from ``rng`` in chunk order, a window at a time (consecutive
     spawns continue one sequence of children), so the streams are a pure
@@ -100,12 +125,21 @@ def run_chunked(
     return rows
 
 
+def _m2_at(m2: float, shift: int) -> float:
+    """A row's M2 at 2**shift times the sample scale."""
+    if m2 < 0:  # a tiny row's M2, at 2**_SHIFT times the sample scale
+        return math.ldexp(-m2, 2 * (shift - _SHIFT))
+    return math.ldexp(m2, 2 * shift)
+
+
 def mean_and_stderr(moments: np.ndarray) -> tuple[float, float]:
     """Mean and standard error (ddof=1; zero for a single sample) of the
     samples behind ``run_chunked``'s moment rows, merged in row order."""
     rows = np.asarray(moments, dtype=np.float64).reshape(-1, 3).tolist()
     if not rows:
         raise ValueError("need at least one sample")
+    shift = _SHIFT if all(abs(mean) < _TINY and m2 < _TINY_M2 for _, mean, m2 in rows) else 0
+    rows = [(n, math.ldexp(mean, shift), _m2_at(m2, shift)) for n, mean, m2 in rows]
     count, mean, m2 = rows[0]
     for n_b, mean_b, m2_b in rows[1:]:
         total = count + n_b
@@ -113,6 +147,7 @@ def mean_and_stderr(moments: np.ndarray) -> tuple[float, float]:
         mean += delta * n_b / total
         m2 += m2_b + delta * delta * count * n_b / total
         count = total
+    mean = math.ldexp(mean, -shift)
     if count == 1:
         return mean, 0.0
-    return mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count)
+    return mean, math.ldexp(math.sqrt(m2 / (count - 1)) / math.sqrt(count), -shift)

@@ -79,12 +79,19 @@ def reference_chunk_samples(worker, n_items: int, rng: np.random.Generator, chun
 
 def reference_mean_and_stderr(samples) -> tuple[float, float]:
     """Mean and ``std(ddof=1) / sqrt(N)`` in one pass over all samples: the
-    oracle for ``parallel.mean_and_stderr`` on merged chunk moments."""
+    oracle for ``parallel.mean_and_stderr`` on merged chunk moments.
+
+    Samples whose largest magnitude is below 1/2 are scaled up to [1/2, 1)
+    by a power of two for the std, and the result scaled back, so squared
+    deviations of tiny samples do not underflow to subnormals."""
     arr = np.asarray(samples, dtype=np.float64)
     mean = float(arr.mean())
     if arr.size == 1:
         return mean, 0.0
-    return mean, float(arr.std(ddof=1) / np.sqrt(arr.size))
+    peak = float(np.abs(arr).max())
+    shift = -math.frexp(peak)[1] if 0.0 < peak < 0.5 else 0
+    std = np.ldexp(arr, shift).std(ddof=1)
+    return mean, math.ldexp(float(std / np.sqrt(arr.size)), -shift)
 
 
 def reference_flip_masks(n: int, p: float, count: int, rng: np.random.Generator):

@@ -63,6 +63,22 @@ class TestMergedMoments:
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * max(abs(w), scale)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 200])
+    def test_tiny_samples_lose_only_rounding(self, chunk):
+        # one sample x and N - 1 zeros: mean and stderr are both x / N, and
+        # the squared deviations are subnormal
+        samples = np.zeros(134)
+        samples[0] = 2.70360307e-160
+        exact = samples[0] / samples.size
+
+        def worker(lo, hi, crng):
+            return samples[lo:hi]
+
+        rows = run_chunked(worker, samples.size, np.random.default_rng(0), 1, chunk)
+        mean, stderr = mean_and_stderr(rows)
+        assert mean == pytest.approx(exact, rel=1e-15, abs=0)
+        assert stderr == pytest.approx(exact, rel=1e-15, abs=0)
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_rows_and_streams_match_one_spawn(self, threads):
         # 11 chunks with an uneven last one: more than one spawn window at
