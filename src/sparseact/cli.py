@@ -30,7 +30,7 @@ from .fourier import (
     tabulate,
     wht,
 )
-from .hypercube import pack_signs
+from .hypercube import pack_bits
 from .learners import (
     Dataset,
     evaluate_loss,
@@ -194,14 +194,17 @@ def _read_dataset_csv(path: str) -> Dataset:
                     )
                 rows.append(list(map(float, row)))
                 lines.append(reader.line_num)
-        except (ValueError, csv.Error):
+        except ValueError:
             _check_dataset_signs(np.array(rows), lines, n)  # an earlier line wins
             raise
+        except csv.Error as exc:
+            _check_dataset_signs(np.array(rows), lines, n)
+            raise ValueError(f"dataset CSV line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError("dataset CSV contains no rows")
     table = np.array(rows)
     _check_dataset_signs(table, lines, n)
-    return Dataset(n, pack_signs(table[:, :n]), table[:, n])
+    return Dataset(n, pack_bits(table[:, :n] < 0), table[:, n])
 
 
 def _check_dataset_signs(table: np.ndarray, lines: list[int], n: int) -> None:

@@ -22,8 +22,8 @@ MAX_TABULATE_N = 20
 
 # Exhaustive sparsity scans keep only one block of pre-activations at a time
 # (hypercube.affine_blocks), so they stretch a little further.  This is also
-# the largest dimension of a CubePoint and the largest sample size whose 2^m
-# Rademacher sign vectors are enumerated exactly.
+# the largest sample size whose 2^m Rademacher sign vectors are enumerated
+# exactly, and the largest dimension of a bucket-pair draw or a sign table.
 MAX_EXHAUSTIVE_N = 24
 
 # Edge-decomposition of average sensitivity keeps per-unit activation
@@ -31,7 +31,7 @@ MAX_EXHAUSTIVE_N = 24
 MAX_SPLIT_N = 16
 
 # Largest dimension whose points fit a non-negative int64 index; learner
-# datasets and Monte-Carlo sampling use packed indices.
+# datasets, Monte-Carlo sampling and CubePoint use packed indices.
 MAX_PACKED_N = 62
 
 # Monomial count cap for low-degree regression design matrices.

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import MAX_GATE_BITS, MAX_INDEX_BITS, MAX_JUNTA_P, MAX_LIFT_M, MAX_PAYLOAD_DIM
 from .errors import CapacityError
-from .hypercube import CubePoint, index_signs
+from .hypercube import index_signs, packed_indices, point_index
 from .network import SparseNet
 
 
@@ -53,18 +53,12 @@ class JuntaSpec:
     def p(self) -> int:
         return len(self.relevant)
 
-    def table_index(self, x: CubePoint) -> int:
-        """Table slot selected by x's signs on the relevant coordinates."""
-        t = 0
-        for j, coord in enumerate(self.relevant):
-            if x.sign(coord) == -1:
-                t |= 1 << j
-        return t
-
-    def value(self, x: CubePoint) -> float:
-        if x.n != self.n:
-            raise ValueError(f"dimension mismatch: junta on {self.n}, point on {x.n}")
-        return float(self.table[self.table_index(x)])
+    def value(self, u: int) -> float:
+        """The table entry that the packed point u selects: bit j of the slot
+        is bit relevant[j] - 1 of u."""
+        u = point_index(u, self.n)
+        slot = sum(((u >> (i - 1)) & 1) << j for j, i in enumerate(self.relevant))
+        return float(self.table[slot])
 
 
 def junta_to_net(spec: JuntaSpec) -> SparseNet:
@@ -123,50 +117,28 @@ def index_net(b: int) -> SparseNet:
     return SparseNet(n=n, s=s, k=1, u=np.ones(s), w=w, b=bias)
 
 
-def reference_index(x: CubePoint, b: int) -> float:
-    """Independent specification of the indexing function, for cross-checks."""
-    if x.n != b + (1 << b):
-        raise ValueError(f"point dimension {x.n} does not match b={b}")
-    v = address_value([x.sign(i) for i in range(1, b + 1)])
-    return (x.sign(b + v + 1) + 1) / 2
+def reference_index(u: int, b: int) -> float:
+    """Independent specification of the indexing function at the packed
+    point u of {-1,+1}^(b + 2^b), for cross-checks."""
+    u = point_index(u, b + (1 << b))
+    v = address_value([-1 if (u >> i) & 1 else 1 for i in range(b)])
+    return 0.0 if (u >> (b + v)) & 1 else 1.0
 
 
-@dataclass(frozen=True)
-class LiftedPoint:
-    """The m x m sign matrix x(y): diagonal y_i, off-diagonal y_i * y_j."""
+def embed_lift(y_idx, m: int) -> np.ndarray:
+    """Quadratic lifting of the packed points ``y_idx`` of {-1,+1}^m.
 
-    m: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.int8)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        if entries.shape != (self.m, self.m):
-            raise ValueError(f"entries must be {self.m} x {self.m}, got {entries.shape}")
-        if not np.all(np.abs(entries) == 1):
-            raise ValueError("entries must be +-1")
-
-    def is_consistent(self) -> bool:
-        """entries[i][j] == entries[i][i] * entries[j][j] for all i != j."""
-        d = np.diag(self.entries).astype(np.int64)
-        expected = np.outer(d, d)
-        np.fill_diagonal(expected, d)
-        return bool(np.array_equal(self.entries, expected))
-
-    def to_point(self) -> CubePoint:
-        """Row-major flattening into a point of dimension m^2."""
-        return CubePoint.from_signs(self.entries.reshape(-1))
-
-
-def embed_lift(y: CubePoint) -> LiftedPoint:
-    """Quadratic lifting of y into {-1,+1}^{m x m}."""
-    if y.n > MAX_LIFT_M:
-        raise CapacityError(f"lifting needs m <= {MAX_LIFT_M}, got {y.n}")
-    ys = y.signs().astype(np.int64)
-    entries = np.outer(ys, ys)
-    np.fill_diagonal(entries, ys)
-    return LiftedPoint(y.n, entries)
+    Row t holds the m x m sign matrix x(y) of y = y_idx[t], flattened row
+    major into a point of dimension m^2, as int8: y_i on the diagonal and
+    y_i * y_j off it.
+    """
+    if m > MAX_LIFT_M:
+        raise CapacityError(f"lifting needs m <= {MAX_LIFT_M}, got {m}")
+    ys = index_signs(packed_indices(y_idx, m), m)
+    lifted = ys[:, :, None] * ys[:, None, :]
+    diag = np.arange(m)
+    lifted[:, diag, diag] = ys
+    return lifted.reshape(len(ys), m * m)
 
 
 def parity_lift(m: int, S: Sequence[int]) -> SparseNet:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import MAX_PACKED_N, MAX_TABULATE_N, MC_CHUNK
 from .errors import CapacityError
-from .hypercube import CubePoint, affine_blocks, flip_masks, index_signs
+from .hypercube import affine_blocks, flip_masks, index_signs, point_index
 from .network import SparseNet
 from .parallel import mean_and_stderr, run_chunked
 
@@ -37,11 +37,6 @@ class CubeFunction:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("values contain non-finite entries")
-
-    def at(self, x: CubePoint) -> float:
-        if x.n != self.n:
-            raise ValueError(f"dimension mismatch: function on {self.n}, point on {x.n}")
-        return float(self.values[x.index])
 
     def norm2_sq(self) -> float:
         """||f||_2^2 = E_x f(x)^2 under the uniform distribution."""
@@ -89,7 +84,7 @@ def values_at(f, n: int, idx) -> np.ndarray:
     method (monomial models) gets the packed indices as they are; anything
     with an ``eval_batch((N, n) signs) -> (N,)`` method (networks, decision
     lists) gets the unpacked sign rows; any other callable is called once
-    per CubePoint.
+    per point, with its packed index as an ``int``.
     """
     if isinstance(f, CubeFunction):
         if f.n != n:
@@ -101,7 +96,7 @@ def values_at(f, n: int, idx) -> np.ndarray:
         return f.eval_indices(idx)
     if hasattr(f, "eval_batch"):
         return np.asarray(f.eval_batch(index_signs(idx, n)), dtype=np.float64)
-    return np.array([f(CubePoint(n, int(u))) for u in idx], dtype=np.float64)
+    return np.array([f(int(u)) for u in idx], dtype=np.float64)
 
 
 def tabulate(f, n: int) -> CubeFunction:
@@ -168,17 +163,16 @@ def tail_mass(spec: Spectrum, d: int) -> float:
     return float(sq[spec.degrees() > d].sum())
 
 
-def sensitivity_at(f: CubeFunction, x: CubePoint) -> float:
-    """Pointwise sensitivity: sum_i (f(x) - f(x^flip_i))^2 / 4.
+def sensitivity_at(f: CubeFunction, u: int) -> float:
+    """Pointwise sensitivity at the packed point u: sum_i (f(x) - f(x^flip_i))^2 / 4.
 
     For +-1 valued f this counts the coordinates whose flip changes f(x).
     """
-    if x.n != f.n:
-        raise ValueError(f"dimension mismatch: function on {f.n}, point on {x.n}")
-    fx = f.values[x.index]
+    u = point_index(u, f.n)
+    fx = f.values[u]
     total = 0.0
     for i in range(f.n):
-        total += (fx - f.values[x.index ^ (1 << i)]) ** 2
+        total += (fx - f.values[u ^ (1 << i)]) ** 2
     return 0.25 * float(total)
 
 

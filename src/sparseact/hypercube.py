@@ -9,6 +9,10 @@ point.  Dense arrays over the cube are always laid out in this index order,
 which makes the fast Walsh-Hadamard transform and exhaustive scans line up
 with plain array indexing.
 
+Public functions take points as packed indices: an ``int`` for one point,
+an int64 array for many.  ``CubePoint`` only wraps the index that
+``sample_bucket_pair`` and a sparsity report's witness return.
+
 Coordinates are 1-indexed throughout the public API; only storage is
 0-indexed.  ``index_signs`` and ``pack_bits`` are the only converters
 between packed indices and sign rows; everything else goes through them,
@@ -19,17 +23,18 @@ from ``affine_blocks``, which never unpacks an index.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .config import MAX_EXHAUSTIVE_N, MAX_PACKED_N
 
 
-def _check_dim(n: int) -> None:
-    if not 1 <= n <= MAX_EXHAUSTIVE_N:
-        raise ValueError(f"dimension must be in [1, {MAX_EXHAUSTIVE_N}], got {n}")
+def _check_dim(n: int, cap: int = MAX_EXHAUSTIVE_N) -> None:
+    if not 1 <= n <= cap:
+        raise ValueError(f"dimension must be in [1, {cap}], got {n}")
 
 
 def index_signs(idx, n: int) -> np.ndarray:
@@ -43,7 +48,7 @@ def index_signs(idx, n: int) -> np.ndarray:
 
 
 # Place values 2^i of the 63 bits a non-negative int64 index holds; built
-# once because the scalar samplers pack on every call.
+# once because ``sample_bucket_pair`` packs on every call.
 _PLACE_VALUES = np.int64(1) << np.arange(63, dtype=np.int64)
 
 
@@ -56,8 +61,7 @@ def pack_bits(bits) -> np.ndarray:
 def packed_indices(idx, n: int) -> np.ndarray:
     """``idx`` as a fresh nonempty 1-d int64 array of packed points of
     {-1,+1}^n (n <= MAX_PACKED_N); ValueError for other dtypes, shapes or values."""
-    if not 1 <= n <= MAX_PACKED_N:
-        raise ValueError(f"dimension must be in [1, {MAX_PACKED_N}], got {n}")
+    _check_dim(n, MAX_PACKED_N)
     raw = np.asarray(idx)
     if raw.size and raw.dtype.kind not in "iu":
         raise ValueError(f"indices must be integers, got dtype {raw.dtype}")
@@ -69,53 +73,35 @@ def packed_indices(idx, n: int) -> np.ndarray:
     return out
 
 
+def point_index(u, n: int) -> int:
+    """``u`` as the int index of one point of {-1,+1}^n; TypeError for a
+    non-integer, ValueError for an index outside [0, 2^n)."""
+    u = operator.index(u)
+    if not 0 <= u < 1 << n:
+        raise ValueError(f"index {u} out of range for dimension {n}")
+    return u
+
+
 @dataclass(frozen=True)
 class CubePoint:
-    """A point of {-1,+1}^n, stored as its packed integer index."""
+    """A point of {-1,+1}^n (n <= MAX_PACKED_N), stored as its packed index."""
 
     n: int
     index: int
 
     def __post_init__(self) -> None:
-        _check_dim(self.n)
-        if not 0 <= self.index < (1 << self.n):
-            raise ValueError(
-                f"index {self.index} out of range for dimension {self.n}"
-            )
-
-    @classmethod
-    def from_signs(cls, signs: Iterable[int]) -> "CubePoint":
-        """Build a point from an iterable of +-1 signs (coordinate order)."""
-        signs = list(signs)
-        bad = [pos for pos, s in enumerate(signs) if s != 1 and s != -1]
-        if bad:
-            raise ValueError(f"coordinate {bad[0] + 1} is {signs[bad[0]]}, expected +-1")
-        return cls(len(signs), int(pack_bits([s == -1 for s in signs])))
-
-    def sign(self, i: int) -> int:
-        """Coordinate i in {-1,+1} (1-indexed)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"coordinate {i} out of range [1, {self.n}]")
-        return -1 if (self.index >> (i - 1)) & 1 else 1
+        _check_dim(self.n, MAX_PACKED_N)
+        point_index(self.index, self.n)
 
     def signs(self) -> np.ndarray:
         """All coordinates as an int8 array of +-1, length n."""
         return index_signs(self.index, self.n)
 
-    def flip(self, i: int) -> "CubePoint":
-        """The point with coordinate i negated (1-indexed)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"coordinate {i} out of range [1, {self.n}]")
-        return CubePoint(self.n, self.index ^ (1 << (i - 1)))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(int(s) for s in self.signs())
-
 
 def sign_table(n: int) -> np.ndarray:
     """The full (2^n, n) int8 table of coordinates in index order.
 
-    Row u is CubePoint(n, u).signs().  Memory: 2^n * n bytes.  No code in
+    Row u is index_signs(u, n).  Memory: 2^n * n bytes.  No code in
     the package calls it; the benchmark's tracer still wraps it by name.
     """
     _check_dim(n)
@@ -168,17 +154,6 @@ def affine_blocks(W, c) -> Iterator[tuple[int, np.ndarray]]:
         yield high << low, base + offsets[:, high : high + 1]
 
 
-def pack_signs(signs: np.ndarray) -> np.ndarray:
-    """Packed indices for an (N, n) array of +-1 signs (vectorized)."""
-    return pack_bits(np.asarray(signs) < 0)
-
-
-def sample_uniform(n: int, rng: np.random.Generator) -> CubePoint:
-    """A uniform point of {-1,+1}^n; deterministic given the generator state."""
-    _check_dim(n)
-    return CubePoint(n, int(rng.integers(0, 1 << n)))
-
-
 # Multiplier that gathers the low bits of the 8 bytes of a uint64 into its
 # top byte: byte k, holding 0 or 1, lands on bit 56 + k of the product, and
 # no other partial product reaches the top byte or carries into it.
@@ -195,8 +170,7 @@ def flip_masks(n: int, p: float, count: int, rng: np.random.Generator) -> np.nda
     is folded into one byte by a multiply and a shift, and the bytes are
     ORed into place.
     """
-    if not 1 <= n <= MAX_PACKED_N:
-        raise ValueError(f"dimension must be in [1, {MAX_PACKED_N}], got {n}")
+    _check_dim(n, MAX_PACKED_N)
     u = rng.random((count, n))
     bits = np.zeros((count, -(-n // 8) * 8), dtype=bool)
     np.less(u, p, out=bits[:, :n])
@@ -207,18 +181,6 @@ def flip_masks(n: int, p: float, count: int, rng: np.random.Generator) -> np.nda
     for j in range(1, words.shape[1]):
         masks |= words[:, j] << np.uint64(8 * j)
     return masks.view(np.int64)
-
-
-def sample_noisy(x: CubePoint, rho: float, rng: np.random.Generator) -> CubePoint:
-    """Flip each coordinate of x independently with probability (1-rho)/2.
-
-    rho=1 returns x itself, rho=-1 its negation; rho=0 resamples uniformly.
-    The one-row case of ``flip_masks``, with the same draws.
-    """
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    mask = flip_masks(x.n, (1.0 - rho) / 2.0, 1, rng)[0]
-    return CubePoint(x.n, x.index ^ int(mask))
 
 
 def sample_bucket_pair(

@@ -22,7 +22,7 @@ import numpy as np
 from .config import MAX_LIST_M, MAX_LIST_N, MAX_MONOMIALS, MAX_TABULATE_N
 from .errors import CapacityError, InconsistentDataError, NoConsistentListError
 from .fourier import _fwht, tabulate, values_at
-from .hypercube import CubePoint, index_signs, pack_signs, packed_indices
+from .hypercube import index_signs, pack_bits, packed_indices
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -91,9 +91,6 @@ class MonomialModel:
         if np.any(np.bitwise_count(masks) > self.d):
             raise ValueError(f"a coefficient subset exceeds degree {self.d}")
 
-    def eval(self, x: CubePoint) -> float:
-        return float(self.eval_batch(x.signs()[None])[0])
-
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Evaluate on an (N, n) array of +-1 rows; returns (N,) floats."""
         X = np.asarray(X)
@@ -101,7 +98,7 @@ class MonomialModel:
             raise ValueError(f"expected (N, {self.n}) sign rows, got {X.shape}")
         # the exact character sum in mask order; losses are computed by
         # eval_indices and no longer depend on this summation order
-        return self._character_sum(pack_signs(X))
+        return self._character_sum(pack_bits(X < 0))
 
     def eval_indices(self, idx) -> np.ndarray:
         """Evaluate at packed int64 indices; returns a float64 array of
@@ -199,9 +196,6 @@ class GeneralizedDecisionList:
     n: int
     nodes: tuple[ListNode, ...]
     default: float = 0.0
-
-    def eval(self, x: CubePoint) -> float:
-        return float(self.eval_batch(x.signs()[None])[0])
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Evaluate on an (N, n) array of +-1 rows; returns (N,) floats."""

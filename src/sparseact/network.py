@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import MAX_EXHAUSTIVE_N, MAX_SPLIT_N
 from .errors import CapacityError
-from .hypercube import CubePoint, affine_blocks, index_signs
+from .hypercube import CubePoint, affine_blocks, index_signs, packed_indices, point_index
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -59,33 +59,23 @@ class SparseNet:
 
     # -- evaluation ----------------------------------------------------
 
-    def preactivations(self, x: CubePoint) -> np.ndarray:
-        if x.n != self.n:
-            raise ValueError(f"dimension mismatch: net on {self.n}, point on {x.n}")
-        return self.w @ x.signs().astype(np.float64) - self.b
-
-    def eval(self, x: CubePoint) -> float:
-        """h(x) = sum_j u_j * max(<w_j, x> - b_j, 0)."""
-        return float(self.u @ np.maximum(self.preactivations(x), 0.0))
-
-    def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate on an (N, n) array of +-1 rows; returns (N,) floats."""
+    def preactivations(self, X: np.ndarray) -> np.ndarray:
+        """<w_j, x> - b_j on an (N, n) array of +-1 rows; returns (N, s) floats."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"expected (N, {self.n}) sign rows, got {X.shape}")
-        z = X @ self.w.T - self.b
+        return X @ self.w.T - self.b
+
+    def eval_batch(self, X: np.ndarray) -> np.ndarray:
+        """h(x) = sum_j u_j * max(<w_j, x> - b_j, 0) on an (N, n) array of
+        +-1 rows; returns (N,) floats."""
+        z = self.preactivations(X)
         np.maximum(z, 0.0, out=z)
         return z @ self.u
 
-    def active_set(self, x: CubePoint) -> frozenset[int]:
-        """Units with strictly positive pre-activation at x (1-indexed)."""
-        z = self.preactivations(x)
-        return frozenset(int(j) + 1 for j in np.flatnonzero(z > 0.0))
-
     def active_counts(self, X: np.ndarray) -> np.ndarray:
         """Number of strictly active units per row of an (N, n) sign array."""
-        X = np.asarray(X, dtype=np.float64)
-        return ((X @ self.w.T - self.b) > 0.0).sum(axis=1)
+        return (self.preactivations(X) > 0.0).sum(axis=1)
 
     # -- derived quantities --------------------------------------------
 
@@ -169,28 +159,23 @@ def verify_sparsity(
     k: int,
     mode: str = "exhaustive",
     *,
-    support: Optional[Sequence[CubePoint]] = None,
+    support=None,
     count: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> SparsityReport:
     """Check how many units activate simultaneously, against level k.
 
-    Exhaustive mode scans all 2^n inputs (n <= 24), or exactly the points of
-    ``support`` when one is given (lifted constructions are only promised to
-    be sparse on their embedded image).  Sampled mode draws ``count`` uniform
-    inputs from ``rng`` and reports the estimated violation fraction.
+    Exhaustive mode scans all 2^n inputs (n <= 24), or exactly the packed
+    indices ``support`` when they are given (lifted constructions are only
+    promised to be sparse on their embedded image).  Sampled mode draws
+    ``count`` uniform inputs from ``rng`` and reports the estimated
+    violation fraction.  A violating input comes back as a CubePoint.
     """
     if k < 1:
         raise ValueError(f"sparsity level must be >= 1, got {k}")
     if mode == "exhaustive":
         if support is not None:
-            points = list(support)
-            if not points:
-                raise ValueError("support must contain at least one point")
-            if any(p.n != net.n for p in points):
-                raise ValueError("support points do not match the net dimension")
-            idx = np.array([p.index for p in points], dtype=np.int64)
-            return _scan_points(net, k, idx, "exhaustive")
+            return _scan_points(net, k, packed_indices(support, net.n), "exhaustive")
         if net.n > MAX_EXHAUSTIVE_N:
             raise CapacityError(
                 f"exhaustive scan needs n <= {MAX_EXHAUSTIVE_N}, got {net.n}"
@@ -286,19 +271,17 @@ def avg_sensitivity_split(net: SparseNet) -> SensitivitySplit:
     return SensitivitySplit(same_region=same / size, changed_region=changed / size)
 
 
-def rebucket(
-    net: SparseNet, z: CubePoint, partition: Sequence[Sequence[int]]
-) -> SparseNet:
+def rebucket(net: SparseNet, z: int, partition: Sequence[Sequence[int]]) -> SparseNet:
     """Collapse coordinates into buckets: the r-input net H_z.
 
-    ``partition`` lists r disjoint buckets of 1-indexed coordinates covering
-    [n] exactly once.  Bucket e becomes input coordinate e of the new net,
-    with collapsed weights w'_{je} = sum_{l in bucket e} w_{jl} * z_l; the
-    output weights and biases are unchanged.  If x is reconstructed by
+    ``z`` is the packed index of a point of {-1,+1}^n.  ``partition`` lists
+    r disjoint buckets of 1-indexed coordinates covering [n] exactly once.
+    Bucket e becomes input coordinate e of the new net, with collapsed
+    weights w'_{je} = sum_{l in bucket e} w_{jl} * z_l; the output weights
+    and biases are unchanged.  If x is reconstructed by
     x_l = z_l * v_{bucket(l)} for bucket signs v, then h(x) = H_z(v).
     """
-    if z.n != net.n:
-        raise ValueError(f"dimension mismatch: net on {net.n}, z on {z.n}")
+    z = point_index(z, net.n)
     seen: set[int] = set()
     buckets = [list(dict.fromkeys(int(l) for l in bucket)) for bucket in partition]
     for bucket in buckets:
@@ -314,7 +297,7 @@ def rebucket(
         missing = sorted(set(range(1, net.n + 1)) - seen)
         raise ValueError(f"partition misses coordinates {missing}")
 
-    zs = z.signs().astype(np.float64)
+    zs = index_signs(z, net.n).astype(np.float64)
     r = len(buckets)
     w_new = np.zeros((net.s, r))
     for e, bucket in enumerate(buckets):

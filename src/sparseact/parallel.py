@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
@@ -100,19 +101,21 @@ def run_chunked(
     ``mean_and_stderr`` turns it into an estimate.  The per-chunk generators
     are spawned from ``rng`` in chunk order, a window at a time (consecutive
     spawns continue one sequence of children), so the streams are a pure
-    function of the generator state and the item count.  Each worker thread
-    runs in a copy of the caller's context, so settings such as
-    ``np.errstate`` hold there too.
+    function of the generator state and the item count.  At most
+    ``min(threads, os.cpu_count(), chunks)`` worker threads run, since no
+    result depends on their number.  Each worker thread runs in a copy of
+    the caller's context, so settings such as ``np.errstate`` hold there too.
     """
     ranges = chunk_ranges(n_items, chunk)
     rows = np.empty((len(ranges), 3))
-    window = _WINDOW_PER_THREAD * max(threads, 1)
+    workers = max(min(threads, os.cpu_count() or 1, len(ranges)), 1)
+    window = _WINDOW_PER_THREAD * workers
     chunks = _spawned(ranges, rng, window)
-    if threads <= 1 or len(ranges) == 1:
+    if workers == 1:
         for i, lo, hi, crng in chunks:
             rows[i] = _chunk_moments(worker, lo, hi, crng)
         return rows
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for i, lo, hi, crng in chunks:
             if len(pending) == window:

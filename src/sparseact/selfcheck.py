@@ -30,7 +30,7 @@ from .fourier import (
     tabulate,
     wht,
 )
-from .hypercube import CubePoint
+from .hypercube import index_signs, pack_bits
 from .network import SparseNet, avg_sensitivity_split, verify_sparsity
 
 DEFAULT_SEED = 20240613
@@ -58,10 +58,10 @@ def check_index_reference(n_max: int, rng: np.random.Generator):
         if n > n_max:
             break
         net = index_net(b)
-        for u in range(1 << n):
-            x = CubePoint(n, u)
-            if net.eval(x) != reference_index(x, b):
-                return False, f"b={b}: mismatch at index {u}"
+        want = tabulate(lambda u: reference_index(u, b), n).values
+        bad = np.flatnonzero(tabulate(net, n).values != want)
+        if bad.size:
+            return False, f"b={b}: mismatch at index {bad[0]}"
         if verify_sparsity(net, 1, "exhaustive").max_active > 1:
             return False, f"b={b}: more than one unit active"
         checked.append(b)
@@ -70,25 +70,26 @@ def check_index_reference(n_max: int, rng: np.random.Generator):
 
 def check_parity_lift(n_max: int, rng: np.random.Generator):
     for m in range(1, 5):
+        y = np.arange(1 << m)
+        lifted = embed_lift(y, m)
+        ys = index_signs(y, m)
+        support = pack_bits(lifted < 0)
+        shifts = np.array([a for a in range(-m, m + 1) if a % 2 == 0])
         for size in range(1, m + 1):
             for S in itertools.combinations(range(1, m + 1), size):
                 net = parity_lift(m, S)
-                shifts = [a for a in range(-m, m + 1) if a % 2 == 0]
-                for yi in range(1 << m):
-                    y = CubePoint(m, yi)
-                    lifted = embed_lift(y).to_point()
-                    total = sum(y.sign(i) for i in S)
-                    pre = net.preactivations(lifted)
-                    for row, a in enumerate(shifts):
-                        want = 0.5 - (total - a) ** 2
-                        if pre[row] != want:
-                            return False, f"m={m}, S={S}, a={a}: {pre[row]} != {want}"
-                    want_val = 1.0 if total % 2 == 0 else 0.0
-                    if net.eval(lifted) != want_val:
-                        return False, f"m={m}, S={S}, y={yi}: value mismatch"
-                support = [
-                    embed_lift(CubePoint(m, yi)).to_point() for yi in range(1 << m)
-                ]
+                total = ys[:, [i - 1 for i in S]].sum(axis=1, dtype=np.int64)
+                pre = net.preactivations(lifted)
+                want = 0.5 - (total[:, None] - shifts[None, :]) ** 2
+                bad = np.argwhere(pre != want)
+                if bad.size:
+                    yi, row = bad[0]
+                    a, got, exp = shifts[row], pre[yi, row], want[yi, row]
+                    return False, f"m={m}, S={S}, a={a}: {got} != {exp}"
+                want_val = np.where(total % 2 == 0, 1.0, 0.0)
+                bad = np.flatnonzero(net.eval_batch(lifted) != want_val)
+                if bad.size:
+                    return False, f"m={m}, S={S}, y={bad[0]}: value mismatch"
                 rep = verify_sparsity(net, 1, "exhaustive", support=support)
                 if rep.max_active > 1:
                     return False, f"m={m}, S={S}: {rep.max_active} active on support"
@@ -104,7 +105,7 @@ def check_gamma_gate(n_max: int, rng: np.random.Generator):
     net = gamma_gated_net(b, q, float(np.sqrt(q)), table)
     rep = verify_sparsity(net, 1, "exhaustive")
     if rep.max_active > 1:
-        return False, f"{rep.max_active} units active at index {rep.violating_input}"
+        return False, f"{rep.max_active} units active at index {rep.violating_input.index}"
     return True, f"b={b}, q={q}, gamma=sqrt(q)"
 
 
@@ -138,12 +139,14 @@ def check_spectral_sensitivity(n_max: int, rng: np.random.Generator):
 def check_linear_piece(n_max: int, rng: np.random.Generator):
     n = min(8, n_max)
     net = random_net(rng, n, 6)
-    for _ in range(100):
-        x = CubePoint(n, int(rng.integers(0, 1 << n)))
-        wR, bR = net.linear_piece(net.active_set(x))
-        affine = float(wR @ x.signs().astype(np.float64)) - bR
-        if abs(net.eval(x) - affine) > 1e-12 * max(1.0, abs(affine)):
-            return False, f"mismatch at index {x.index}"
+    idx = rng.integers(0, 1 << n, size=100)
+    X = index_signs(idx, n).astype(np.float64)
+    values = net.eval_batch(X)
+    for u, x, z, value in zip(idx, X, net.preactivations(X), values):
+        wR, bR = net.linear_piece(np.flatnonzero(z > 0.0) + 1)
+        affine = float(wR @ x) - bR
+        if abs(value - affine) > 1e-12 * max(1.0, abs(affine)):
+            return False, f"mismatch at index {u}"
     return True, f"100 random points on n={n}"
 
 

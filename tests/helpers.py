@@ -4,7 +4,9 @@ The oracles deliberately avoid the library's fast paths: the reference
 transform multiplies out characters term by term, and the sensitivity
 oracles walk edges with single-point evaluations, so agreement with the
 vectorized implementations is meaningful.  Subsets are bitmasks (bit i-1
-set iff coordinate i is a member), as in the library.
+set iff coordinate i is a member), as in the library.  The library takes
+points as packed indices only; ``Point`` is the scalar view of one index
+(coordinates, flips) that these oracles and the tests reason with.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import io
 import itertools
 import json
 import math
+from concurrent.futures import Future
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +31,65 @@ from sparseact import (
     NoConsistentListError,
     SparseNet,
     SparsityReport,
+    parallel,
 )
 from sparseact.config import MAX_PACKED_N
-from sparseact.hypercube import index_signs, pack_bits, pack_signs
+from sparseact.hypercube import index_signs, pack_bits
+
+
+@dataclass(frozen=True)
+class Point:
+    """A point of {-1,+1}^n as its packed index, with 1-indexed coordinate
+    access decoded bit by bit (bit i-1 set means coordinate i is -1)."""
+
+    n: int
+    index: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1 or not 0 <= self.index < (1 << self.n):
+            raise ValueError(f"index {self.index} out of range for dimension {self.n}")
+
+    @classmethod
+    def from_signs(cls, signs) -> "Point":
+        """The point with the given +-1 coordinates, in coordinate order."""
+        signs = [int(s) for s in signs]
+        if any(s not in (1, -1) for s in signs):
+            raise ValueError(f"coordinates must be +-1, got {signs}")
+        return cls(len(signs), sum(1 << i for i, s in enumerate(signs) if s == -1))
+
+    def sign(self, i: int) -> int:
+        """Coordinate i in {-1,+1} (1-indexed)."""
+        if not 1 <= i <= self.n:
+            raise ValueError(f"coordinate {i} out of range [1, {self.n}]")
+        return -1 if (self.index >> (i - 1)) & 1 else 1
+
+    def signs(self) -> np.ndarray:
+        """All coordinates as an int8 array of +-1, length n."""
+        return np.array([self.sign(i) for i in range(1, self.n + 1)], dtype=np.int8)
+
+    def flip(self, i: int) -> "Point":
+        """The point with coordinate i negated (1-indexed)."""
+        if not 1 <= i <= self.n:
+            raise ValueError(f"coordinate {i} out of range [1, {self.n}]")
+        return Point(self.n, self.index ^ (1 << (i - 1)))
+
+    def __iter__(self):
+        return iter(int(s) for s in self.signs())
+
+
+def preactivations_at(net: SparseNet, u: int) -> np.ndarray:
+    """``w x - b`` at the packed point u, one matrix-vector product."""
+    return net.w @ Point(net.n, u).signs().astype(np.float64) - net.b
+
+
+def net_value(net: SparseNet, u: int) -> float:
+    """h(x) = sum_j u_j max(<w_j, x> - b_j, 0) at the packed point u."""
+    return float(net.u @ np.maximum(preactivations_at(net, u), 0.0))
+
+
+def active_set(net: SparseNet, u: int) -> frozenset:
+    """Units (1-indexed) with strictly positive pre-activation at u."""
+    return frozenset(int(j) + 1 for j in np.flatnonzero(preactivations_at(net, u) > 0.0))
 
 
 def chi(mask: int, u: int) -> int:
@@ -77,6 +137,41 @@ def reference_chunk_samples(worker, n_items: int, rng: np.random.Generator, chun
     return [worker(lo, hi, r) for (lo, hi), r in zip(ranges, rng.spawn(len(ranges)))]
 
 
+class InlineExecutor:
+    """Stands in for ``ThreadPoolExecutor`` without starting a thread: it
+    appends its ``max_workers`` to ``created`` and runs each submission at
+    once in the caller's thread."""
+
+    def __init__(self, created: list, max_workers: int):
+        created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def run_chunks_inline(monkeypatch, cpus) -> list:
+    """Make ``parallel.run_chunked`` see ``cpus`` CPUs and pool its chunks in
+    an ``InlineExecutor``; returns the list that collects each pool's
+    ``max_workers``."""
+    created: list = []
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(
+        parallel, "ThreadPoolExecutor", lambda max_workers: InlineExecutor(created, max_workers)
+    )
+    return created
+
+
 def reference_mean_and_stderr(samples) -> tuple[float, float]:
     """Mean and ``std(ddof=1) / sqrt(N)`` in one pass over all samples: the
     oracle for ``parallel.mean_and_stderr`` on merged chunk moments.
@@ -108,17 +203,19 @@ def reference_sign_sups(H: np.ndarray, count: int, rng: np.random.Generator):
     return (Z @ H.T).max(axis=1) / m
 
 
-def brute_sensitivity_at(f, n: int, x: CubePoint) -> float:
-    """Edge-walking oracle for the pointwise sensitivity of a callable."""
-    fx = f(x)
-    return 0.25 * sum((fx - f(x.flip(i))) ** 2 for i in range(1, n + 1))
+def brute_sensitivity_at(f, n: int, u: int) -> float:
+    """Edge-walking oracle for the pointwise sensitivity of a callable on
+    packed indices."""
+    x = Point(n, u)
+    fx = f(u)
+    return 0.25 * sum((fx - f(x.flip(i).index)) ** 2 for i in range(1, n + 1))
 
 
 def brute_avg_sensitivity(f, n: int) -> float:
     """Exhaustive mean of the pointwise sensitivity, single-point calls only."""
     total = 0.0
     for u in range(1 << n):
-        total += brute_sensitivity_at(f, n, CubePoint(n, u))
+        total += brute_sensitivity_at(f, n, u)
     return total / (1 << n)
 
 
@@ -128,13 +225,13 @@ def brute_split(net: SparseNet) -> tuple[float, float]:
     same = 0.0
     changed = 0.0
     for u in range(1 << n):
-        x = CubePoint(n, u)
-        hx = net.eval(x)
-        rx = net.active_set(x)
+        x = Point(n, u)
+        hx = net_value(net, u)
+        rx = active_set(net, u)
         for i in range(1, n + 1):
-            y = x.flip(i)
-            term = 0.25 * (hx - net.eval(y)) ** 2
-            if rx == net.active_set(y):
+            y = x.flip(i).index
+            term = 0.25 * (hx - net_value(net, y)) ** 2
+            if rx == active_set(net, y):
                 same += term
             else:
                 changed += term
@@ -145,8 +242,8 @@ def brute_split(net: SparseNet) -> tuple[float, float]:
 def parity_function(n: int, members: tuple[int, ...]):
     mask = sum(1 << (i - 1) for i in set(members))
 
-    def f(x: CubePoint) -> float:
-        return float(chi(mask, x.index))
+    def f(u: int) -> float:
+        return float(chi(mask, u))
 
     return f
 
@@ -262,20 +359,25 @@ def reference_read_dataset_csv(path) -> Dataset:
         if n > MAX_PACKED_N:
             raise ValueError(f"dataset CSV has {n} sign columns, at most {MAX_PACKED_N}")
         rows = []
-        for row in reader:
-            if len(row) != n + 1:
-                raise ValueError(
-                    f"dataset CSV line {reader.line_num} has {len(row)} fields, "
-                    f"expected {n + 1}"
-                )
-            cells = [float(v) for v in row]
-            if any(v != 1.0 and v != -1.0 for v in cells[:n]):
-                raise ValueError(f"dataset CSV line {reader.line_num}: a sign is not +-1")
-            rows.append(cells)
+        try:
+            for row in reader:
+                if len(row) != n + 1:
+                    raise ValueError(
+                        f"dataset CSV line {reader.line_num} has {len(row)} fields, "
+                        f"expected {n + 1}"
+                    )
+                cells = [float(v) for v in row]
+                if any(v != 1.0 and v != -1.0 for v in cells[:n]):
+                    raise ValueError(
+                        f"dataset CSV line {reader.line_num}: a sign is not +-1"
+                    )
+                rows.append(cells)
+        except csv.Error as exc:
+            raise ValueError(f"dataset CSV line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError("dataset CSV contains no rows")
     table = np.array(rows)
-    return Dataset(n, pack_signs(table[:, :n]), table[:, n])
+    return Dataset(n, pack_bits(table[:, :n] < 0), table[:, n])
 
 
 def reference_scan(net: SparseNet, k: int, chunk: int = 1 << 16) -> SparsityReport:

@@ -10,11 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from helpers import Point, net_value
 
 from sparseact import (
     ClassParams,
     CubeFunction,
-    CubePoint,
     Dataset,
     InconsistentDataError,
     JuntaSpec,
@@ -46,6 +46,8 @@ from sparseact import (
     compare_to_bound,
 )
 from sparseact.cli import run
+from sparseact.fourier import values_at
+from sparseact.hypercube import pack_bits
 
 
 def report(number: int, name: str) -> None:
@@ -68,16 +70,14 @@ def test_criterion_1_construction_equivalence():
             spec = random_junta(rng, n, p)
             net = junta_to_net(spec)
             for u in range(1 << n):
-                x = CubePoint(n, u)
-                assert net.eval(x) == spec.value(x)
+                assert net_value(net, u) == spec.value(u)
             assert verify_sparsity(net, 1, "exhaustive").max_active <= 1
     # indexing: exact agreement with the reference indexer for b <= 3
     for b in (1, 2, 3):
         net = index_net(b)
         n = b + (1 << b)
         for u in range(1 << n):
-            x = CubePoint(n, u)
-            assert net.eval(x) == reference_index(x, b)
+            assert net_value(net, u) == reference_index(u, b)
         assert verify_sparsity(net, 1, "exhaustive").max_active <= 1
     # parity lifting: affine identity and output semantics for m <= 4, all S
     for m in range(1, 5):
@@ -85,16 +85,16 @@ def test_criterion_1_construction_equivalence():
             for S in itertools.combinations(range(1, m + 1), size):
                 net = parity_lift(m, S)
                 shifts = [a for a in range(-m, m + 1) if a % 2 == 0]
-                support = []
+                X = embed_lift(np.arange(1 << m), m)
+                pres, values = net.preactivations(X), net.eval_batch(X)
                 for u in range(1 << m):
-                    y = CubePoint(m, u)
-                    x = embed_lift(y).to_point()
-                    support.append(x)
+                    y = Point(m, u)
                     total = sum(y.sign(i) for i in S)
-                    pre = net.preactivations(x)
+                    pre = pres[u]
                     for row, a in enumerate(shifts):
                         assert pre[row] == 0.5 - (total - a) ** 2
-                    assert net.eval(x) == (1.0 if total % 2 == 0 else 0.0)
+                    assert values[u] == (1.0 if total % 2 == 0 else 0.0)
+                support = pack_bits(X < 0)
                 rep = verify_sparsity(net, 1, "exhaustive", support=support)
                 assert rep.max_active <= 1
     report(1, "construction equivalence, exact over full supports")
@@ -234,12 +234,11 @@ def test_criterion_8_decision_list_recovery():
         data = full_cube_dataset(net, n)
         dlist = fit_decision_list(data, s=s, M=1, tol=1e-6)
         residuals = [
-            abs(dlist.eval(CubePoint(n, int(u))) - y) for u, y in zip(data.idx, data.y)
+            abs(values_at(dlist, n, [u])[0] - y) for u, y in zip(data.idx, data.y)
         ]
         assert max(residuals) <= 1e-6
         for u in range(1 << n):
-            x = CubePoint(n, u)
-            assert abs(dlist.eval(x) - net.eval(x)) <= 1e-6
+            assert abs(values_at(dlist, n, [u])[0] - net_value(net, u)) <= 1e-6
     with pytest.raises(InconsistentDataError):
         fit_decision_list(Dataset(3, [2, 2], [0.0, 1.0]), s=1, M=1)
     report(8, "decision-list recovery exact on integer-grid 1-sparse targets")

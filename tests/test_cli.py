@@ -9,11 +9,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import reference_csv, reference_json, reference_read_dataset_csv
+from helpers import (
+    Point,
+    net_value,
+    reference_csv,
+    reference_json,
+    reference_read_dataset_csv,
+    run_chunks_inline,
+)
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sparseact import CubePoint, SparseNet, tabulate, wht
+from sparseact import (
+    SparseNet,
+    gamma_gated_net,
+    selfcheck,
+    tabulate,
+    verify_sparsity,
+    wht,
+)
 from sparseact.cli import _columns_to_csv, _columns_to_json, _read_dataset_csv, run
 from sparseact.config import REL_TOL_EXACT
 
@@ -294,8 +308,8 @@ class TestLearnCommands:
         rows = ["x1,x2,x3,y"]
         net, _ = write_net(tmp_path)
         for u in range(8):
-            x = CubePoint(3, u)
-            rows.append(",".join(str(s) for s in x.signs()) + f",{net.eval(x)!r}")
+            x = Point(3, u)
+            rows.append(",".join(str(s) for s in x.signs()) + f",{net_value(net, u)!r}")
         data.write_text("\n".join(rows) + "\n")
         out = tmp_path / "model.json"
         assert run(["learn-low-degree", "--data", str(data), "--degree", "3",
@@ -304,7 +318,7 @@ class TestLearnCommands:
         assert payload["train_loss"]["mse"] < 1e-12
 
     def test_learn_low_degree_wide_csv(self, tmp_path):
-        # 30 sign columns: more than a CubePoint holds, within packed int64
+        # 30 sign columns: past the exhaustive cap of 24, within packed int64
         n = 30
         X = np.random.default_rng(30).choice([-1, 1], size=(200, n))
         y = 0.5 + X[:, 3] - 2.0 * X[:, n - 1]
@@ -398,6 +412,31 @@ class TestVerifyCommand:
     def test_smallest_cubes(self, capsys, n_max):
         assert run(["verify", "--n-max", n_max]) == 0
         assert capsys.readouterr().out.count("PASS") == 10
+
+    RECORDED = json.loads((DATA / "verify_outputs.json").read_text())
+
+    @pytest.mark.parametrize("n_max", sorted(RECORDED, key=int))
+    def test_bytes_match_recorded(self, capsys, n_max):
+        assert run(["verify", "--n-max", n_max]) == 0
+        assert capsys.readouterr().out == self.RECORDED[n_max]
+
+    def test_gamma_gate_failure_names_the_witness_index(self, capsys, monkeypatch):
+        # a tiny gamma lets several units fire on the same input
+        built = []
+
+        def tiny_gamma(b, q, gamma, table):
+            built.append(gamma_gated_net(b, q, 1e-3, table))
+            return built[-1]
+
+        monkeypatch.setattr(selfcheck, "gamma_gated_net", tiny_gamma)
+        assert run(["verify", "--n-max", "5"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fail = [line for line in lines if line.startswith("FAIL")]
+        assert len(fail) == 1 and fail[0].startswith("FAIL gamma_gate_sparsity: ")
+        active, index = fail[0].split(": ")[1].split(" units active at index ")
+        want = verify_sparsity(built[0], 1, "exhaustive")
+        assert int(active) == want.max_active > 1
+        assert int(index) == want.violating_input.index
 
 
 class TestExitCodes:
@@ -649,6 +688,18 @@ class TestThreadsFlag:
                     "--m-grid", "8", "--trials", "100", "--seed", "1",
                     "--threads", threads]) == 2
 
+    def test_huge_count_is_clamped(self, tmp_path, capsys, monkeypatch):
+        # no real thread starts: the executor runs each chunk inline
+        _, path = write_net(tmp_path)
+        argv = ["sensitivity", "--net", str(path), "--rho", "0.5",
+                "--trials", "40000", "--seed", "1", "--threads"]
+        assert run(argv + ["1"]) == 0
+        alone = capsys.readouterr().out
+        created = run_chunks_inline(monkeypatch, 64)
+        assert run(argv + [str(10**12)]) == 0
+        assert capsys.readouterr().out == alone
+        assert created == [3]  # 40000 trials are 3 chunks
+
     def test_learners_take_no_threads(self, tmp_path):
         _, path = write_net(tmp_path)
         assert run(["learn-low-degree", "--net", str(path), "--samples", "50",
@@ -830,6 +881,18 @@ class TestDatasetReader:
         path = tmp_path / "data.csv"
         path.write_text(body, newline="")
         assert _read_outcome(_read_dataset_csv, path).endswith(message)
+        self.assert_same_as_reference(path)
+
+    def test_field_over_the_csv_limit(self, tmp_path):
+        # csv refuses fields over 131,072 characters; one error line, exit 2
+        path = tmp_path / "data.csv"
+        path.write_text("x1,y\n1," + "1" * 200_000 + "\n", newline="")
+        message = _read_outcome(_read_dataset_csv, path)
+        assert message == "dataset CSV line 2: field larger than field limit (131072)"
+        self.assert_same_as_reference(path)
+        # an earlier bad sign still wins
+        path.write_text("x1,y\n0,1\n1," + "1" * 200_000 + "\n", newline="")
+        assert _read_outcome(_read_dataset_csv, path).endswith("line 2: a sign is not +-1")
         self.assert_same_as_reference(path)
 
     def test_quoted_newlines_read(self, tmp_path):

@@ -4,9 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from helpers import Point
 
 from sparseact import (
-    CubePoint,
+    CapacityError,
     JuntaSpec,
     SparseNet,
     embed_lift,
@@ -18,6 +19,13 @@ from sparseact import (
     tabulate,
     verify_sparsity,
 )
+from sparseact.config import MAX_LIFT_M
+from sparseact.hypercube import index_signs
+
+
+def cube_signs(n):
+    """Every point of {-1,+1}^n as a sign row, in index order."""
+    return index_signs(np.arange(1 << n), n)
 
 
 class TestJunta:
@@ -25,17 +33,17 @@ class TestJunta:
         net = junta_to_net(JuntaSpec(n=3, relevant=(), table=np.array([2.5])))
         assert net.s == 1
         assert np.array_equal(net.b, [-1.0])
-        for u in range(8):
-            assert net.eval(CubePoint(3, u)) == 2.5
+        assert np.all(net.eval_batch(cube_signs(3)) == 2.5)
 
     def test_dictator_p1(self):
         # f(x) = x_1 embedded in n=3
         spec = JuntaSpec(n=3, relevant=(1,), table=np.array([1.0, -1.0]))
         net = junta_to_net(spec)
         assert net.s == 2
+        values = net.eval_batch(cube_signs(3))
         for u in range(8):
-            x = CubePoint(3, u)
-            assert net.eval(x) == float(x.sign(1))
+            x = Point(3, u)
+            assert values[u] == float(x.sign(1))
 
     def test_xor_p2(self):
         # +-1 valued XOR of x_1, x_2 inside n=4; table index bit j set means
@@ -46,11 +54,13 @@ class TestJunta:
             s2 = -1 if t & 2 else 1
             table[t] = -s1 * s2  # +1 iff exactly one of the two is -1
         net = junta_to_net(JuntaSpec(n=4, relevant=(1, 2), table=table))
+        values = net.eval_batch(cube_signs(4))
+        counts = net.active_counts(cube_signs(4))
         for u in range(16):
-            x = CubePoint(4, u)
+            x = Point(4, u)
             want = -x.sign(1) * x.sign(2)
-            assert net.eval(x) == want
-            assert len(net.active_set(x)) == 1
+            assert values[u] == want
+            assert counts[u] == 1
         assert verify_sparsity(net, 1, "exhaustive").max_active == 1
 
     def test_duplicate_relevant_rejected(self):
@@ -60,6 +70,15 @@ class TestJunta:
     def test_table_length_checked(self):
         with pytest.raises(ValueError):
             JuntaSpec(n=4, relevant=(1, 2), table=np.zeros(3))
+
+    def test_value_takes_a_packed_index(self):
+        spec = JuntaSpec(n=3, relevant=(3, 1), table=np.array([1.0, 2.0, 3.0, 4.0]))
+        # slot bit 0 is coordinate 3, slot bit 1 is coordinate 1
+        assert [spec.value(u) for u in range(8)] == [1.0, 3.0, 1.0, 3.0, 2.0, 4.0, 2.0, 4.0]
+        with pytest.raises(ValueError):
+            spec.value(8)
+        with pytest.raises(TypeError):
+            spec.value(0.5)
 
     def test_serializes(self):
         rng = np.random.default_rng(0)
@@ -72,9 +91,14 @@ class TestIndexNet:
     def test_matches_reference(self, b):
         net = index_net(b)
         n = b + (1 << b)
+        values = net.eval_batch(cube_signs(n))
         for u in range(1 << n):
-            x = CubePoint(n, u)
-            assert net.eval(x) == reference_index(x, b)
+            assert values[u] == reference_index(u, b)
+
+    def test_reference_range(self):
+        assert reference_index(0, 1) == 1.0  # address bit +1 reads data bit 2
+        with pytest.raises(ValueError):
+            reference_index(1 << 3, 1)
 
     def test_sparsity_b2(self):
         report = verify_sparsity(index_net(2), 1, "exhaustive")
@@ -89,31 +113,53 @@ class TestIndexNet:
             assert np.max(np.abs(net.u)) == 1.0
 
     def test_capacity(self):
-        from sparseact import CapacityError
-
         with pytest.raises(CapacityError):
             index_net(11)
 
 
+def is_consistent(entries):
+    """entries[i][j] == entries[i][i] * entries[j][j] for all i != j."""
+    d = np.diag(entries).astype(np.int64)
+    expected = np.outer(d, d)
+    np.fill_diagonal(expected, d)
+    return bool(np.array_equal(entries, expected))
+
+
+def lifted_row(m, signs):
+    """The lifted point x(y) of the y with the given +-1 coordinates."""
+    return embed_lift([Point.from_signs(signs).index], m)[0]
+
+
 class TestEmbedLift:
     def test_all_ones(self):
-        lifted = embed_lift(CubePoint.from_signs([1, 1]))
-        assert np.array_equal(lifted.entries, np.ones((2, 2)))
+        lifted = lifted_row(2, [1, 1]).reshape(2, 2)
+        assert np.array_equal(lifted, np.ones((2, 2)))
 
     def test_mixed_signs(self):
-        lifted = embed_lift(CubePoint.from_signs([1, -1]))
-        assert np.array_equal(lifted.entries, [[1, -1], [-1, -1]])
+        lifted = lifted_row(2, [1, -1]).reshape(2, 2)
+        assert np.array_equal(lifted, [[1, -1], [-1, -1]])
 
     def test_consistency_invariant(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            y = CubePoint(5, int(rng.integers(0, 32)))
-            assert embed_lift(y).is_consistent()
+            y = int(rng.integers(0, 32))
+            assert is_consistent(embed_lift([y], 5)[0].reshape(5, 5))
 
     def test_row_major_flattening(self):
-        y = CubePoint.from_signs([1, -1])
-        point = embed_lift(y).to_point()
+        point = lifted_row(2, [1, -1])
         assert list(point) == [1, -1, -1, -1]
+
+    def test_whole_cube_at_the_cap(self):
+        m = MAX_LIFT_M
+        lifted = embed_lift(np.arange(1 << m), m)
+        assert lifted.dtype == np.int8 and lifted.shape == (1 << m, m * m)
+        assert np.array_equal(lifted[:, :: m + 1], index_signs(np.arange(1 << m), m))
+        assert all(is_consistent(row.reshape(m, m)) for row in lifted[::97])
+        with pytest.raises(CapacityError):
+            embed_lift([0], m + 1)
+        for bad in ([], [1 << 3], [0.5]):
+            with pytest.raises(ValueError):
+                embed_lift(bad, 3)
 
 
 class TestParityLift:
@@ -122,24 +168,25 @@ class TestParityLift:
         net = parity_lift(2, [1, 2])
         shifts = [-2, 0, 2]
         row = shifts.index(2)
-        x = embed_lift(CubePoint.from_signs([1, 1])).to_point()
-        inner = float(net.w[row] @ x.signs().astype(np.float64))
+        x = lifted_row(2, [1, 1])
+        inner = float(net.w[row] @ x.astype(np.float64))
         assert inner == 6.0
         assert net.b[row] == 5.5
-        assert net.preactivations(x)[row] == 0.5
+        assert net.preactivations(x[None])[0, row] == 0.5
 
     def test_even_subset_always_one(self):
         net = parity_lift(2, [1, 2])
+        X = embed_lift(np.arange(4), 2)
+        values, counts = net.eval_batch(X), net.active_counts(X)
         for u in range(4):
-            x = embed_lift(CubePoint(2, u)).to_point()
-            assert net.eval(x) == 1.0
-            assert len(net.active_set(x)) <= 1
+            assert values[u] == 1.0
+            assert counts[u] <= 1
 
     def test_odd_subset_always_zero(self):
         net = parity_lift(3, [1, 2, 3])
+        values = net.eval_batch(embed_lift(np.arange(8), 3))
         for u in range(8):
-            x = embed_lift(CubePoint(3, u)).to_point()
-            assert net.eval(x) == 0.0
+            assert values[u] == 0.0
 
     def test_affine_identity_exhaustive(self):
         for m in (1, 2, 3, 4):
@@ -147,15 +194,16 @@ class TestParityLift:
                 for S in itertools.combinations(range(1, m + 1), size):
                     net = parity_lift(m, S)
                     shifts = [a for a in range(-m, m + 1) if a % 2 == 0]
+                    X = embed_lift(np.arange(1 << m), m)
+                    pres, values = net.preactivations(X), net.eval_batch(X)
                     for u in range(1 << m):
-                        y = CubePoint(m, u)
-                        x = embed_lift(y).to_point()
+                        y = Point(m, u)
                         total = sum(y.sign(i) for i in S)
-                        pre = net.preactivations(x)
+                        pre = pres[u]
                         for row, a in enumerate(shifts):
                             assert pre[row] == 0.5 - (total - a) ** 2
                         want = 1.0 if total % 2 == 0 else 0.0
-                        assert net.eval(x) == want
+                        assert values[u] == want
 
     def test_semantics_matches_even_indicator(self):
         for m in (2, 3, 4):
@@ -163,10 +211,11 @@ class TestParityLift:
                 if max(S) > m:
                     continue
                 net = parity_lift(m, S)
+                values = net.eval_batch(embed_lift(np.arange(1 << m), m))
                 for u in range(1 << m):
-                    y = CubePoint(m, u)
+                    y = Point(m, u)
                     even = sum(y.sign(i) for i in S) % 2 == 0
-                    assert net.eval(embed_lift(y).to_point()) == (1.0 if even else 0.0)
+                    assert values[u] == (1.0 if even else 0.0)
 
     def test_scale_inequalities(self):
         for m in (2, 3, 4):
@@ -289,6 +338,6 @@ class TestCrossConstruction:
         for m, S in ((4, (1, 2)), (4, (1, 2, 3)), (3, (2,))):
             net = parity_lift(m, S)
             want = 1.0 if len(S) % 2 == 0 else 0.0
+            values = net.eval_batch(embed_lift(np.arange(1 << m), m))
             for u in range(1 << m):
-                y = CubePoint(m, u)
-                assert net.eval(embed_lift(y).to_point()) == want
+                assert values[u] == want

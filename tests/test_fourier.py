@@ -5,8 +5,10 @@ import pytest
 from helpers import (
     brute_avg_sensitivity,
     brute_sensitivity_at,
+    Point,
     chi,
     naive_spectrum,
+    net_value,
     parity_function,
     reference_fwht,
 )
@@ -16,7 +18,6 @@ from hypothesis import strategies as st
 from sparseact import (
     CapacityError,
     CubeFunction,
-    CubePoint,
     SparseNet,
     avg_sensitivity_exact,
     halfspace_sensitivity_bound,
@@ -40,11 +41,11 @@ def random_function(rng, n):
 
 class TestTabulate:
     def test_constant(self):
-        f = tabulate(lambda x: 1.0, 3)
+        f = tabulate(lambda u: 1.0, 3)
         assert np.array_equal(f.values, np.ones(8))
 
     def test_character_alternates_with_encoding(self):
-        f = tabulate(lambda x: float(chi(0b01, x.index)), 2)
+        f = tabulate(lambda u: float(chi(0b01, u)), 2)
         # bit 0 of the index decides coordinate 1
         assert list(f.values) == [1.0, -1.0, 1.0, -1.0]
 
@@ -60,19 +61,19 @@ class TestTabulate:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            tabulate(lambda x: 0.0, 21)
+            tabulate(lambda u: 0.0, 21)
 
     def test_batch_and_pointwise_paths_agree(self):
         rng = np.random.default_rng(4)
         net = random_net(rng, 5, 3)
         batch = tabulate(net, 5).values
-        pointwise = tabulate(net.eval, 5).values
+        pointwise = tabulate(lambda u: net_value(net, u), 5).values
         assert np.allclose(batch, pointwise, atol=1e-12)
 
 
 class TestWht:
     def test_single_character(self):
-        f = tabulate(lambda x: float(chi(0b11, x.index)), 2)
+        f = tabulate(lambda u: float(chi(0b11, u)), 2)
         spec = wht(f)
         assert np.allclose(spec.coeffs, [0, 0, 0, 1], atol=1e-12)
 
@@ -151,23 +152,30 @@ class TestSensitivity:
         n = 4
         f = tabulate(parity_function(n, tuple(range(1, n + 1))), n)
         for u in (0, 3, 9, 15):
-            assert sensitivity_at(f, CubePoint(n, u)) == pytest.approx(n)
+            assert sensitivity_at(f, u) == pytest.approx(n)
 
     def test_constant_zero(self):
         f = CubeFunction(3, np.full(8, 7.0))
-        assert sensitivity_at(f, CubePoint(3, 5)) == 0.0
+        assert sensitivity_at(f, 5) == 0.0
 
     def test_dictator_halfspace_quarter(self):
-        f = tabulate(lambda x: 1.0 if x.sign(1) > 0 else 0.0, 3)
+        f = tabulate(lambda u: 1.0 if Point(3, u).sign(1) > 0 else 0.0, 3)
         for u in range(8):
-            assert sensitivity_at(f, CubePoint(3, u)) == pytest.approx(0.25)
+            assert sensitivity_at(f, u) == pytest.approx(0.25)
+
+    def test_point_is_a_packed_index(self):
+        f = CubeFunction(3, np.arange(8.0))
+        with pytest.raises(ValueError):
+            sensitivity_at(f, 8)
+        with pytest.raises(TypeError):
+            sensitivity_at(f, 1.0)
 
     def test_matches_brute_oracle(self):
         rng = np.random.default_rng(11)
         f = random_function(rng, 5)
         for u in (0, 7, 21, 31):
-            want = brute_sensitivity_at(f.at, 5, CubePoint(5, u))
-            assert sensitivity_at(f, CubePoint(5, u)) == pytest.approx(want, rel=1e-12)
+            want = brute_sensitivity_at(lambda v: float(f.values[v]), 5, u)
+            assert sensitivity_at(f, u) == pytest.approx(want, rel=1e-12)
 
 
 class TestAvgSensitivity:
@@ -177,7 +185,7 @@ class TestAvgSensitivity:
             assert avg_sensitivity_exact(f) == pytest.approx(n)
 
     def test_dictator_quarter(self):
-        f = tabulate(lambda x: 1.0 if x.sign(1) > 0 else 0.0, 4)
+        f = tabulate(lambda u: 1.0 if Point(4, u).sign(1) > 0 else 0.0, 4)
         assert avg_sensitivity_exact(f) == pytest.approx(0.25)
 
     def test_spectral_identity(self):
@@ -192,7 +200,7 @@ class TestAvgSensitivity:
     def test_matches_brute_oracle(self):
         rng = np.random.default_rng(13)
         f = random_function(rng, 4)
-        want = brute_avg_sensitivity(f.at, 4)
+        want = brute_avg_sensitivity(lambda v: float(f.values[v]), 4)
         assert avg_sensitivity_exact(f) == pytest.approx(want, rel=1e-12)
 
 
@@ -276,8 +284,8 @@ class TestValuesAt:
         rng = np.random.default_rng(23)
         net = random_net(rng, 7, 5)
         idx = rng.integers(0, 1 << 7, size=300)
-        want = np.array([net.eval(CubePoint(7, int(u))) for u in idx])
-        for f in (tabulate(net, 7), net, net.eval):
+        want = np.array([net_value(net, int(u)) for u in idx])
+        for f in (tabulate(net, 7), net, lambda u: net_value(net, u)):
             got = values_at(f, 7, idx)
             assert got.dtype == np.float64
             np.testing.assert_allclose(got, want, rtol=REL_TOL_EXACT, atol=REL_TOL_EXACT)
@@ -297,7 +305,9 @@ class TestValuesAt:
             )
             assert on_net == pytest.approx(on_table, rel=REL_TOL_EXACT)
         on_table = noise_sensitivity_mc(table, 0.5, 3000, np.random.default_rng(26))
-        on_call = noise_sensitivity_mc(net.eval, 0.5, 3000, np.random.default_rng(26), n=9)
+        on_call = noise_sensitivity_mc(
+            lambda u: net_value(net, u), 0.5, 3000, np.random.default_rng(26), n=9
+        )
         assert on_call == pytest.approx(on_table, rel=REL_TOL_EXACT)
 
     def test_mc_past_int64_packing_is_capacity_error(self):

@@ -4,38 +4,41 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import chi, reference_flip_masks
+from helpers import Point, chi, reference_flip_masks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseact import (
+    CubeFunction,
     CubePoint,
+    noise_sensitivity_mc,
     sample_bucket_pair,
-    sample_noisy,
-    sample_uniform,
+    sample_uniform_dataset,
 )
 from sparseact.config import MAX_PACKED_N
-from sparseact.hypercube import flip_masks, index_signs, pack_bits, pack_signs, sign_table
+from sparseact.hypercube import flip_masks, index_signs, pack_bits, sign_table
 from sparseact.learners import _character
 
 
 class TestCubePoint:
+    """``CubePoint`` and the scalar ``helpers.Point`` the oracles use."""
+
     def test_flip_definition(self):
-        assert list(CubePoint.from_signs([1, 1]).flip(1)) == [-1, 1]
-        assert list(CubePoint.from_signs([-1, -1, -1]).flip(3)) == [-1, -1, 1]
+        assert list(Point.from_signs([1, 1]).flip(1)) == [-1, 1]
+        assert list(Point.from_signs([-1, -1, -1]).flip(3)) == [-1, -1, 1]
 
     @given(st.integers(1, 10), st.data())
     @settings(deadline=None)
     def test_flip_involution_and_distance(self, n, data):
         index = data.draw(st.integers(0, (1 << n) - 1))
         i = data.draw(st.integers(1, n))
-        x = CubePoint(n, index)
+        x = Point(n, index)
         y = x.flip(i)
         assert y.flip(i) == x
         assert bin(x.index ^ y.index).count("1") == 1
 
     def test_flip_out_of_range(self):
-        x = CubePoint.from_signs([1, 1])
+        x = Point.from_signs([1, 1])
         with pytest.raises(ValueError):
             x.flip(0)
         with pytest.raises(ValueError):
@@ -46,12 +49,12 @@ class TestCubePoint:
     def test_index_round_trip(self, n, data):
         index = data.draw(st.integers(0, (1 << n) - 1))
         x = CubePoint(n, index)
-        assert CubePoint.from_signs(x.signs()) == x
+        assert Point.from_signs(x.signs()) == Point(n, index)
 
     def test_encoding_convention(self):
         # coordinate i is +1 exactly when bit i-1 of the index is 0
         x = CubePoint(3, 0b101)
-        assert list(x) == [-1, 1, -1]
+        assert list(x.signs()) == [-1, 1, -1]
 
     def test_sign_table_matches_points(self):
         table = sign_table(4)
@@ -60,11 +63,11 @@ class TestCubePoint:
 
     def test_pack_signs_inverts_table(self):
         table = sign_table(5)
-        assert np.array_equal(pack_signs(table), np.arange(32))
+        assert np.array_equal(pack_bits(table < 0), np.arange(32))
 
     def test_bad_signs_rejected(self):
         with pytest.raises(ValueError):
-            CubePoint.from_signs([1, 0])
+            Point.from_signs([1, 0])
         with pytest.raises(ValueError):
             CubePoint(2, 4)
 
@@ -80,7 +83,7 @@ class TestEncodingKernels:
         signs = index_signs(idx, n)
         assert signs.dtype == np.int8 and signs.shape == (idx.size, n)
         for row, u in zip(signs, idx):
-            x = CubePoint(n, int(u))
+            x = Point(n, int(u))
             assert [int(s) for s in row] == [x.sign(i) for i in range(1, n + 1)]
         assert np.array_equal(pack_bits(signs < 0), idx)
 
@@ -99,10 +102,10 @@ class TestCharacter:
         assert np.array_equal(_character(np.arange(8), 0), np.ones(8))
 
     def test_singleton(self):
-        assert _character(np.array([CubePoint.from_signs([-1, 1]).index]), 0b01)[0] == -1
+        assert _character(np.array([Point.from_signs([-1, 1]).index]), 0b01)[0] == -1
 
     def test_pair(self):
-        assert _character(np.array([CubePoint.from_signs([-1, -1, 1]).index]), 0b011)[0] == 1
+        assert _character(np.array([Point.from_signs([-1, -1, 1]).index]), 0b011)[0] == 1
 
     def test_orthogonality_sums(self):
         n = 4
@@ -122,61 +125,63 @@ class TestCharacter:
         assert _character(idx, a).tolist() == [chi(a, int(u)) for u in idx]
 
 
+def _uniform_idx(n, m, rng):
+    """m uniform packed points of {-1,+1}^n from the dataset sampler."""
+    return sample_uniform_dataset(lambda u: 0.0, n, m, rng).idx
+
+
 class TestSampleUniform:
     def test_support_n1(self):
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            assert list(sample_uniform(1, rng)) in ([1], [-1])
+        for u in _uniform_idx(1, 10, rng):
+            assert list(Point(1, int(u))) in ([1], [-1])
 
     def test_deterministic(self):
-        a = sample_uniform(8, np.random.default_rng(123))
-        b = sample_uniform(8, np.random.default_rng(123))
-        assert a == b
+        a = _uniform_idx(8, 1, np.random.default_rng(123))
+        b = _uniform_idx(8, 1, np.random.default_rng(123))
+        assert np.array_equal(a, b)
 
     def test_coordinate_means(self):
         # binomial standard error: 1/sqrt(N) per coordinate, 4 sigma slack
         rng = np.random.default_rng(42)
         N = 100_000
-        sums = np.zeros(4)
-        for _ in range(N):
-            sums += sample_uniform(4, rng).signs()
+        idx = sample_uniform_dataset(CubeFunction(4, np.zeros(16)), 4, N, rng).idx
+        sums = index_signs(idx, 4).sum(axis=0, dtype=np.int64)
         assert np.all(np.abs(sums / N) < 4.0 / np.sqrt(N))
 
     def test_range_check(self):
         with pytest.raises(ValueError):
-            sample_uniform(0, np.random.default_rng(0))
+            _uniform_idx(0, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            sample_uniform(25, np.random.default_rng(0))
+            _uniform_idx(MAX_PACKED_N + 1, 4, np.random.default_rng(0))
 
 
 class TestSampleNoisy:
+    """The noise operator's flips: ``flip_masks`` at p = (1 - rho)/2."""
+
     def test_rho_one_identity(self):
         rng = np.random.default_rng(1)
-        x = CubePoint.from_signs([1, -1, 1, 1])
-        for _ in range(20):
-            assert sample_noisy(x, 1.0, rng) == x
+        x = Point.from_signs([1, -1, 1, 1]).index
+        assert np.all(x ^ flip_masks(4, 0.0, 20, rng) == x)
 
     def test_rho_minus_one_negation(self):
         rng = np.random.default_rng(1)
-        x = CubePoint.from_signs([1, -1, 1, 1])
-        minus_x = CubePoint.from_signs([-1, 1, -1, -1])
-        for _ in range(20):
-            assert sample_noisy(x, -1.0, rng) == minus_x
+        x = Point.from_signs([1, -1, 1, 1]).index
+        minus_x = Point.from_signs([-1, 1, -1, -1]).index
+        assert np.all(x ^ flip_masks(4, 1.0, 20, rng) == minus_x)
 
     def test_rho_zero_flip_rate(self):
         rng = np.random.default_rng(7)
-        x = CubePoint.from_signs([1, 1, 1, 1])
+        x = Point.from_signs([1, 1, 1, 1])
         N = 100_000
-        flips = np.zeros(4)
-        for _ in range(N):
-            y = sample_noisy(x, 0.0, rng)
-            flips += x.signs() != y.signs()
+        y = x.index ^ flip_masks(4, 0.5, N, rng)
+        flips = (index_signs(y, 4) != x.signs()).sum(axis=0)
         sigma = 0.5 / np.sqrt(N)
         assert np.all(np.abs(flips / N - 0.5) < 4 * sigma)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            sample_noisy(CubePoint(2, 0), 1.5, np.random.default_rng(0))
+            noise_sensitivity_mc(CubeFunction(2, np.zeros(4)), 1.5, 10, np.random.default_rng(0))
 
 
 class TestFlipMasks:
@@ -194,13 +199,6 @@ class TestFlipMasks:
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         assert np.array_equal(flip_masks(n, p, count, a), reference_flip_masks(n, p, count, b))
         assert a.random() == b.random()
-
-    def test_sample_noisy_is_one_row(self):
-        x = CubePoint(20, 12345)
-        a, b = np.random.default_rng(6), np.random.default_rng(6)
-        for _ in range(50):
-            y = sample_noisy(x, 0.3, a)
-            assert y.index == x.index ^ int(flip_masks(20, 0.35, 1, b)[0])
 
     @pytest.mark.parametrize("n", [0, MAX_PACKED_N + 1])
     def test_dimension_range(self, n):

@@ -8,7 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import (
+    Point,
     chi,
+    net_value,
     parity_function,
     reference_decision_list,
     reference_fit_low_degree,
@@ -21,7 +23,6 @@ from hypothesis import strategies as st
 from sparseact import (
     CapacityError,
     CubeFunction,
-    CubePoint,
     Dataset,
     InconsistentDataError,
     JuntaSpec,
@@ -44,7 +45,13 @@ from sparseact import (
     wht,
 )
 from sparseact.config import MAX_TABULATE_N, REL_TOL_EXACT
+from sparseact.fourier import values_at
 from sparseact.hypercube import index_signs
+
+
+def value_at(f, n, u):
+    """f at the one packed point u, through ``values_at``."""
+    return float(values_at(f, n, np.array([u]))[0])
 
 
 def random_low_degree_function(rng, n, degree):
@@ -110,7 +117,7 @@ class TestFitLowDegree:
         data = full_cube_dataset(f, 3)
         model = fit_low_degree(data, 1, ridge=0.0)
         for u in data.idx:
-            assert model.eval(CubePoint(3, int(u))) == pytest.approx(0.0, abs=1e-10)
+            assert value_at(model, 3, int(u)) == pytest.approx(0.0, abs=1e-10)
         assert evaluate_loss(model, data).mse == pytest.approx(0.5, abs=1e-10)
 
     def test_constant_labels_recovered(self):
@@ -119,7 +126,7 @@ class TestFitLowDegree:
         for d in (0, 1, 2):
             model = fit_low_degree(data, d)
             for u in data.idx[:5]:
-                assert model.eval(CubePoint(4, int(u))) == pytest.approx(2.75, abs=1e-6)
+                assert value_at(model, 4, int(u)) == pytest.approx(2.75, abs=1e-6)
 
     def test_training_loss_non_increasing_in_degree(self):
         rng = np.random.default_rng(2)
@@ -281,30 +288,30 @@ class TestEvalIndices:
 class TestPredict:
     def test_empty_model_is_zero(self):
         model = MonomialModel(n=3, d=1, masks=[], coeffs=[])
-        assert model.eval(CubePoint(3, 5)) == 0.0
+        assert value_at(model, 3, 5) == 0.0
 
     def test_constant_coefficient(self):
         model = MonomialModel(n=3, d=0, masks=[0], coeffs=[3.0])
         for u in range(8):
-            assert model.eval(CubePoint(3, u)) == 3.0
+            assert value_at(model, 3, u) == 3.0
 
     def test_truncation_error_equals_tail_mass(self):
         rng = np.random.default_rng(3)
-        f = tabulate(lambda x: float(rng.normal()), 6)  # arbitrary fixed table
+        f = tabulate(lambda u: float(rng.normal()), 6)  # arbitrary fixed table
         spec = wht(f)
         d = 2
         masks = [mask for mask in range(1 << 6) if bin(mask).count("1") <= d]
         model = MonomialModel(n=6, d=d, masks=masks, coeffs=spec.coeffs[masks])
         err = 0.0
         for u in range(1 << 6):
-            err += (model.eval(CubePoint(6, u)) - f.values[u]) ** 2
+            err += (value_at(model, 6, u) - f.values[u]) ** 2
         err /= 1 << 6
         assert err == pytest.approx(tail_mass(spec, d), abs=1e-8)
 
     def test_dimension_mismatch(self):
         model = MonomialModel(n=3, d=0, masks=[], coeffs=[])
         with pytest.raises(ValueError):
-            model.eval(CubePoint(4, 0))
+            value_at(model, 4, 0)
 
     @given(st.integers(1, 10), st.data())
     @settings(max_examples=60, deadline=None)
@@ -321,7 +328,7 @@ class TestPredict:
         )
         points = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16))
         model = MonomialModel(n=n, d=d, masks=masks, coeffs=coeffs)
-        X = np.array([CubePoint(n, u).signs() for u in points])
+        X = np.array([Point(n, u).signs() for u in points])
         for u, value in zip(points, model.eval_batch(X)):
             terms = [c * chi(m, u) for m, c in zip(masks, coeffs)]
             assert value == sum(terms)
@@ -354,7 +361,7 @@ class TestFitDecisionList:
         dlist = fit_decision_list(data, s=1, M=1)
         assert evaluate_loss(dlist, data).mse == 0.0
         for u, y in zip(data.idx, data.y):
-            assert abs(dlist.eval(CubePoint(2, int(u))) - y) <= 1e-6
+            assert abs(value_at(dlist, 2, int(u)) - y) <= 1e-6
 
     def test_inconsistent_duplicates_raise(self):
         with pytest.raises(InconsistentDataError):
@@ -378,15 +385,14 @@ class TestFitDecisionList:
         data = full_cube_dataset(net, 3)
         dlist = fit_decision_list(data, s=2, M=1)
         for u in range(8):
-            x = CubePoint(3, u)
-            assert abs(dlist.eval(x) - net.eval(x)) <= 1e-6
+            assert abs(value_at(dlist, 3, u) - net_value(net, u)) <= 1e-6
 
     def test_max_residual_contract(self):
         rng = np.random.default_rng(5)
         net = pattern_unit_net(4, (2, 3), [(1, -1), (-1, 1), (1, 1)], rng.uniform(-2, 2, 3))
         data = full_cube_dataset(net, 4)
         dlist = fit_decision_list(data, s=3, M=1, tol=1e-6)
-        preds = [dlist.eval(CubePoint(4, int(u))) for u in data.idx]
+        preds = [value_at(dlist, 4, int(u)) for u in data.idx]
         assert max(abs(p - y) for p, y in zip(preds, data.y)) <= 1e-6
 
     def test_node_budget(self):
@@ -402,14 +408,14 @@ class TestFitDecisionList:
         # shows no M=1 gate isolates an affine-fittable half of the cube
         n = 4
 
-        def f(x):
-            s = x.signs().astype(np.float64)
+        def f(u):
+            s = Point(n, u).signs().astype(np.float64)
             return float(
                 sum(s[i] * s[j] for i in range(n) for j in range(i + 1, n))
             )
 
         data = full_cube_dataset(f, n)
-        X = np.array([CubePoint(n, int(u)).signs() for u in data.idx], dtype=np.float64)
+        X = np.array([Point(n, int(u)).signs() for u in data.idx], dtype=np.float64)
         y = data.y
         qualifying = 0
         for gate in itertools.product(range(-1, 2), repeat=n + 1):
@@ -527,7 +533,7 @@ class TestDlPredict:
 
         dlist = GeneralizedDecisionList(n=3, nodes=(), default=1.5)
         for u in range(8):
-            assert dlist.eval(CubePoint(3, u)) == 1.5
+            assert value_at(dlist, 3, u) == 1.5
 
     def test_all_covering_node(self):
         from sparseact import GeneralizedDecisionList, ListNode
@@ -535,9 +541,9 @@ class TestDlPredict:
         node = ListNode(gate_w=(0, 0), gate_b=-1, leaf_v=(0.5, -0.5), leaf_c=1.0)
         dlist = GeneralizedDecisionList(n=2, nodes=(node,), default=0.0)
         for u in range(4):
-            x = CubePoint(2, u)
+            x = Point(2, u)
             signs = x.signs().astype(np.float64)
-            assert dlist.eval(x) == pytest.approx(
+            assert value_at(dlist, 2, u) == pytest.approx(
                 0.5 * signs[0] - 0.5 * signs[1] + 1.0
             )
 
@@ -546,30 +552,30 @@ class TestDlPredict:
         net = pattern_unit_net(3, (1, 3), [(1, -1), (-1, 1)], rng.uniform(-1, 1, 2))
         data = full_cube_dataset(net, 3)
         dlist = fit_decision_list(data, s=2, M=1)
-        X = np.array([CubePoint(3, int(u)).signs() for u in data.idx], dtype=np.float64)
+        X = np.array([Point(3, int(u)).signs() for u in data.idx], dtype=np.float64)
         batch = dlist.eval_batch(X)
         for u, value in zip(data.idx, batch):
-            assert value == pytest.approx(dlist.eval(CubePoint(3, int(u))), abs=1e-12)
+            assert value == pytest.approx(value_at(dlist, 3, int(u)), abs=1e-12)
 
 
 class TestEvaluateLoss:
     def test_perfect_predictor(self):
         data = Dataset(2, [0, 1, 2, 3], [0.0, 1.0, 2.0, 3.0])
         table = {u: float(u) for u in range(4)}
-        report = evaluate_loss(lambda x: table[x.index], data)
+        report = evaluate_loss(lambda u: table[u], data)
         assert report.mse == 0.0 and report.count == 4
 
     def test_zero_predictor_on_sign_labels(self):
         data = Dataset(2, [0, 1, 2, 3], [-1.0, 1.0, -1.0, 1.0])
-        assert evaluate_loss(lambda x: 0.0, data).mse == 0.5
+        assert evaluate_loss(lambda u: 0.0, data).mse == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_loss(lambda x: 0.0, Dataset(2, [], []))
+            evaluate_loss(lambda u: 0.0, Dataset(2, [], []))
 
     def test_net_table_and_callable_agree(self):
         net = junta_to_net(JuntaSpec(n=6, relevant=(2, 5), table=[0.5, -1.0, 0.25, 2.0]))
-        forms = (net, tabulate(net, 6), net.eval)
+        forms = (net, tabulate(net, 6), lambda u: net_value(net, u))
         datasets = [sample_uniform_dataset(f, 6, 200, np.random.default_rng(9)) for f in forms]
         for other in datasets[1:]:
             assert np.array_equal(other.idx, datasets[0].idx)
@@ -592,7 +598,7 @@ class TestEvaluateLoss:
         holdout = sample_uniform_dataset(net, 8, 4000, rng)
         report = evaluate_loss(model, holdout)
         per_point = 0.5 * (model.eval_batch(
-            np.array([CubePoint(8, int(u)).signs() for u in holdout.idx], dtype=np.float64)
+            np.array([Point(8, int(u)).signs() for u in holdout.idx], dtype=np.float64)
         ) - holdout.y) ** 2
         slack = 4 * float(np.std(per_point, ddof=1) / np.sqrt(len(holdout)))
         assert report.mse <= 0.5 * tail_mass(spec, d) + slack
@@ -604,7 +610,7 @@ class TestSampleDatasets:
         net = junta_to_net(JuntaSpec(n=5, relevant=(2,), table=np.array([1.0, -1.0])))
         data = sample_uniform_dataset(net, 5, 50, rng)
         for u, y in zip(data.idx, data.y):
-            assert y == net.eval(CubePoint(5, int(u)))
+            assert y == net_value(net, int(u))
 
     def test_full_cube_order(self):
         f = tabulate(parity_function(3, (1,)), 3)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import brute_split, reference_scan
+from helpers import Point, active_set, brute_split, net_value, reference_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,14 +21,19 @@ from sparseact import (
     junta_to_net,
     parity_lift,
     rebucket,
-    sample_uniform,
     tabulate,
     verify_sparsity,
     JuntaSpec,
 )
 from sparseact.config import REL_TOL_EXACT
 from sparseact.constructions import random_net
-from sparseact.hypercube import _BLOCK_BITS, affine_blocks, index_signs
+from sparseact.hypercube import _BLOCK_BITS, affine_blocks, index_signs, pack_bits
+
+
+def active_sets(net, X):
+    """The units (1-indexed) strictly active on each sign row of X, read
+    off the batch pre-activations."""
+    return [frozenset(np.flatnonzero(z > 0.0) + 1) for z in net.preactivations(X)]
 
 
 def single_unit_net():
@@ -63,33 +68,33 @@ class TestConstructionValidation:
 class TestEval:
     def test_direct_arithmetic(self):
         net = single_unit_net()
-        assert net.eval(CubePoint.from_signs([1, 1])) == 1.0
-        assert net.eval(CubePoint.from_signs([1, -1])) == 0.0
+        values = net.eval_batch(np.array([[1, 1], [1, -1]]))
+        assert values[0] == 1.0
+        assert values[1] == 0.0
 
     def test_zero_output_layer(self):
         rng = np.random.default_rng(0)
         net = SparseNet(
             n=3, s=2, k=2, u=np.zeros(2), w=rng.normal(size=(2, 3)), b=rng.normal(size=2)
         )
-        for u in range(8):
-            assert net.eval(CubePoint(3, u)) == 0.0
+        assert np.all(net.eval_batch(index_signs(np.arange(8), 3)) == 0.0)
 
     def test_parity_lift_value(self):
         net = parity_lift(2, [1, 2])
-        x = embed_lift(CubePoint.from_signs([1, 1])).to_point()
-        assert net.eval(x) == 1.0
+        x = embed_lift([Point.from_signs([1, 1]).index], 2)
+        assert net.eval_batch(x)[0] == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            single_unit_net().eval(CubePoint.from_signs([1, 1, 1]))
+            single_unit_net().eval_batch(np.array([[1, 1, 1]]))
 
     def test_batch_matches_pointwise(self):
         rng = np.random.default_rng(1)
         net = random_net(rng, 6, 4)
-        X = np.array([CubePoint(6, u).signs() for u in range(64)])
+        X = np.array([Point(6, u).signs() for u in range(64)])
         batch = net.eval_batch(X)
         for u in range(64):
-            assert batch[u] == pytest.approx(net.eval(CubePoint(6, u)), abs=1e-12)
+            assert batch[u] == pytest.approx(net_value(net, u), abs=1e-12)
 
 
 class TestActiveSet:
@@ -97,18 +102,18 @@ class TestActiveSet:
         net = SparseNet(
             n=2, s=1, k=1, u=np.array([1.0]), w=np.zeros((1, 2)), b=np.zeros(1)
         )
-        for u in range(4):
-            assert net.active_set(CubePoint(2, u)) == frozenset()
+        for active in active_sets(net, index_signs(np.arange(4), 2)):
+            assert active == frozenset()
 
     def test_example_net(self):
-        assert single_unit_net().active_set(CubePoint.from_signs([1, 1])) == {1}
+        assert active_sets(single_unit_net(), np.array([[1, 1]]))[0] == {1}
 
     def test_junta_always_exactly_one(self):
         rng = np.random.default_rng(2)
         spec = JuntaSpec(n=6, relevant=(1, 4, 6), table=rng.uniform(-1, 1, 8))
         net = junta_to_net(spec)
-        for u in range(64):
-            assert len(net.active_set(CubePoint(6, u))) == 1
+        for active in active_sets(net, index_signs(np.arange(64), 6)):
+            assert len(active) == 1
 
 
 class TestVerifySparsity:
@@ -125,7 +130,7 @@ class TestVerifySparsity:
 
     def test_parity_lift_on_embedded_support(self):
         net = parity_lift(2, [1, 2])
-        support = [embed_lift(CubePoint(2, u)).to_point() for u in range(4)]
+        support = pack_bits(embed_lift(np.arange(4), 2) < 0)
         report = verify_sparsity(net, 1, "exhaustive", support=support)
         assert report.max_active == 1
         assert report.violating_input is None
@@ -147,14 +152,31 @@ class TestVerifySparsity:
         with pytest.raises(CapacityError):
             verify_sparsity(net, 1, "exhaustive")
 
+    def test_sampled_witness_past_the_scan_cap(self):
+        # both units always fire; the witness is a packed point of n=30
+        net = SparseNet(
+            n=30, s=2, k=1, u=np.ones(2), w=np.zeros((2, 30)), b=np.full(2, -1.0)
+        )
+        report = verify_sparsity(net, 1, "sampled", count=10, rng=np.random.default_rng(0))
+        assert report.violation_fraction == 1.0
+        assert report.violating_input.n == 30
+        assert 0 <= report.violating_input.index < 1 << 30
+
+    def test_support_takes_packed_indices(self):
+        net = single_unit_net()
+        assert verify_sparsity(net, 1, support=np.arange(4)).samples == 4
+        for bad in ([], [4], [0.5], [[0, 1]]):
+            with pytest.raises(ValueError):
+                verify_sparsity(net, 1, support=bad)
+
     def test_witness_consistency(self):
         rng = np.random.default_rng(5)
         net = random_net(rng, 5, 4)
         report = verify_sparsity(net, 2, "exhaustive")
         if report.violating_input is not None:
-            assert len(net.active_set(report.violating_input)) > 2
+            assert len(active_set(net, report.violating_input.index)) > 2
         for u in range(0, 32, 7):
-            assert len(net.active_set(CubePoint(5, u))) <= report.max_active
+            assert len(active_set(net, u)) <= report.max_active
 
 
 class TestScaleParams:
@@ -192,10 +214,10 @@ class TestLinearPiece:
         rng = np.random.default_rng(7)
         net = random_net(rng, 7, 5)
         for _ in range(100):
-            x = sample_uniform(7, rng)
-            wR, bR = net.linear_piece(net.active_set(x))
+            x = Point(7, int(rng.integers(0, 1 << 7)))
+            wR, bR = net.linear_piece(active_set(net, x.index))
             affine = float(wR @ x.signs().astype(np.float64)) - bR
-            assert abs(net.eval(x) - affine) <= 1e-12 * max(1.0, abs(affine))
+            assert abs(net_value(net, x.index) - affine) <= 1e-12 * max(1.0, abs(affine))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -254,7 +276,7 @@ class TestRebucket:
     def test_singleton_identity(self):
         rng = np.random.default_rng(11)
         net = random_net(rng, 5, 3)
-        z = CubePoint(5, 0)  # all ones
+        z = 0  # all ones
         out = rebucket(net, z, [[i] for i in range(1, 6)])
         assert np.array_equal(out.w, net.w)
         assert np.array_equal(out.u, net.u)
@@ -264,7 +286,7 @@ class TestRebucket:
         rng = np.random.default_rng(12)
         net = random_net(rng, 8, 4)
         for _ in range(100):
-            z = sample_uniform(8, rng)
+            z = Point(8, int(rng.integers(0, 1 << 8)))
             r = int(rng.integers(2, 5))
             assignment = rng.integers(0, r, size=8)
             # guarantee every bucket is nonempty
@@ -272,15 +294,15 @@ class TestRebucket:
             partition = [
                 [int(l) + 1 for l in np.flatnonzero(assignment == e)] for e in range(r)
             ]
-            H = rebucket(net, z, partition)
-            v = sample_uniform(r, rng)
+            H = rebucket(net, z.index, partition)
+            v = Point(r, int(rng.integers(0, 1 << r)))
             xs = np.empty(8, dtype=np.int64)
             for e, bucket in enumerate(partition):
                 for l in bucket:
                     xs[l - 1] = z.sign(l) * v.sign(e + 1)
-            x = CubePoint.from_signs(xs)
-            assert abs(net.eval(x) - H.eval(v)) <= 1e-12 * max(
-                1.0, abs(net.eval(x))
+            x = Point.from_signs(xs)
+            assert abs(net_value(net, x.index) - net_value(H, v.index)) <= 1e-12 * max(
+                1.0, abs(net_value(net, x.index))
             )
 
     def test_scale_bounds(self):
@@ -289,7 +311,7 @@ class TestRebucket:
         hits = 0
         total = 0
         for _ in range(200):
-            z = sample_uniform(12, rng)
+            z = int(rng.integers(0, 1 << 12))
             r = 4
             assignment = rng.integers(0, r, size=12)
             assignment[:r] = np.arange(r)
@@ -311,7 +333,7 @@ class TestRebucket:
     def test_invalid_partitions(self):
         rng = np.random.default_rng(14)
         net = random_net(rng, 4, 2)
-        z = CubePoint(4, 0)
+        z = 0
         with pytest.raises(ValueError):
             rebucket(net, z, [[1, 2], [3]])  # misses 4
         with pytest.raises(ValueError):
@@ -319,7 +341,7 @@ class TestRebucket:
         with pytest.raises(ValueError):
             rebucket(net, z, [[1, 2], [3, 4, 5]])  # out of range
         with pytest.raises(ValueError):
-            rebucket(net, CubePoint(3, 0), [[1, 2], [3, 4]])  # z mismatch
+            rebucket(net, 1 << 4, [[1, 2], [3, 4]])  # z outside the cube
 
 
 class TestSerialization:

@@ -10,6 +10,7 @@ from helpers import (
     reference_chunk_samples,
     reference_flip_masks,
     reference_mean_and_stderr,
+    run_chunks_inline,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -112,6 +113,23 @@ class TestMergedMoments:
 
         with pytest.raises(ArithmeticError):
             run_chunked(worker, 100, np.random.default_rng(0), threads=2, chunk=10)
+
+
+class TestThreadBound:
+    """Worker threads are bounded by the CPUs and the chunks, whatever
+    ``threads`` asks for; an executor that starts no thread records them."""
+
+    @pytest.mark.parametrize(
+        "threads, cpus, chunks, workers",
+        [(10**9, 3, 5, 3), (10**9, 8, 2, 2), (4, 8, 11, 4), (10**9, None, 11, None),
+         (10**9, 8, 1, None)],
+    )
+    def test_workers_clamped(self, monkeypatch, threads, cpus, chunks, workers):
+        created = run_chunks_inline(monkeypatch, cpus)
+        rows = run_chunked(_random_chunk, chunks * 7 - 3, np.random.default_rng(4), threads, 7)
+        assert created == ([] if workers is None else [workers])
+        alone = run_chunked(_random_chunk, chunks * 7 - 3, np.random.default_rng(4), 1, 7)
+        assert np.array_equal(rows, alone)
 
 
 class TestNoiseSensitivityMcAgainstOldForm:
