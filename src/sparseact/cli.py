@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -453,6 +454,7 @@ def _cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparseact",

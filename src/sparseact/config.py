@@ -37,7 +37,8 @@ MAX_PACKED_N = 62
 # Monomial count cap for low-degree regression design matrices.
 MAX_MONOMIALS = 100_000
 
-# Decision-list gate grid {-M..M}^{n+1}: 5^7 gates at the caps.
+# Decision-list gate grid {-M..M}^{n+1}: 5^7 gates at the caps.  2^6 = 64
+# inputs are what let one uint64 word hold a gate's fire set.
 MAX_LIST_N = 6
 MAX_LIST_M = 2
 

@@ -213,10 +213,9 @@ class GeneralizedDecisionList:
         return out
 
 
-def _distinct_inputs(data: Dataset, tol: float) -> tuple[np.ndarray, ...]:
-    """``np.unique(idx, return_index=True, return_inverse=True)``, after
-    checking that every sample's label lies within tol of the first label
-    its input carries."""
+def _distinct_inputs(data: Dataset, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(idx, return_index=True)``, after checking that every
+    sample's label lies within tol of the first label its input carries."""
     uniq, first, inverse = np.unique(data.idx, return_index=True, return_inverse=True)
     prev = data.y[first[inverse]]
     bad = np.flatnonzero(np.abs(prev - data.y) > tol)
@@ -226,7 +225,7 @@ def _distinct_inputs(data: Dataset, tol: float) -> tuple[np.ndarray, ...]:
             f"input index {int(data.idx[i])} carries labels {float(prev[i])} "
             f"and {float(data.y[i])}"
         )
-    return uniq, first, inverse
+    return uniq, first
 
 
 def _affine_fit(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -238,58 +237,58 @@ def _affine_fit(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, float]
     return v, c, float(np.max(np.abs(X @ v + c - y)))
 
 
-def _gate_grid(n: int, M: int) -> np.ndarray:
-    """Every gate (w, b) in {-M..M}^{n+1} as a float32 row, in lexicographic
-    order; gate pre-activations on the cube are small integers, exact in float32."""
-    grid = np.indices((2 * M + 1,) * (n + 1), dtype=np.float32)
-    return grid.reshape(n + 1, -1).T - np.float32(M)
+def _words(mask: np.ndarray) -> np.ndarray:
+    """Bool rows over the 2^n <= 64 cube points as uint64 words, bit x = point x."""
+    packed = np.packbits(mask, axis=-1, bitorder="little")  # 1, 2, 4 or 8 bytes
+    return packed.view(f"<u{packed.shape[-1]}")[..., 0].astype(np.uint64)
 
 
-def _edge_steps(uniq: np.ndarray, y1: np.ndarray, n: int) -> list[tuple]:
-    """Per coordinate i, the cube edges among the sorted distinct inputs
-    ``uniq``: positions (lo, hi) of the endpoints with coordinate i at +1
-    and at -1, and the label step y1[lo] - y1[hi] (inf where it
-    overflows), sorted by step."""
-    edges = []
+def _fire_words(n: int, M: int) -> np.ndarray:
+    """One word per gate (w, b) in {-M..M}^{n+1}, in lexicographic order (w_1
+    slowest, b fastest): bit x set iff <w, x> - b > 0, exact in int8."""
+    signs = index_signs(np.arange(1 << n), n)
+    values = np.arange(-M, M + 1, dtype=np.int8)
+    pre = np.zeros((1, 1 << n), np.int8)  # <w, x>, one row per w
     for i in range(n):
-        lo = np.flatnonzero(uniq & (1 << i) == 0)
-        partner = uniq[lo] | (1 << i)
-        hi = np.minimum(np.searchsorted(uniq, partner), uniq.size - 1)
-        hit = uniq[hi] == partner
-        lo, hi = lo[hit], hi[hit]
-        with np.errstate(over="ignore"):
-            step = y1[lo] - y1[hi]
-        order = np.argsort(step, kind="stable")
-        edges.append((lo[order], hi[order], step[order]))
-    return edges
+        pre = (pre[:, None, :] + values[:, None] * signs[:, i]).reshape(-1, 1 << n)
+    return np.stack([_words(pre > b) for b in values], axis=1).ravel()
 
 
-def _within_spread(
-    fires: np.ndarray, candidates: np.ndarray, live: np.ndarray, edges: list, slack: float
+def _screen(
+    fires: np.ndarray, candidates: np.ndarray, live: np.ndarray, y1: np.ndarray, slack: float
 ) -> np.ndarray:
-    """The candidate gates, in their given order, on whose live covered
-    edges no coordinate's label steps spread wider than ``slack``; a
-    non-finite spread rules nothing out.  ``fires`` is inputs by gates."""
-    ruled_out = np.zeros(fires.shape[1], dtype=bool)
-    idx = np.sort(candidates)  # ascending columns gather faster
-    with np.errstate(invalid="ignore"):  # inf - inf gives a nan spread
-        for lo, hi, step in edges:
-            keep = live[lo] & live[hi]
-            lo, hi, step = lo[keep], hi[keep], step[keep]
-            # steps ascend, and no gate's edges spread wider than all of them
-            if lo.size < 2 or step[-1] - step[0] <= slack:
-                continue
-            both = fires[lo][:, idx] & fires[hi][:, idx]
-            # a gate's spread runs from its first covered edge to its last
-            first = both.argmax(axis=0)
-            last = lo.size - 1 - both[::-1].argmax(axis=0)
-            spread = step[last] - step[first]
-            out = both[first, np.arange(idx.size)] & np.isfinite(spread) & (spread > slack)
-            ruled_out[idx[out]] = True
-            idx = idx[~out]
-    return candidates[~ruled_out[candidates]]
+    """The candidate gates (ascending) on whose live covered cube edges no
+    coordinate's label steps spread wider than ``slack``, a non-finite spread
+    ruling nothing out; ``live`` and the labels ``y1`` run over the cube."""
+    points = np.arange(y1.size)
+    bits = np.uint64(1) << points.astype(np.uint64)
+    fl = fires[candidates] & _words(live)
+    for i in range(y1.size.bit_length() - 1):
+        lo = np.flatnonzero(live & live[points ^ (1 << i)] & ((points & (1 << i)) == 0))
+        step = y1[lo] - y1[lo | (1 << i)]
+        finite = np.isfinite(step)
+        order = np.argsort(step[finite])
+        t, tbits = step[finite][order], bits[lo[finite]][order]
+        if t.size < 2 or t[-1] - t[0] <= slack:
+            continue
+        d = t - t[:, None]  # d[e, j] = t_j - t_e, ascending in j
+        # W_e runs from the first tie of e to reach[e]; keep the widest ones
+        reach = np.count_nonzero(d <= slack, axis=1)
+        start = np.flatnonzero(np.diff(reach, prepend=0))
+        cum = np.cumsum(np.insert(tbits, 0, 0))
+        # a gate's covered edges along i, as the word of their +1 endpoints
+        covered = fl & (fl >> np.uint64(1 << i)) & bits[lo].sum(dtype=np.uint64)
+        keep = (covered & bits[lo[~finite]].sum(dtype=np.uint64)) != 0
+        for w in cum[reach[start]] - cum[start]:
+            keep |= (covered & ~w) == 0
+        for e in np.flatnonzero(d[:, -1] == np.inf):
+            high = tbits[d[e] == np.inf].sum(dtype=np.uint64)
+            keep |= ((covered & tbits[e]) != 0) & ((covered & high) != 0)
+        candidates, fl = candidates[keep], fl[keep]
+    return candidates
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_decision_list(
     data: Dataset, s: int, M: int, tol: float = 1e-6
 ) -> GeneralizedDecisionList:
@@ -305,24 +304,34 @@ def fit_decision_list(
     inactive region where it vanishes, hence the s+1 in the pigeonhole
     threshold.
 
-    Gates are evaluated once on the distinct inputs; coverage counts each
-    input with its multiplicity.  Before any least-squares solve, a round
-    rules out every candidate gate whose covered set carries two parallel
-    cube edges with label steps more than ``4*tol + 1e-9*max|y|`` apart,
-    which cannot change the result.  If a leaf (v, c) fits every covered
-    label within tol, then along any edge x -> x' that flips coordinate i
-    from +1 to -1 the step y(x) - y(x') equals 2*v_i up to 2*tol, so two
-    such steps differ by at most 4*tol.  The steps use the first label of
-    each input, which an accepted leaf fits like any other.  The second
-    term bounds floating-point rounding: the residual check, the steps and
-    their spread each round to within a few units in the last place of the
-    magnitudes involved, and those are O(max|y|) -- the design has +-1
-    entries and at most 7 columns, so by Cramer's rule (Hadamard's bound
-    over the 2^(k-1) that divides every k x k +-1 determinant) the
+    Each gate's fire set is one uint64 word, bit x set iff the gate fires at
+    cube point x (n <= MAX_LIST_N = 6).  A round's coverage is exact: the
+    sum over the bit-planes b of the input multiplicities of
+    popcount(word & live & plane_b) << b.  Before any least-squares solve,
+    a round rules out every candidate gate whose covered set carries two
+    parallel cube edges with label steps more than ``slack = 4*tol +
+    1e-9*max|y|`` apart, which cannot change the result.  If a leaf (v, c)
+    fits every covered label within tol, then along any edge x -> x' that
+    flips coordinate i from +1 to -1 the step y(x) - y(x') equals 2*v_i up
+    to 2*tol, so two such steps differ by at most 4*tol.  The steps use the
+    first label of each input, which an accepted leaf fits like any other.
+    The second term bounds floating-point rounding: the residual check, the
+    steps and their spread each round to within a few units in the last
+    place of the magnitudes involved, and those are O(max|y|) -- the design
+    has +-1 entries and at most 7 columns, so by Cramer's rule (Hadamard's
+    bound over the 2^(k-1) that divides every k x k +-1 determinant) the
     minimum-norm solution has |v_i| and |c| below a few hundred times
-    max|y| + tol.  (When tol >= max|y| no spread can exceed 4*tol.)  The
-    remaining candidates are fitted in the same order as without the test,
-    so the chosen gates and leaves are the same.
+    max|y| + tol.  (When tol >= max|y| no spread can exceed 4*tol.)
+
+    Along coordinate i a gate's covered edges are a word too; it survives
+    iff they meet a +-inf step, hold two steps whose difference overflows,
+    or lie in a window {t >= step_e : t - step_e <= slack} of a finite edge
+    e.  Rounding is monotone, so this is the spread rule (out iff max - min
+    is finite and > slack): take e at the covered minimum; conversely max -
+    min <= max - step_e.  Survivors are fitted by descending coverage, then
+    ascending gate index, as a full stable sort orders them.  Labels near
+    the float range overflow steps and residuals to +-inf, which rules
+    nothing out or fails the fit; numpy's overflow warnings are off here.
 
     Raises ValueError for a negative or non-finite tol, NoConsistentListError
     when a round finds no qualifying gate, and InconsistentDataError when
@@ -340,50 +349,46 @@ def fit_decision_list(
             f"grid search needs n <= {MAX_LIST_N} and M <= {MAX_LIST_M}, "
             f"got n={n}, M={M}"
         )
-    uniq, first, inverse = _distinct_inputs(data, tol)
-    mult = np.bincount(inverse)
+    uniq, first = _distinct_inputs(data, tol)
+    mult = np.bincount(data.idx, minlength=1 << n)
+    live = mult > 0  # cube points of samples no node covers yet
+    y1 = np.bincount(uniq, weights=y[first], minlength=1 << n)  # first label per point
+    planes = _words((mult >> np.arange(int(mult.max()).bit_length())[:, None]) & 1 == 1)
     X = index_signs(data.idx, n).astype(np.float64)
-    gates = _gate_grid(n, M)
-    X_ext = np.hstack([index_signs(uniq, n), -np.ones((uniq.size, 1), np.int8)])
-    fires = (X_ext.astype(np.float32) @ gates.T) > 0.0  # (distinct inputs, gates)
-    edges = _edge_steps(uniq, y[first], n)
+    fires = _fire_words(n, M)
     slack = 4.0 * tol + 1e-9 * float(np.max(np.abs(y)))
 
-    live = np.ones(uniq.size, dtype=bool)  # inputs no node covers yet
     nodes: list[ListNode] = []
     while live.any():
         remaining = int(mult[live].sum())
-        # exact counts, one group per multiplicity (a single one on full-cube data)
+        fl = fires & _words(live)
         coverage = sum(
-            m * np.count_nonzero(fires[live & (mult == m)], axis=0)
-            for m in np.unique(mult[live])
+            np.bitwise_count(fl & p).astype(np.int64) << b for b, p in enumerate(planes)
         )
         threshold = math.ceil(remaining / (s + 1))
-        # max coverage first, lexicographic gate order within equal coverage
-        order = np.argsort(-coverage, kind="stable")
-        candidates = order[: np.count_nonzero(coverage >= threshold)]
+        survivors = _screen(fires, np.flatnonzero(coverage >= threshold), live, y1, slack)
         chosen = None
-        for gi in _within_spread(fires, candidates, live, edges, slack):
-            covered = np.flatnonzero((live & fires[:, gi])[inverse])
-            v, c, max_resid = _affine_fit(X[covered], y[covered])
-            if max_resid <= tol:
-                chosen = (gi, v, c)
-                break
+        # max coverage first, ascending gate index within equal coverage
+        while chosen is None and survivors.size:
+            top = coverage[survivors] == coverage[survivors].max()
+            for gi in survivors[top]:
+                side = live & ((fires[gi] >> np.arange(1 << n, dtype=np.uint64)) & 1 == 1)
+                covered = np.flatnonzero(side[data.idx])
+                v, c, max_resid = _affine_fit(X[covered], y[covered])
+                if max_resid <= tol:
+                    chosen = (gi, side, v, c)
+                    break
+            survivors = survivors[~top]
         if chosen is None:
             raise NoConsistentListError(
                 f"no gate isolates an affine-fittable subset of size >= {threshold} "
                 f"among the {remaining} remaining samples"
             )
-        gi, v, c = chosen
-        nodes.append(
-            ListNode(
-                gate_w=tuple(int(g) for g in gates[gi][:-1]),
-                gate_b=int(gates[gi][-1]),
-                leaf_v=tuple(float(t) for t in v),
-                leaf_c=float(c),
-            )
-        )
-        live &= ~fires[:, gi]
+        gi, side, v, c = chosen
+        *w, b = np.unravel_index(gi, (2 * M + 1,) * (n + 1))
+        leaf_v = tuple(float(t) for t in v)
+        nodes.append(ListNode(tuple(int(g) - M for g in w), int(b) - M, leaf_v, float(c)))
+        live &= ~side
     result = GeneralizedDecisionList(n=n, nodes=tuple(nodes), default=0.0)
     # the peel order guarantees each sample fires exactly its covering node,
     # so the per-leaf residual bound transfers to the whole list; check it

@@ -309,6 +309,44 @@ def reference_decision_list(data: Dataset, s: int, M: int, tol: float = 1e-6):
     return result
 
 
+
+def reference_within_spread(
+    fires: np.ndarray, candidates: np.ndarray, live: np.ndarray, uniq: np.ndarray,
+    y1: np.ndarray, n: int, slack: float,
+) -> np.ndarray:
+    """Edge-step screen of ``fit_decision_list`` on an (inputs, gates) bool
+    fire matrix over the sorted distinct inputs ``uniq`` of {-1,+1}^n, with
+    first labels ``y1`` and a live mask over the inputs: the candidates, in
+    their given order, on whose live covered edges no coordinate's label
+    steps spread wider than ``slack``; a non-finite spread rules nothing
+    out.  Per coordinate, a gate's spread runs from its first covered edge
+    to its last in stable step order."""
+    ruled_out = np.zeros(fires.shape[1], dtype=bool)
+    idx = np.sort(candidates)
+    for i in range(n):
+        lo = np.flatnonzero(uniq & (1 << i) == 0)
+        partner = uniq[lo] | (1 << i)
+        hi = np.minimum(np.searchsorted(uniq, partner), uniq.size - 1)
+        hit = uniq[hi] == partner
+        lo, hi = lo[hit], hi[hit]
+        with np.errstate(over="ignore"):
+            step = y1[lo] - y1[hi]
+        order = np.argsort(step, kind="stable")
+        lo, hi, step = lo[order], hi[order], step[order]
+        keep = live[lo] & live[hi]
+        lo, hi, step = lo[keep], hi[keep], step[keep]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
+            if lo.size < 2 or step[-1] - step[0] <= slack:
+                continue
+            both = fires[lo][:, idx] & fires[hi][:, idx]
+            first = both.argmax(axis=0)
+            last = lo.size - 1 - both[::-1].argmax(axis=0)
+            spread = step[last] - step[first]
+        out = both[first, np.arange(idx.size)] & np.isfinite(spread) & (spread > slack)
+        ruled_out[idx[out]] = True
+        idx = idx[~out]
+    return candidates[~ruled_out[candidates]]
+
 def reference_normal_equations(data: Dataset, masks: np.ndarray):
     """``(Phi.T @ Phi, Phi.T @ y)`` from the (m, count) design matrix
     Phi[i, j] = chi_{masks[j]}(x_i), built column by column: the oracle for

@@ -22,13 +22,20 @@ from hypothesis import strategies as st
 
 from sparseact import (
     SparseNet,
+    cli,
     gamma_gated_net,
     selfcheck,
     tabulate,
     verify_sparsity,
     wht,
 )
-from sparseact.cli import _columns_to_csv, _columns_to_json, _read_dataset_csv, run
+from sparseact.cli import (
+    _columns_to_csv,
+    _columns_to_json,
+    _read_dataset_csv,
+    build_parser,
+    run,
+)
 from sparseact.config import REL_TOL_EXACT
 
 DATA = Path(__file__).parent / "data"
@@ -706,6 +713,48 @@ class TestThreadsFlag:
                     "--seed", "1", "--degree", "1", "--threads", "1"]) == 2
         assert run(["learn-dlist", "--net", str(path), "--full-cube", "--s", "2",
                     "--grid-m", "1", "--threads", "1"]) == 2
+
+
+class TestParserReuse:
+    """``run`` parses with one parser per process; each call must behave as
+    the first call of a fresh process does."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_help_then_run_as_in_a_fresh_process(self, tmp_path, capsys):
+        _, path = write_net(tmp_path)
+        argv = ["transform", "--net", str(path)]
+        build_parser.cache_clear()
+        assert run(argv) == 0
+        fresh_out = capsys.readouterr().out
+        help_text = build_parser.__wrapped__().format_help()
+        build_parser.cache_clear()
+        assert run(["--help"]) == 0
+        assert capsys.readouterr().out == help_text
+        assert run(argv) == 0
+        assert capsys.readouterr().out == fresh_out
+        assert run(["transform", "--help"]) == 0
+        assert "--net" in capsys.readouterr().out
+        assert run(argv) == 0
+        assert capsys.readouterr().out == fresh_out
+
+    def test_threads_default_after_an_explicit_count(self, tmp_path, monkeypatch):
+        _, path = write_net(tmp_path)
+        seen = []
+        real = cli.noise_sensitivity_mc
+
+        def spy(*args, threads):
+            seen.append(threads)
+            return real(*args, threads=threads)
+
+        monkeypatch.setattr(cli, "noise_sensitivity_mc", spy)
+        run_chunks_inline(monkeypatch, 2)
+        argv = ["sensitivity", "--net", str(path), "--rho", "0.5", "--trials", "100",
+                "--seed", "1"]
+        assert run(argv + ["--threads", "2"]) == 0
+        assert run(argv) == 0
+        assert seen == [2, 1]
 
 
 # -- fuzzing the three input readers ------------------------------------------

@@ -4,6 +4,7 @@ peeling against generator networks."""
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from helpers import (
     reference_fit_low_degree,
     reference_monomial_values,
     reference_normal_equations,
+    reference_within_spread,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -442,6 +444,53 @@ class TestFitDecisionList:
         with pytest.raises(ValueError, match="tol"):
             fit_decision_list(Dataset(2, [0, 1], [0.0, 1.0]), s=1, M=1, tol=tol)
 
+    def test_huge_finite_labels_warn_nothing(self):
+        # the least-squares residual overflows to inf, which fails the fit
+        data = Dataset(2, np.arange(4), [1.5e308, -1.5e308, 0.0, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConsistentListError):
+                fit_decision_list(data, s=1, M=1)
+
+    def test_full_cube_peak_memory(self):
+        rng = np.random.default_rng(3)
+        net = junta_to_net(JuntaSpec(n=6, relevant=(1, 3, 5), table=rng.uniform(-1, 1, 8)))
+        data = full_cube_dataset(net, 6)
+        tracemalloc.start()
+        try:
+            fit_decision_list(data, s=8, M=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (64, 78125) float32 gate product alone would take 20 MB
+        assert peak < 8 << 20
+
+
+def _gate_rows(n, M):
+    """Every gate (w, b) in {-M..M}^{n+1} as a float32 row, in lexicographic order."""
+    return np.array(list(itertools.product(range(-M, M + 1), repeat=n + 1)), dtype=np.float32)
+
+
+def _gate_products(idx, n, M):
+    """(idx.size, gates) bool: whether each gate fires at each packed input."""
+    X_ext = np.hstack([index_signs(idx, n), -np.ones((idx.size, 1), np.int8)])
+    return (X_ext.astype(np.float32) @ _gate_rows(n, M).T) > 0.0
+
+
+class TestFireWords:
+    @pytest.mark.parametrize("M", [1, 2])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_match_packed_gate_products(self, n, M):
+        points = np.arange(1 << n)
+        place = np.uint64(1) << points.astype(np.uint64)
+        fires = _gate_products(points, n, M)
+        expected = np.where(fires, place[:, None], np.uint64(0)).sum(axis=0, dtype=np.uint64)
+        words = learners._fire_words(n, M)
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, expected)
+        # no bit at or above 2^n
+        assert not np.any(words & ~place.sum(dtype=np.uint64))
+
 
 _DL_FAMILIES = ("relu", "sparse", "junta", "affine", "random", "near-duplicate")
 
@@ -492,6 +541,16 @@ def decision_list_case(seed):
     return Dataset(n, idx, y), s, M, tol
 
 
+def overflow_case(seed):
+    """decision_list_case(seed) with its labels rescaled to reach +-1.7e308,
+    so that label steps along cube edges, and differences of finite steps,
+    overflow to +-inf."""
+    data, s, M, tol = decision_list_case(seed)
+    peak = float(np.max(np.abs(data.y)))
+    y = data.y / peak * 1.7e308 if peak > 0 else data.y
+    return Dataset(data.n, data.idx, y), s, M, tol
+
+
 def _outcome(fit, *args):
     try:
         return repr(fit(*args))
@@ -525,6 +584,38 @@ class TestDecisionListScreen:
         dlist = fit_decision_list(full_cube_dataset(net, 6), s=8, M=2)
         assert len(calls) <= 8
         assert len(dlist.nodes) <= len(calls)
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_overflowing_steps_match_reference(self, seed):
+        case = overflow_case(seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _outcome(reference_decision_list, *case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(fit_decision_list, *case) == expected
+
+    @pytest.mark.parametrize("live_subset", [False, True], ids=["all-live", "live-subset"])
+    @pytest.mark.parametrize("make_case", [decision_list_case, overflow_case],
+                             ids=["scaled", "overflowing"])
+    @pytest.mark.parametrize("seed", range(72))
+    def test_screen_keeps_the_reference_gates(self, seed, make_case, live_subset):
+        data, _, M, tol = make_case(seed)
+        n = data.n
+        uniq, first = np.unique(data.idx, return_index=True)
+        live = np.ones(uniq.size, dtype=bool)
+        if live_subset:
+            live = np.random.default_rng(seed).random(uniq.size) < 0.6
+        slack = 4.0 * tol + 1e-9 * float(np.max(np.abs(data.y)))
+        fires = _gate_products(uniq, n, M)
+        candidates = np.arange(fires.shape[1])
+        expected = reference_within_spread(fires, candidates, live, uniq, data.y[first], n, slack)
+        live_points = np.zeros(1 << n, dtype=bool)
+        live_points[uniq[live]] = True
+        y1 = np.zeros(1 << n)
+        y1[uniq] = data.y[first]
+        with np.errstate(over="ignore", invalid="ignore"):
+            kept = learners._screen(learners._fire_words(n, M), candidates, live_points, y1, slack)
+        assert np.array_equal(kept, expected)
 
 
 class TestDlPredict:
