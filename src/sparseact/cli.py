@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Every stochastic subcommand takes a mandatory --seed; identical invocations
-produce byte-identical output, regardless of --threads.  Data goes to the
-output path (or stdout), diagnostics to stderr.  Exit codes: 0 success,
-1 runtime failure (capacity, no consistent list), 2 argument errors.
+Runs that draw at random need --seed (``verify`` has a default); identical
+invocations give byte-identical output, regardless of --threads.  Data goes
+to the output path (or stdout), diagnostics to stderr.  Exit codes: 0
+success, 1 runtime failure (capacity, no consistent list), 2 argument errors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import bounds, selfcheck
+from . import bounds, constructions, selfcheck
 from .config import MAX_PACKED_N
 from .constructions import JuntaSpec, gamma_gated_net, index_net, junta_to_net, parity_lift
 from .errors import CapacityError, NoConsistentListError
@@ -41,7 +41,7 @@ from .learners import (
     sample_uniform_dataset,
 )
 from .network import SparseNet
-from .rademacher_lab import compare_to_bound, random_sparse_pool, uniform_sample_set
+from .rademacher_lab import compare_to_bound, random_sparse_pool
 
 
 def _fmt(value) -> str:
@@ -147,11 +147,6 @@ def _emit_table(args, header: list[str], columns: Sequence[Sequence]) -> None:
     _write_text(args.out, convert(header, columns))
 
 
-def _emit_rows(args, header: list[str], rows: list[list]) -> None:
-    """``_emit_table`` for a short table built row by row."""
-    _emit_table(args, header, [[row[j] for row in rows] for j in range(len(header))])
-
-
 def _load_net(path: str) -> SparseNet:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -250,6 +245,7 @@ def _cmd_construct(args) -> int:
     else:  # gamma
         if args.seed is None:
             raise ValueError("gamma needs --seed for the payload table")
+        constructions.check_gate_sizes(args.gate_bits, args.payload_dim)  # before the draw
         rng = np.random.default_rng(args.seed)
         table = rng.normal(size=(1 << args.gate_bits, args.payload_dim))
         table /= np.linalg.norm(table, axis=1, keepdims=True)
@@ -291,7 +287,7 @@ def _cmd_sensitivity(args) -> int:
         for rho in rhos:
             est, err = noise_sensitivity_mc(f, rho, args.trials, rng, threads=args.threads)
             rows.append(["noise_sensitivity_mc", rho, est, err])
-    _emit_rows(args, ["quantity", "rho", "value", "stderr"], rows)
+    _emit_table(args, ["quantity", "rho", "value", "stderr"], list(zip(*rows)))
     return 0
 
 
@@ -363,7 +359,7 @@ def _cmd_bounds_table(args) -> int:
             raise ValueError(f"grid record {pos}: a bound overflows ({exc})") from None
         row.extend([rec.get(key, "") for key in measured_keys])
         rows.append(row)
-    _emit_rows(args, header, rows)
+    _emit_table(args, header, list(zip(*rows)))
     return 0
 
 
@@ -379,8 +375,16 @@ def _model_payload(model) -> dict:
     }
 
 
+def _refuse_beside_data(args, *names: str) -> None:
+    """ValueError for the first flag of ``names`` given along with --data."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} cannot be combined with --data")
+
+
 def _cmd_learn_low_degree(args) -> int:
     if args.data is not None:
+        _refuse_beside_data(args, "net", "samples", "holdout", "seed")
         data = _read_dataset_csv(args.data)
         holdout = None
     else:
@@ -407,6 +411,7 @@ def _cmd_learn_low_degree(args) -> int:
 
 def _cmd_learn_dlist(args) -> int:
     if args.data is not None:
+        _refuse_beside_data(args, "net", "full_cube")
         data = _read_dataset_csv(args.data)
     elif args.full_cube:
         if args.net is None:
@@ -427,7 +432,6 @@ def _cmd_rademacher(args) -> int:
     pool = random_sparse_pool(params, args.pool_count, rng)
     rows_dicts = compare_to_bound(
         pool,
-        uniform_sample_set(args.n),
         _parse_ints(args.m_grid),
         args.trials,
         rng,
@@ -506,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset CSV (x1..xn,y)")
     p.add_argument("--net", help="network JSON to label generated samples")
     p.add_argument("--samples", type=int, help="generated sample count")
-    p.add_argument("--holdout", type=int, default=0, help="generated holdout count")
+    p.add_argument("--holdout", type=int, help="generated holdout count")
     p.add_argument("--seed", type=int, help="seed for generated data")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--ridge", type=float, default=1e-10)
@@ -516,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn-dlist", help="generalized decision-list learner")
     p.add_argument("--data", help="dataset CSV (x1..xn,y)")
     p.add_argument("--net", help="network JSON for full-cube training data")
-    p.add_argument("--full-cube", action="store_true")
+    p.add_argument("--full-cube", action="store_true", default=None)
     p.add_argument("--s", type=int, required=True, help="target hidden-unit count")
     p.add_argument("--grid-m", type=int, required=True, help="integer weight bound")
     p.add_argument("--tol", type=float, default=1e-6)

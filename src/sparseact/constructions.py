@@ -10,7 +10,7 @@ taken on faith.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,7 +106,9 @@ def index_net(b: int) -> SparseNet:
     addressed bit is -1, where the matching unit's pre-activation is exactly
     zero and the output is 0).
     """
-    if not 1 <= b <= MAX_INDEX_BITS:
+    if b < 1:
+        raise ValueError(f"address bits must be >= 1, got {b}")
+    if b > MAX_INDEX_BITS:
         raise CapacityError(f"address bits must lie in [1, {MAX_INDEX_BITS}], got {b}")
     s = 1 << b
     n = b + s
@@ -175,11 +177,21 @@ def parity_lift(m: int, S: Sequence[int]) -> SparseNet:
     return SparseNet(n=n, s=len(shifts), k=1, u=np.full(len(shifts), 2.0), w=w, b=b)
 
 
+def check_gate_sizes(b: int, q: int) -> None:
+    """ValueError for gamma-net sizes below 1, CapacityError above the caps."""
+    if b < 1 or q < 1:
+        raise ValueError(f"gate bits and payload dim must be >= 1, got b={b}, q={q}")
+    if b > MAX_GATE_BITS:
+        raise CapacityError(f"gate bits must lie in [1, {MAX_GATE_BITS}], got {b}")
+    if q > MAX_PAYLOAD_DIM:
+        raise CapacityError(f"payload dim must lie in [1, {MAX_PAYLOAD_DIM}], got {q}")
+
+
 def gamma_gated_net(
     b: int,
     q: int,
     gamma: float,
-    w_table: Mapping[tuple[int, ...], Sequence[float]] | np.ndarray,
+    w_table: np.ndarray,
 ) -> SparseNet:
     """Gate/payload network with dense weights: unit alpha fires only when
     the gate block matches alpha (up to the margin set by gamma).
@@ -190,37 +202,25 @@ def gamma_gated_net(
     1-sparsity on every input; smaller gamma only keeps it with high
     probability under the uniform distribution.
 
-    ``w_table`` is either a (2^b, q) array indexed by address value or a
-    mapping from sign patterns (tuples of +-1, most significant first) to
-    payload vectors; every pattern must be present.
+    ``w_table`` is a (2^b, q) array of payload vectors indexed by address
+    value (see :func:`address_value`).
     """
-    if not 1 <= b <= MAX_GATE_BITS:
-        raise CapacityError(f"gate bits must lie in [1, {MAX_GATE_BITS}], got {b}")
-    if not 1 <= q <= MAX_PAYLOAD_DIM:
-        raise CapacityError(f"payload dim must lie in [1, {MAX_PAYLOAD_DIM}], got {q}")
+    check_gate_sizes(b, q)
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if not np.isfinite(gamma * b):
         raise ValueError(f"gamma * b must be finite, got gamma={gamma}, b={b}")
     s = 1 << b
-    patterns = _address_signs(b)
-    if isinstance(w_table, Mapping):
-        rows = np.zeros((s, q))
-        for v, pattern in enumerate(map(tuple, patterns.tolist())):
-            if pattern not in w_table:
-                raise ValueError(f"w_table is missing the entry for pattern {pattern}")
-            rows[v] = np.asarray(w_table[pattern], dtype=np.float64)
-    else:
-        rows = np.asarray(w_table, dtype=np.float64)
-        if rows.shape != (s, q):
-            raise ValueError(f"w_table must have shape ({s}, {q}), got {rows.shape}")
+    rows = np.asarray(w_table, dtype=np.float64)
+    if rows.shape != (s, q):
+        raise ValueError(f"w_table must have shape ({s}, {q}), got {rows.shape}")
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms > 1.0 + 1e-9):
         raise ValueError(f"payload vectors must have norm <= 1, max is {norms.max():.6g}")
 
     n = b + q
     w = np.zeros((s, n))
-    w[:, :b] = gamma * patterns
+    w[:, :b] = gamma * _address_signs(b)
     w[:, b:] = rows
     bias = np.full(s, gamma * b)
     return SparseNet(n=n, s=s, k=1, u=np.ones(s), w=w, b=bias)

@@ -3,8 +3,9 @@
 Functions are stored densely in the fixed index order of
 :mod:`sparseact.hypercube`; spectra are stored densely with subset bitmasks
 as indices (bit i-1 of the mask set iff coordinate i belongs to the subset).
-Exactness at desk scale is the point: everything here is capped at n <= 20
-(values array 8 MiB) rather than made approximate.
+Exactness at desk scale is the point: tables and spectra are capped at
+n <= 20 (values array 8 MiB) rather than made approximate; ``values_at``
+and the Monte-Carlo estimate, which never build a table, reach n <= 62.
 """
 
 from __future__ import annotations
@@ -204,15 +205,14 @@ def noise_sensitivity_mc(
     trials: int,
     rng: np.random.Generator,
     *,
-    n: int | None = None,
     threads: int = 1,
 ) -> tuple[float, float]:
     """Monte-Carlo noise sensitivity: mean of (f(x) - f(y))^2 / 4 with y
     a (1-rho)/2-noisy copy of a uniform x.  Returns (estimate, stderr).
 
-    ``f`` is anything :func:`values_at` accepts; all but a CubeFunction
-    need ``n`` (or an ``.n`` attribute).  Points are drawn as packed int64
-    indices, so n <= MAX_PACKED_N (62).  Trials are processed in fixed chunks with
+    ``f`` is anything :func:`values_at` accepts that has an ``.n``
+    attribute.  Points are drawn as packed int64 indices, so n <=
+    MAX_PACKED_N (62).  Trials are processed in fixed chunks with
     generators spawned from ``rng``, so the result is identical for any
     thread count, and a function draws the same stream as its table.
     """
@@ -220,20 +220,15 @@ def noise_sensitivity_mc(
         raise ValueError(f"need at least one trial, got {trials}")
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    if isinstance(f, CubeFunction):
-        dim = f.n
-    else:
-        dim = getattr(f, "n", None) if n is None else n
-        if dim is None:
-            raise ValueError("pass n for callables without an .n attribute")
-    if dim > MAX_PACKED_N:
-        raise CapacityError(f"int64-packed sampling needs n <= {MAX_PACKED_N}, got {dim}")
+    n = f.n
+    if n > MAX_PACKED_N:
+        raise CapacityError(f"int64-packed sampling needs n <= {MAX_PACKED_N}, got {n}")
     flip_p = (1.0 - rho) / 2.0
 
     def worker(lo: int, hi: int, crng: np.random.Generator) -> np.ndarray:
         count = hi - lo
-        xs = crng.integers(0, 1 << dim, size=count)
-        masks = flip_masks(dim, flip_p, count, crng)
-        return 0.25 * (values_at(f, dim, xs) - values_at(f, dim, xs ^ masks)) ** 2
+        xs = crng.integers(0, 1 << n, size=count)
+        masks = flip_masks(n, flip_p, count, crng)
+        return 0.25 * (values_at(f, n, xs) - values_at(f, n, xs ^ masks)) ** 2
 
     return mean_and_stderr(run_chunked(worker, trials, rng, threads=threads, chunk=MC_CHUNK))

@@ -22,7 +22,7 @@ import numpy as np
 from .config import MAX_LIST_M, MAX_LIST_N, MAX_MONOMIALS, MAX_TABULATE_N
 from .errors import CapacityError, InconsistentDataError, NoConsistentListError
 from .fourier import _fwht, tabulate, values_at
-from .hypercube import index_signs, pack_bits, packed_indices
+from .hypercube import index_signs, packed_indices
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -91,15 +91,6 @@ class MonomialModel:
         if np.any(np.bitwise_count(masks) > self.d):
             raise ValueError(f"a coefficient subset exceeds degree {self.d}")
 
-    def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate on an (N, n) array of +-1 rows; returns (N,) floats."""
-        X = np.asarray(X)
-        if X.ndim != 2 or X.shape[1] != self.n:
-            raise ValueError(f"expected (N, {self.n}) sign rows, got {X.shape}")
-        # the exact character sum in mask order; losses are computed by
-        # eval_indices and no longer depend on this summation order
-        return self._character_sum(pack_bits(X < 0))
-
     def eval_indices(self, idx) -> np.ndarray:
         """Evaluate at packed int64 indices; returns a float64 array of
         their length.
@@ -108,7 +99,7 @@ class MonomialModel:
         len(masks), the whole value table is one in-place transform of the
         coefficients (duplicate masks summed) and is read at ``idx``, which
         agrees with the character sum to rounding; otherwise the character
-        sum of :meth:`eval_batch` is taken, bit for bit.
+        sum is taken term by term in mask order.
         """
         idx = packed_indices(idx, self.n)
         size = 1 << self.n

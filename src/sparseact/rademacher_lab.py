@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -133,16 +133,14 @@ def random_sparse_pool(
 
     Each member stacks k junta networks on disjoint unit blocks (a junta
     net keeps exactly one unit strictly active, so the stack keeps exactly
-    k).  The junta width is the largest p with k * 2^p <= s.  Sparsity is
+    k).  Junta width: the largest p <= n with k * 2^p <= s.  Sparsity is
     re-verified per member: exhaustively for n <= 14, sampled otherwise.
     """
     if count < 1:
         raise ValueError(f"need at least one member, got {count}")
     bounds.require_level(params)
     n, s, k = params.n, params.s, params.k
-    p = 0
-    while k * (1 << (p + 1)) <= s and p + 1 <= n:
-        p += 1
+    p = min(n, (s // k).bit_length() - 1)
 
     members = []
     W_env = 0.0
@@ -180,14 +178,14 @@ def _stack(nets: Sequence[SparseNet], k: int) -> SparseNet:
 
 def compare_to_bound(
     pool: HypothesisPool,
-    sample_set: Callable[[int, np.random.Generator], np.ndarray],
     m_grid: Sequence[int],
     trials: int,
     rng: np.random.Generator,
     mode: str = "mc",
     threads: int = 1,
 ) -> list[dict]:
-    """Estimate vs. theorem bound across a grid of sample sizes.
+    """Estimate vs. theorem bound across a grid of sample sizes, each
+    sample the packed indices of m uniform cube points drawn from ``rng``.
 
     Rows carry (m, estimate, stderr, bound, ratio) where the bound is the
     closed-form envelope at the pool's (n, s, k, W, B) and ratio the
@@ -195,11 +193,11 @@ def compare_to_bound(
     knows the theorem's hidden constant.
     """
     m_grid = list(m_grid)
-    if any(b <= a for a, b in zip(m_grid, m_grid[1:])):
-        raise ValueError(f"m grid must be strictly increasing, got {m_grid}")
+    if any(b <= a for a, b in zip([1] + m_grid, m_grid)):  # from 2 upward
+        raise ValueError(f"m grid must be strictly increasing sizes >= 2, got {m_grid}")
     rows = []
     for m in m_grid:
-        idx = sample_set(m, rng)
+        idx = rng.integers(0, 1 << pool.n, size=m)
         est = empirical_rademacher(pool, idx, trials, rng, mode=mode, threads=threads)
         bound = bounds.rademacher_bound(
             bounds.ClassParams(
@@ -216,12 +214,3 @@ def compare_to_bound(
             }
         )
     return rows
-
-
-def uniform_sample_set(n: int) -> Callable[[int, np.random.Generator], np.ndarray]:
-    """Sample-set generator drawing the packed indices of m uniform cube points."""
-
-    def gen(m: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, 1 << n, size=m)
-
-    return gen

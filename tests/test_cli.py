@@ -24,6 +24,7 @@ from sparseact import (
     SparseNet,
     cli,
     gamma_gated_net,
+    rademacher_lab,
     selfcheck,
     tabulate,
     verify_sparsity,
@@ -641,6 +642,70 @@ class TestBadInput:
         assert rc == 2
         assert capsys.readouterr().err == f"error: --n-max must be >= 1, got {n_max}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kind", "index", "--bits", "0"], "address bits must be >= 1, got 0"),
+            (["--kind", "index", "--bits", "-1"], "address bits must be >= 1, got -1"),
+            (["--kind", "gamma", "--gate-bits", "0", "--payload-dim", "3"], "b=0, q=3"),
+            (["--kind", "gamma", "--gate-bits", "-1", "--payload-dim", "3"], "b=-1, q=3"),
+            (["--kind", "gamma", "--gate-bits", "2", "--payload-dim", "0"], "b=2, q=0"),
+            (["--kind", "gamma", "--gate-bits", "2", "--payload-dim", "-1"], "b=2, q=-1"),
+        ],
+        ids=["index-0", "index-neg", "gate-0", "gate-neg", "payload-0", "payload-neg"],
+    )
+    def test_construct_size_below_one(self, capsys, monkeypatch, argv, message):
+        # refused before the gamma payload table is drawn
+        monkeypatch.setattr(np.random, "default_rng", None)
+        rc = run(["construct", "--seed", "1"] + argv)
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--kind", "index", "--bits", "11"],
+         ["--kind", "gamma", "--gate-bits", "9", "--payload-dim", "3"],
+         ["--kind", "gamma", "--gate-bits", "2", "--payload-dim", "17"]],
+        ids=["index", "gate", "payload"],
+    )
+    def test_construct_size_above_the_cap(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(np.random, "default_rng", None)
+        assert run(["construct", "--seed", "1"] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must lie in [1, " in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("grid", ["0", "1", "-3"])
+    def test_rademacher_m_grid_below_two(self, capsys, monkeypatch, grid):
+        def estimate(*args, **kwargs):
+            raise AssertionError("an estimate ran")
+
+        monkeypatch.setattr(rademacher_lab, "empirical_rademacher", estimate)
+        rc = run(["rademacher", "--n", "4", "--s", "4", "--pool-count", "2",
+                  "--m-grid", grid, "--trials", "10", "--seed", "1"])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"error: m grid must be strictly increasing sizes >= 2, got [{grid}]\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("learn-low-degree", ["--net", "NET"]), ("learn-low-degree", ["--samples", "5"]),
+         ("learn-low-degree", ["--holdout", "0"]), ("learn-low-degree", ["--seed", "1"]),
+         ("learn-dlist", ["--net", "NET"]), ("learn-dlist", ["--full-cube"])],
+        ids=["low-degree-net", "low-degree-samples", "low-degree-holdout",
+             "low-degree-seed", "dlist-net", "dlist-full-cube"],
+    )
+    def test_learner_flag_beside_data(self, tmp_path, capsys, command, flag):
+        _, net = write_net(tmp_path)
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,y\n1,1,0.5\n1,-1,0.0\n")
+        args = {"learn-low-degree": ["--degree", "1"],
+                "learn-dlist": ["--s", "1", "--grid-m", "1"]}[command]
+        flag = [str(net) if arg == "NET" else arg for arg in flag]
+        assert run([command, "--data", str(data)] + args + flag) == 2
+        assert capsys.readouterr() == ("", f"error: {flag[0]} cannot be combined with --data\n")
+
     def test_grid_record_without_s(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps([{"n": 10, "s": 4}, {"n": 10}]))
@@ -864,6 +929,103 @@ class TestReaderFuzz:
         path.write_bytes(content)
         _assert_clean_exit(["learn-low-degree", "--data", str(path), "--degree", "1"])
         _assert_clean_exit(["learn-dlist", "--data", str(path), "--s", "1", "--grid-m", "1"])
+
+
+# -- fuzzing the command lines of all eight subcommands -----------------------
+
+# Values any flag may be given instead of a sensible one.  No size flag ever
+# gets a large positive count: per-chunk bookkeeping grows with --trials, and
+# a large --n or --bits makes dense tables.
+_ARGV_JUNK = ["nan", "inf", "-1", "0", "1e308", "x", ""]
+
+# subcommand -> (required flags, optional flags), each mapped to its sensible
+# values; None marks a flag that takes no value.  NET, DATA, GRID and MISSING
+# stand for input files.  --threads is never given junk, only 1 or 2.
+_ARGV_FLAGS = {
+    "construct": (
+        {"--kind": ["junta", "index", "parity", "gamma"]},
+        {"--n": ["1", "4"], "--relevant": ["1", "1,2", "2,2", "5"],
+         "--table": ["1,-1", "1,-1,-1,1"], "--bits": ["1", "2", "11"],
+         "--m": ["2", "3", "13"], "--subset": ["1", "1,2", "4"],
+         "--gate-bits": ["1", "2", "9"], "--payload-dim": ["1", "3", "17"],
+         "--gamma": ["0.5", "2"], "--seed": ["1", "7"]},
+    ),
+    "transform": ({"--net": ["NET", "DATA", "MISSING"]}, {"--format": ["csv", "json"]}),
+    "sensitivity": (
+        {"--net": ["NET", "MISSING"]},
+        {"--rho": ["0.5", "0.2,-0.9", "1", "1.5"], "--trials": ["1", "64"],
+         "--seed": ["1", "7"], "--threads": ["1", "2"], "--format": ["csv", "json"]},
+    ),
+    "bounds-table": ({"--grid": ["GRID", "NET", "MISSING"]}, {"--format": ["csv", "json"]}),
+    "learn-low-degree": (
+        {"--degree": ["0", "1", "2", "9"]},
+        {"--data": ["DATA", "NET"], "--net": ["NET", "DATA"], "--samples": ["1", "20"],
+         "--holdout": ["1", "8"], "--seed": ["1", "7"], "--ridge": ["0", "1e-10", "1"]},
+    ),
+    "learn-dlist": (
+        {"--s": ["1", "2", "4"], "--grid-m": ["1", "2", "3"]},
+        {"--data": ["DATA", "NET"], "--net": ["NET", "DATA"], "--full-cube": [None],
+         "--tol": ["0", "1e-6", "0.5"]},
+    ),
+    "rademacher": (
+        {"--n": ["2", "4", "6"], "--s": ["1", "2", "4"], "--pool-count": ["1", "2"],
+         "--m-grid": ["2", "4,8", "8,4", "1", "-3", ""], "--trials": ["1", "16"],
+         "--seed": ["1", "7"]},
+        {"--k": ["1", "2", "3"], "--mode": ["auto", "exact", "mc"],
+         "--threads": ["1", "2"], "--format": ["csv", "json"]},
+    ),
+    "verify": ({}, {"--all": [None], "--n-max": ["1", "3"], "--seed": ["1", "7"]}),
+}
+
+
+@st.composite
+def _argvs(draw, files: dict) -> list[str]:
+    """An argv that gives every required flag and each optional one half the
+    time, with sensible values except on up to two flags, which get junk."""
+    command = draw(st.sampled_from(sorted(_ARGV_FLAGS)))
+    required, optional = _ARGV_FLAGS[command]
+    flags = {**required, **optional}
+    junk = draw(st.sets(st.sampled_from(sorted(set(flags) - {"--threads"})), max_size=2))
+    argv = [command]
+    for flag, values in flags.items():
+        if flag in optional and draw(st.booleans()):
+            continue
+        if values == [None]:
+            argv.append(flag)
+            continue
+        value = draw(st.sampled_from(_ARGV_JUNK if flag in junk else values))
+        argv += [flag, files.get(value, value)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    _, net = write_net(root)
+    data = root / "data.csv"
+    data.write_text("x1,x2,y\n1,1,0.5\n1,-1,0.0\n-1,1,0.0\n-1,-1,0.5\n")
+    grid = root / "grid.json"
+    grid.write_text(json.dumps([{"n": 6, "s": 4, "k": 1, "W": 1, "B": 1, "m": 100,
+                                 "eps": 0.1, "delta": 0.1, "rho": 0.5}]))
+    return {"NET": str(net), "DATA": str(data), "GRID": str(grid),
+            "MISSING": str(root / "missing")}
+
+
+class TestArgvFuzz:
+    """Whatever flags a subcommand gets, it exits 0, 1 or 2 with no
+    traceback and at most one error line."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_all_subcommands(self, argv_files, data):
+        argv = data.draw(_argvs(argv_files))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = run(argv)
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
 
 
 # -- the dataset reader against the row-by-row reader -------------------------

@@ -116,6 +116,11 @@ class TestIndexNet:
         with pytest.raises(CapacityError):
             index_net(11)
 
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_bits_below_one_are_value_errors(self, b):
+        with pytest.raises(ValueError, match=f"address bits must be >= 1, got {b}"):
+            index_net(b)
+
 
 def is_consistent(entries):
     """entries[i][j] == entries[i][i] * entries[j][j] for all i != j."""
@@ -287,26 +292,15 @@ class TestGammaGated:
             gamma_gated_net(2, 3, 1e308, table)
         assert gamma_gated_net(2, 3, 8e307, table).b.tolist() == [1.6e308] * 4
 
-    def test_missing_mapping_entry(self):
-        rng = np.random.default_rng(6)
-        mapping = {
-            (1, 1): rng.normal(size=3) / 10,
-            (1, -1): rng.normal(size=3) / 10,
-            (-1, 1): rng.normal(size=3) / 10,
-        }
-        with pytest.raises(ValueError, match="missing"):
-            gamma_gated_net(2, 3, 1.0, mapping)
+    @pytest.mark.parametrize("b, q", [(0, 3), (-1, 3), (2, 0), (2, -1)])
+    def test_sizes_below_one_are_value_errors(self, b, q):
+        with pytest.raises(ValueError, match=f"must be >= 1, got b={b}, q={q}"):
+            gamma_gated_net(b, q, 1.0, np.zeros((1, 1)))
 
-    def test_mapping_and_array_agree(self):
-        rng = np.random.default_rng(7)
-        arr = unit_norm_payloads(rng, 2, 3)
-        mapping = {}
-        for v in range(4):
-            pattern = tuple(1 if (v >> (1 - t)) & 1 else -1 for t in range(2))
-            mapping[pattern] = arr[v]
-        a = gamma_gated_net(2, 3, 2.0, arr)
-        m = gamma_gated_net(2, 3, 2.0, mapping)
-        assert np.array_equal(a.w, m.w)
+    @pytest.mark.parametrize("b, q", [(9, 3), (2, 17)])
+    def test_sizes_above_the_caps_are_capacity_errors(self, b, q):
+        with pytest.raises(CapacityError):
+            gamma_gated_net(b, q, 1.0, np.zeros((1, 1)))
 
 
 class TestCrossConstruction:

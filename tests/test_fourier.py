@@ -271,13 +271,6 @@ class TestNoiseSensitivityMc:
         )
         assert est1 == est4 and err1 == err4
 
-    def test_callable_path(self):
-        est, err = noise_sensitivity_mc(
-            parity_function(4, (1, 2)), 0.5, 2000, np.random.default_rng(21), n=4
-        )
-        exact = 0.375
-        assert abs(est - exact) <= 4 * err
-
 
 class TestValuesAt:
     def test_table_net_and_callable_agree(self):
@@ -304,11 +297,6 @@ class TestValuesAt:
                 net, rho, 40_000, np.random.default_rng(25), threads=2
             )
             assert on_net == pytest.approx(on_table, rel=REL_TOL_EXACT)
-        on_table = noise_sensitivity_mc(table, 0.5, 3000, np.random.default_rng(26))
-        on_call = noise_sensitivity_mc(
-            lambda u: net_value(net, u), 0.5, 3000, np.random.default_rng(26), n=9
-        )
-        assert on_call == pytest.approx(on_table, rel=REL_TOL_EXACT)
 
     def test_mc_past_int64_packing_is_capacity_error(self):
         net = SparseNet(n=63, s=1, k=1, u=np.ones(1), w=np.ones((1, 63)), b=np.zeros(1))

@@ -256,7 +256,7 @@ class TestEvalIndices:
         self.assert_near_reference(model, idx, got)
         tabulated = model.n <= MAX_TABULATE_N and model.n << model.n <= idx.size * model.masks.size
         if not tabulated:
-            assert np.array_equal(got, model.eval_batch(index_signs(idx, model.n)))
+            assert np.array_equal(got, model._character_sum(idx))
 
     def test_table_path_at_the_cap(self):
         rng = np.random.default_rng(20)
@@ -330,8 +330,7 @@ class TestPredict:
         )
         points = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16))
         model = MonomialModel(n=n, d=d, masks=masks, coeffs=coeffs)
-        X = np.array([Point(n, u).signs() for u in points])
-        for u, value in zip(points, model.eval_batch(X)):
+        for u, value in zip(points, model._character_sum(np.array(points))):
             terms = [c * chi(m, u) for m, c in zip(masks, coeffs)]
             assert value == sum(terms)
 
@@ -688,9 +687,7 @@ class TestEvaluateLoss:
         model = fit_low_degree(full_cube_dataset(net, 8), d, ridge=0.0)
         holdout = sample_uniform_dataset(net, 8, 4000, rng)
         report = evaluate_loss(model, holdout)
-        per_point = 0.5 * (model.eval_batch(
-            np.array([Point(8, int(u)).signs() for u in holdout.idx], dtype=np.float64)
-        ) - holdout.y) ** 2
+        per_point = 0.5 * (reference_monomial_values(model, holdout.idx) - holdout.y) ** 2
         slack = 4 * float(np.std(per_point, ddof=1) / np.sqrt(len(holdout)))
         assert report.mse <= 0.5 * tail_mass(spec, d) + slack
 

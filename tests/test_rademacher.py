@@ -19,8 +19,8 @@ from sparseact import (
     compare_to_bound,
     empirical_rademacher,
     rademacher_bound,
+    rademacher_lab,
     random_sparse_pool,
-    uniform_sample_set,
     verify_sparsity,
 )
 from sparseact.config import MAX_EXHAUSTIVE_N, MC_CHUNK, MC_SIGMA, REL_TOL_EXACT
@@ -124,10 +124,9 @@ class TestEmpiricalRademacher:
     def test_scaled_estimate_bounded_over_grid(self):
         rng = np.random.default_rng(5)
         pool = random_sparse_pool(ClassParams(n=6, s=4, k=1), 8, rng)
-        gen = uniform_sample_set(6)
         scaled = []
         for m in (8, 32, 128):
-            S = gen(m, rng)
+            S = rng.integers(0, 1 << 6, size=m)
             est = empirical_rademacher(pool, S, trials=4000, rng=rng, mode="mc")
             scaled.append((est.mean + 4 * est.stderr) * np.sqrt(m))
         cap = scaled[0] * 1.5
@@ -219,7 +218,7 @@ class TestExactEnumeration:
     def test_exact_matches_monte_carlo_at_m20(self):
         rng = np.random.default_rng(20)
         pool = random_sparse_pool(ClassParams(n=8, s=8, k=1), 8, rng)
-        S = uniform_sample_set(8)(20, rng)
+        S = rng.integers(0, 1 << 8, size=20)
         exact = empirical_rademacher(pool, S, trials=0, mode="exact")
         mc = empirical_rademacher(pool, S, trials=40_000, rng=rng, mode="mc")
         assert exact.trials == 1 << 20
@@ -261,11 +260,6 @@ class TestSampleIndices:
         with pytest.raises(ValueError):
             empirical_rademacher(pool, idx, trials=0, mode="exact")
 
-    def test_sample_set_draws_packed_indices(self):
-        a = uniform_sample_set(10)(50, np.random.default_rng(4))
-        b = np.random.default_rng(4).integers(0, 1 << 10, size=50)
-        assert a.dtype.kind == "i" and np.array_equal(a, b)
-
 
 class TestRandomSparsePool:
     def test_single_member(self):
@@ -300,9 +294,7 @@ class TestCompareToBound:
     def test_bound_column_matches_formula(self):
         rng = np.random.default_rng(10)
         pool = random_sparse_pool(ClassParams(n=6, s=4, k=1), 4, rng)
-        rows = compare_to_bound(
-            pool, uniform_sample_set(6), [8, 32], trials=400, rng=rng
-        )
+        rows = compare_to_bound(pool, [8, 32], trials=400, rng=rng)
         for row in rows:
             want = rademacher_bound(
                 ClassParams(n=6, s=4, k=1, W=pool.W, B=pool.B, m=row["m"])
@@ -313,31 +305,26 @@ class TestCompareToBound:
     def test_zero_pool_rows(self):
         pool = constant_pool(4, [0.0])
         pool = HypothesisPool(members=pool.members, n=4, s=1, k=1, W=1.0, B=1.0)
-        rows = compare_to_bound(
-            pool,
-            uniform_sample_set(4),
-            [4, 16],
-            trials=200,
-            rng=np.random.default_rng(11),
-        )
+        rows = compare_to_bound(pool, [4, 16], trials=200, rng=np.random.default_rng(11))
         assert all(row["estimate"] == 0.0 for row in rows)
 
     def test_quadrupling_m_roughly_halves_estimate(self):
         rng = np.random.default_rng(12)
         pool = random_sparse_pool(ClassParams(n=8, s=8, k=1), 16, rng)
-        rows = compare_to_bound(
-            pool, uniform_sample_set(8), [24, 96], trials=4000, rng=rng
-        )
+        rows = compare_to_bound(pool, [24, 96], trials=4000, rng=rng)
         ratio = rows[0]["estimate"] / rows[1]["estimate"]
         assert 1.6 <= ratio <= 2.4
+
+    @pytest.mark.parametrize("grid", [[0], [1], [-3], [1, 4], [4, 8, 1]])
+    def test_grid_below_two_refused_before_any_estimate(self, monkeypatch, grid):
+        def estimate(*args, **kwargs):
+            raise AssertionError("an estimate ran")
+
+        monkeypatch.setattr(rademacher_lab, "empirical_rademacher", estimate)
+        with pytest.raises(ValueError, match=r"sizes >= 2, got \["):
+            compare_to_bound(constant_pool(4, [1.0]), grid, 10, np.random.default_rng(0))
 
     def test_grid_must_increase(self):
         pool = constant_pool(4, [1.0])
         with pytest.raises(ValueError):
-            compare_to_bound(
-                pool,
-                uniform_sample_set(4),
-                [16, 8],
-                trials=10,
-                rng=np.random.default_rng(0),
-            )
+            compare_to_bound(pool, [16, 8], trials=10, rng=np.random.default_rng(0))
