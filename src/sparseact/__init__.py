@@ -4,9 +4,7 @@ complexity-bound evaluators, all at exhaustively checkable scale.
 """
 
 from .bounds import (
-    BoundValue,
     ClassParams,
-    FormulaId,
     avg_sensitivity_bound,
     degree_for_error,
     halfspace_sensitivity_bound,
@@ -74,13 +72,11 @@ from .rademacher_lab import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundValue",
     "CapacityError",
     "ClassParams",
     "CubeFunction",
     "CubePoint",
     "Dataset",
-    "FormulaId",
     "GeneralizedDecisionList",
     "HypothesisPool",
     "InconsistentDataError",

@@ -1,8 +1,8 @@
 """Closed-form evaluators for the class's complexity bounds.
 
-Every asymptotic statement hides a constant; these evaluators expose it as
-an explicit parameter C defaulting to 1 and report it back in the result,
-so comparison tables can calibrate C at one scale and test the scaling at
+Every asymptotic statement hides a constant; these evaluators take it as
+an explicit parameter C defaulting to 1 and return plain numbers, so
+comparison tables can calibrate C at one scale and test the scaling at
 another.  Natural logarithms throughout.  Where a bound's log factor could
 dip below 1 on an otherwise valid input, it is clamped to a floor of 1 to
 keep the evaluator monotone (noted per formula); the one exception is the
@@ -13,28 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 LOG_FLOOR = 1.0
-
-
-class FormulaId(str, Enum):
-    AVG_SENSITIVITY = "avg_sensitivity"
-    NOISE_SENSITIVITY = "noise_sensitivity"
-    DEGREE_FOR_ERROR = "degree_for_error"
-    RADEMACHER_THEOREM = "rademacher_theorem"
-    RADEMACHER_CONJECTURE = "rademacher_conjecture"
-    SAMPLE_COMPLEXITY_MAIN = "sample_complexity_main"
-    SAMPLE_COMPLEXITY_LIST = "sample_complexity_list"
-    HALFSPACE_SENSITIVITY = "halfspace_sensitivity"
-
-
-@dataclass(frozen=True)
-class BoundValue:
-    value: float
-    constant_used: float
-    formula_id: FormulaId
 
 
 @dataclass(frozen=True)
@@ -92,17 +73,16 @@ def _require_logs(p: ClassParams) -> None:
         raise ValueError(f"formula needs n >= 2 and s >= 2, got n={p.n}, s={p.s}")
 
 
-def avg_sensitivity_bound(p: ClassParams, C: float = 1.0) -> BoundValue:
+def avg_sensitivity_bound(p: ClassParams, C: float = 1.0) -> float:
     """C * (k^4 W^2 sqrt(n) log(ns) + k^3 B^2 sqrt(log s))."""
     _require_logs(p)
-    value = C * (
+    return C * (
         p.k**4 * p.W**2 * math.sqrt(p.n) * math.log(p.n * p.s)
         + p.k**3 * p.B**2 * math.sqrt(math.log(p.s))
     )
-    return BoundValue(value, C, FormulaId.AVG_SENSITIVITY)
 
 
-def noise_sensitivity_bound(p: ClassParams, C: float = 1.0) -> BoundValue:
+def noise_sensitivity_bound(p: ClassParams, C: float = 1.0) -> float:
     """C * sqrt(1-rho) * (k^4 W^2 log^2(ns/(1-rho)) + k^3 B^2 sqrt(log s)).
 
     Monotone non-increasing in rho once ns/(1-rho) >= e^4; tables should
@@ -114,7 +94,7 @@ def noise_sensitivity_bound(p: ClassParams, C: float = 1.0) -> BoundValue:
     if p.rho >= 1.0:
         raise ValueError("rho must be < 1 for the noise-sensitivity bound")
     t = 1.0 - p.rho
-    value = (
+    return (
         C
         * math.sqrt(t)
         * (
@@ -122,7 +102,6 @@ def noise_sensitivity_bound(p: ClassParams, C: float = 1.0) -> BoundValue:
             + p.k**3 * p.B**2 * math.sqrt(math.log(p.s))
         )
     )
-    return BoundValue(value, C, FormulaId.NOISE_SENSITIVITY)
 
 
 def degree_for_error(p: ClassParams, C: float = 1.0) -> int:
@@ -143,38 +122,36 @@ def degree_for_error(p: ClassParams, C: float = 1.0) -> int:
     return math.ceil(raw)
 
 
-def rademacher_bound(p: ClassParams) -> BoundValue:
+def rademacher_bound(p: ClassParams) -> float:
     """(WR + B) * sqrt(s n k log(k m (R + B))) / sqrt(m)."""
     if p.m is None or p.m < 2:
         raise ValueError(f"m must be >= 2, got {p.m}")
     arg = p.k * p.m * (p.radius + p.B)
     if arg <= 1.0:
         raise ValueError(f"log argument k*m*(R+B) = {arg:.6g} must exceed 1")
-    value = (
+    return (
         (p.W * p.radius + p.B)
         * math.sqrt(p.s * p.n * p.k * math.log(arg))
         / math.sqrt(p.m)
     )
-    return BoundValue(value, 1.0, FormulaId.RADEMACHER_THEOREM)
 
 
-def rademacher_conjecture(p: ClassParams) -> BoundValue:
+def rademacher_conjecture(p: ClassParams) -> float:
     """(WR + B) * sqrt(s k) / sqrt(m) -- conjectured, not proven."""
     if p.m is None or p.m < 2:
         raise ValueError(f"m must be >= 2, got {p.m}")
-    value = (p.W * p.radius + p.B) * math.sqrt(p.s * p.k) / math.sqrt(p.m)
-    return BoundValue(value, 1.0, FormulaId.RADEMACHER_CONJECTURE)
+    return (p.W * p.radius + p.B) * math.sqrt(p.s * p.k) / math.sqrt(p.m)
 
 
 def sample_complexity_general(
     p: ClassParams, C: float = 1.0
-) -> tuple[BoundValue, BoundValue]:
+) -> tuple[float, float]:
     """Both general-distribution sample complexities, as a pair.
 
     First: C * ((WR+B)^2 k s n log(k(R+B)/eps) + log(1/delta)) / eps^2,
     with the log clamped below at 1.  Second (decision-list route):
     C * n^2 B^2 s log(1/delta) / eps^2.  Neither is canonical; both are
-    rounded up to integers.
+    rounded up to whole numbers, returned as floats.
     """
     if p.eps is None or p.delta is None:
         raise ValueError("eps and delta are required")
@@ -188,13 +165,10 @@ def sample_complexity_general(
         / p.eps**2
     )
     dlist = C * p.n**2 * p.B**2 * p.s * math.log(1.0 / p.delta) / p.eps**2
-    return (
-        BoundValue(float(math.ceil(main)), C, FormulaId.SAMPLE_COMPLEXITY_MAIN),
-        BoundValue(float(math.ceil(dlist)), C, FormulaId.SAMPLE_COMPLEXITY_LIST),
-    )
+    return float(math.ceil(main)), float(math.ceil(dlist))
 
 
-def halfspace_sensitivity_bound(prob: float, n: int, C: float = 1.0) -> BoundValue:
+def halfspace_sensitivity_bound(prob: float, n: int, C: float = 1.0) -> float:
     """C * p * sqrt(n log(1/p)) for a halfspace with acceptance probability p.
 
     Returns 0 at p = 0 and at p = 1 (the p -> 1 limit of the formula).
@@ -204,6 +178,5 @@ def halfspace_sensitivity_bound(prob: float, n: int, C: float = 1.0) -> BoundVal
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if prob in (0.0, 1.0):
-        return BoundValue(0.0, C, FormulaId.HALFSPACE_SENSITIVITY)
-    value = C * prob * math.sqrt(n * math.log(1.0 / prob))
-    return BoundValue(value, C, FormulaId.HALFSPACE_SENSITIVITY)
+        return 0.0
+    return C * prob * math.sqrt(n * math.log(1.0 / prob))

@@ -336,9 +336,9 @@ def _cmd_bounds_table(args) -> int:
         values = (params.radius if key == "R" else getattr(params, key) for key in _PARAM_TYPES)
         row: list = ["" if value is None else value for value in values]
         try:
-            row.append(bounds.avg_sensitivity_bound(params, C).value)
+            row.append(bounds.avg_sensitivity_bound(params, C))
             row.append(
-                bounds.noise_sensitivity_bound(params, C).value
+                bounds.noise_sensitivity_bound(params, C)
                 if params.rho is not None and params.rho < 1.0
                 else ""
             )
@@ -346,13 +346,12 @@ def _cmd_bounds_table(args) -> int:
                 bounds.degree_for_error(params, C) if params.eps is not None else ""
             )
             if params.m is not None and params.m >= 2:
-                row.append(bounds.rademacher_bound(params).value)
-                row.append(bounds.rademacher_conjecture(params).value)
+                row.append(bounds.rademacher_bound(params))
+                row.append(bounds.rademacher_conjecture(params))
             else:
                 row.extend(["", ""])
             if params.eps is not None and params.delta is not None:
-                main, dlist = bounds.sample_complexity_general(params, C)
-                row.extend([main.value, dlist.value])
+                row.extend(bounds.sample_complexity_general(params, C))
             else:
                 row.extend(["", ""])
         except OverflowError as exc:

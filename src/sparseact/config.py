@@ -23,15 +23,15 @@ MAX_TABULATE_N = 20
 # Exhaustive sparsity scans keep only one block of pre-activations at a time
 # (hypercube.affine_blocks), so they stretch a little further.  This is also
 # the largest sample size whose 2^m Rademacher sign vectors are enumerated
-# exactly, and the largest dimension of a bucket-pair draw or a sign table.
+# exactly, and the largest dimension of a sign table.
 MAX_EXHAUSTIVE_N = 24
 
 # Edge-decomposition of average sensitivity keeps per-unit activation
 # tables in memory, hence the tighter cap.
 MAX_SPLIT_N = 16
 
-# Largest dimension whose points fit a non-negative int64 index; learner
-# datasets, Monte-Carlo sampling and CubePoint use packed indices.
+# Largest dimension whose points fit a non-negative int64 index: the cap of
+# datasets, Monte-Carlo and bucket-pair draws, juntas and CubePoint.
 MAX_PACKED_N = 62
 
 # Monomial count cap for low-degree regression design matrices.

@@ -14,7 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import MAX_GATE_BITS, MAX_INDEX_BITS, MAX_JUNTA_P, MAX_LIFT_M, MAX_PAYLOAD_DIM
+from .config import (
+    MAX_GATE_BITS, MAX_INDEX_BITS, MAX_JUNTA_P, MAX_LIFT_M, MAX_PACKED_N, MAX_PAYLOAD_DIM,
+)
 from .errors import CapacityError
 from .hypercube import index_signs, packed_indices, point_index
 from .network import SparseNet
@@ -72,6 +74,8 @@ def junta_to_net(spec: JuntaSpec) -> SparseNet:
     p = spec.p
     if p > MAX_JUNTA_P:
         raise CapacityError(f"junta construction needs p <= {MAX_JUNTA_P}, got {p}")
+    if spec.n > MAX_PACKED_N:
+        raise CapacityError(f"junta construction needs n <= {MAX_PACKED_N}, got {spec.n}")
     s = 1 << p
     w = np.zeros((s, spec.n))
     if p > 0:

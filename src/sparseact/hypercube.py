@@ -201,7 +201,7 @@ def sample_bucket_pair(
     law with (y, r, b).  Skipping the r bucket signs keeps memory bounded by
     n, not by r, which grows without bound as rho -> 1.
     """
-    _check_dim(n)
+    _check_dim(n, MAX_PACKED_N)
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"correlation must lie in [0, 1), got {rho}")
     r = int(np.floor(2.0 / (1.0 - rho)))

@@ -145,6 +145,7 @@ class SparsityReport:
     ``mode`` records the quantification: "exhaustive" covers every point of
     the cube (or of an explicitly supplied support), "sampled" estimates the
     violation fraction under the uniform distribution from ``samples`` draws.
+    ``violating_input`` is the first scanned point with more than k active.
     """
 
     max_active: int
@@ -165,59 +166,51 @@ def verify_sparsity(
 ) -> SparsityReport:
     """Check how many units activate simultaneously, against level k.
 
-    Exhaustive mode scans all 2^n inputs (n <= 24), or exactly the packed
-    indices ``support`` when they are given (lifted constructions are only
-    promised to be sparse on their embedded image).  Sampled mode draws
-    ``count`` uniform inputs from ``rng`` and reports the estimated
-    violation fraction.  A violating input comes back as a CubePoint.
+    Exhaustive mode scans all 2^n inputs (n <= 24) block by block, or
+    exactly the packed indices ``support`` when they are given (lifted
+    constructions are only promised to be sparse on their embedded image).
+    Sampled mode draws ``count >= 1`` uniform inputs from ``rng``.  Every
+    mode feeds one report loop with (points, active counts) blocks.
     """
     if k < 1:
         raise ValueError(f"sparsity level must be >= 1, got {k}")
-    if mode == "exhaustive":
-        if support is not None:
-            return _scan_points(net, k, packed_indices(support, net.n), "exhaustive")
+    if mode == "exhaustive" and support is None:
         if net.n > MAX_EXHAUSTIVE_N:
             raise CapacityError(
                 f"exhaustive scan needs n <= {MAX_EXHAUSTIVE_N}, got {net.n}"
             )
-        total = 1 << net.n
-        max_active = 0
-        witness: Optional[CubePoint] = None
-        violations = 0
-        for lo, z in affine_blocks(net.w, -net.b):
-            counts = np.count_nonzero(z > 0.0, axis=0)
-            max_active = max(max_active, int(counts.max()))
-            over = counts > k
-            found = int(np.count_nonzero(over))
-            violations += found
-            if witness is None and found:
-                witness = CubePoint(net.n, lo + int(np.argmax(over)))
-        return SparsityReport(
-            max_active=max_active,
-            violating_input=witness,
-            violation_fraction=violations / total,
-            mode="exhaustive",
-            samples=total,
+        blocks = (
+            (range(lo, lo + z.shape[1]), np.count_nonzero(z > 0.0, axis=0))
+            for lo, z in affine_blocks(net.w, -net.b)
         )
-    if mode == "sampled":
-        if count is None or rng is None:
-            raise ValueError("sampled mode needs count and rng")
-        idx = rng.integers(0, 1 << net.n, size=count)
-        return _scan_points(net, k, idx, "sampled")
-    raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-
-
-def _scan_points(net: SparseNet, k: int, idx: np.ndarray, mode: str) -> SparsityReport:
-    """The report of ``verify_sparsity`` on the packed points ``idx``."""
-    counts = net.active_counts(index_signs(idx, net.n))
-    over = counts > k
-    witness = CubePoint(net.n, int(idx[np.argmax(over)])) if over.any() else None
+    else:
+        if mode == "exhaustive":
+            idx = packed_indices(support, net.n)
+        elif mode == "sampled":
+            if count is None or rng is None:
+                raise ValueError("sampled mode needs count and rng")
+            if count < 1:
+                raise ValueError(f"sampled mode needs count >= 1, got {count}")
+            idx = rng.integers(0, 1 << net.n, size=count)
+        else:
+            raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+        blocks = [(idx, net.active_counts(index_signs(idx, net.n)))]
+    max_active = violations = total = 0
+    witness: Optional[CubePoint] = None
+    for points, counts in blocks:
+        over = counts > k
+        found = int(np.count_nonzero(over))
+        if witness is None and found:
+            witness = CubePoint(net.n, int(points[np.argmax(over)]))
+        max_active = max(max_active, int(counts.max()))
+        violations += found
+        total += len(points)
     return SparsityReport(
-        max_active=int(counts.max()),
+        max_active=max_active,
         violating_input=witness,
-        violation_fraction=float(over.mean()),
+        violation_fraction=violations / total,
         mode=mode,
-        samples=idx.size,
+        samples=total,
     )
 
 

@@ -209,8 +209,8 @@ def compare_to_bound(
                 "m": m,
                 "estimate": est.mean,
                 "stderr": est.stderr,
-                "bound": bound.value,
-                "ratio": est.mean / bound.value if bound.value else math.inf,
+                "bound": bound,
+                "ratio": est.mean / bound if bound else math.inf,
             }
         )
     return rows

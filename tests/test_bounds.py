@@ -7,7 +7,6 @@ import pytest
 
 from sparseact import (
     ClassParams,
-    FormulaId,
     avg_sensitivity_bound,
     degree_for_error,
     halfspace_sensitivity_bound,
@@ -22,25 +21,24 @@ from sparseact.bounds import require_level
 class TestAvgSensitivityBound:
     def test_spot_value(self):
         p = ClassParams(n=4, s=2, k=1, W=1.0, B=0.0)
-        assert avg_sensitivity_bound(p).value == pytest.approx(2 * math.log(8))
+        assert avg_sensitivity_bound(p) == pytest.approx(2 * math.log(8))
 
     def test_zero_scales(self):
         p = ClassParams(n=4, s=4, k=2, W=0.0, B=0.0)
-        assert avg_sensitivity_bound(p).value == 0.0
+        assert avg_sensitivity_bound(p) == 0.0
 
     def test_k_doubling_multiplies_first_term_by_16(self):
         base = ClassParams(n=8, s=8, k=1, W=1.5, B=0.0)
         double = ClassParams(n=8, s=8, k=2, W=1.5, B=0.0)
-        assert avg_sensitivity_bound(double).value == pytest.approx(
-            16 * avg_sensitivity_bound(base).value
+        assert avg_sensitivity_bound(double) == pytest.approx(
+            16 * avg_sensitivity_bound(base)
         )
 
     def test_constant_scaling(self):
         p = ClassParams(n=4, s=4, k=1, W=1.0, B=1.0)
-        assert avg_sensitivity_bound(p, 3.0).value == pytest.approx(
-            3 * avg_sensitivity_bound(p, 1.0).value
+        assert avg_sensitivity_bound(p, 3.0) == pytest.approx(
+            3 * avg_sensitivity_bound(p, 1.0)
         )
-        assert avg_sensitivity_bound(p, 3.0).constant_used == 3.0
 
     def test_needs_logs(self):
         with pytest.raises(ValueError):
@@ -52,7 +50,7 @@ class TestNoiseSensitivityBound:
         values = [
             noise_sensitivity_bound(
                 ClassParams(n=4, s=4, k=1, W=1.0, B=1.0, rho=rho)
-            ).value
+            )
             for rho in (1 - 1e-4, 1 - 1e-8, 1 - 1e-12)
         ]
         assert values[0] > values[1] > values[2]
@@ -60,7 +58,7 @@ class TestNoiseSensitivityBound:
 
     def test_spot_value(self):
         p = ClassParams(n=2, s=2, k=1, W=1.0, B=0.0, rho=0.0)
-        assert noise_sensitivity_bound(p).value == pytest.approx(math.log(4.0) ** 2)
+        assert noise_sensitivity_bound(p) == pytest.approx(math.log(4.0) ** 2)
 
     def test_monotone_non_increasing_in_rho(self):
         # holds once ns/(1-rho) clears e^4; n = s = 8 keeps every grid point
@@ -68,7 +66,7 @@ class TestNoiseSensitivityBound:
         values = [
             noise_sensitivity_bound(
                 ClassParams(n=8, s=8, k=1, W=1.0, B=0.5, rho=rho)
-            ).value
+            )
             for rho in np.linspace(0.0, 0.99, 25)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
@@ -99,7 +97,7 @@ class TestRademacherBound:
     def test_quadrupling_m_roughly_halves(self):
         p1 = ClassParams(n=4, s=8, k=1, W=1.0, B=2.0, m=1_000_000)
         p4 = ClassParams(n=4, s=8, k=1, W=1.0, B=2.0, m=4_000_000)
-        ratio = rademacher_bound(p1).value / rademacher_bound(p4).value
+        ratio = rademacher_bound(p1) / rademacher_bound(p4)
         assert 1.9 <= ratio <= 2.1
 
     def test_k1_matches_displayed_formula(self):
@@ -108,13 +106,13 @@ class TestRademacherBound:
         want = (1.5 * R + 0.5) * math.sqrt(
             10 * 6 * math.log(300 * (R + 0.5))
         ) / math.sqrt(300)
-        assert rademacher_bound(p).value == pytest.approx(want)
+        assert rademacher_bound(p) == pytest.approx(want)
 
     def test_quadrupling_s_doubles(self):
         p1 = ClassParams(n=4, s=5, k=1, W=1.0, B=1.0, m=100)
         p4 = ClassParams(n=4, s=20, k=1, W=1.0, B=1.0, m=100)
-        assert rademacher_bound(p4).value == pytest.approx(
-            2 * rademacher_bound(p1).value
+        assert rademacher_bound(p4) == pytest.approx(
+            2 * rademacher_bound(p1)
         )
 
     def test_log_argument_guard(self):
@@ -130,16 +128,11 @@ class TestRademacherBound:
 class TestRademacherConjecture:
     def test_spot_values(self):
         p = ClassParams(n=4, s=9, k=1, W=1.0, B=0.0, m=100)
-        assert rademacher_conjecture(p).value == pytest.approx(2.0 * 3.0 / 10.0)
+        assert rademacher_conjecture(p) == pytest.approx(2.0 * 3.0 / 10.0)
         p2 = ClassParams(n=4, s=9, k=4, W=0.0, B=1.0, m=100)
-        assert rademacher_conjecture(p2).value == pytest.approx(6.0 / 10.0)
+        assert rademacher_conjecture(p2) == pytest.approx(6.0 / 10.0)
         p3 = ClassParams(n=16, s=1, k=1, W=1.0, B=1.0, m=25)
-        assert rademacher_conjecture(p3).value == pytest.approx(5.0 / 5.0)
-
-    def test_labeled_conjecture(self):
-        p = ClassParams(n=4, s=4, m=16)
-        assert rademacher_conjecture(p).formula_id is FormulaId.RADEMACHER_CONJECTURE
-        assert "conjecture" in rademacher_conjecture(p).formula_id.value
+        assert rademacher_conjecture(p3) == pytest.approx(5.0 / 5.0)
 
 
 class TestSampleComplexity:
@@ -152,17 +145,15 @@ class TestSampleComplexity:
             ((1.0 * R + 1.0) ** 2 * 1 * 8 * 4 * log_term + math.log(20.0)) / 0.01
         )
         want_dlist = math.ceil(16 * 1.0 * 8 * math.log(20.0) / 0.01)
-        assert main.value == want_main
-        assert dlist.value == want_dlist
-        assert main.formula_id is FormulaId.SAMPLE_COMPLEXITY_MAIN
-        assert dlist.formula_id is FormulaId.SAMPLE_COMPLEXITY_LIST
+        assert main == want_main
+        assert dlist == want_dlist
 
     def test_log_floor_clamp(self):
         # k (R + B) / eps below e would send the log under 1; it clamps to 1
         p = ClassParams(n=4, s=2, k=1, W=1.0, B=0.0, R=1.0, eps=0.9, delta=0.5)
         main, _ = sample_complexity_general(p)
         want = math.ceil(((1.0 + 0.0) ** 2 * 8 * 1.0 + math.log(2.0)) / 0.81)
-        assert main.value == want
+        assert main == want
 
     def test_requires_eps_delta(self):
         with pytest.raises(ValueError):
@@ -171,18 +162,18 @@ class TestSampleComplexity:
 
 class TestHalfspaceBound:
     def test_endpoints_zero(self):
-        assert halfspace_sensitivity_bound(0.0, 8).value == 0.0
-        assert halfspace_sensitivity_bound(1.0, 8).value == 0.0
+        assert halfspace_sensitivity_bound(0.0, 8) == 0.0
+        assert halfspace_sensitivity_bound(1.0, 8) == 0.0
 
     def test_spot_value(self):
-        assert halfspace_sensitivity_bound(0.5, 4).value == pytest.approx(
+        assert halfspace_sensitivity_bound(0.5, 4) == pytest.approx(
             0.5 * math.sqrt(4 * math.log(2.0))
         )
 
     def test_concavity_on_grid(self):
         # p sqrt(log 1/p): chord midpoints sit below the curve
         grid = np.linspace(0.05, 0.95, 19)
-        g = lambda p: halfspace_sensitivity_bound(float(p), 1).value
+        g = lambda p: halfspace_sensitivity_bound(float(p), 1)
         for a, b in zip(grid, grid[2:]):
             mid = (a + b) / 2
             assert g(mid) >= (g(a) + g(b)) / 2 - 1e-12
@@ -213,8 +204,8 @@ class TestMonotonicity:
                 ClassParams(n=n, s=s, k=k, W=W + 1, B=B, rho=rho, eps=eps),
                 ClassParams(n=n, s=s, k=k, W=W, B=B + 1, rho=rho, eps=eps),
             ):
-                assert avg_sensitivity_bound(bump).value >= avg_sensitivity_bound(base).value
-                assert noise_sensitivity_bound(bump).value >= noise_sensitivity_bound(base).value
+                assert avg_sensitivity_bound(bump) >= avg_sensitivity_bound(base)
+                assert noise_sensitivity_bound(bump) >= noise_sensitivity_bound(base)
                 assert degree_for_error(bump) >= degree_for_error(base)
 
     def test_rademacher_grid(self):
@@ -229,8 +220,8 @@ class TestMonotonicity:
             m = int(rng.integers(10, 5000))
             base = ClassParams(n=n, s=s, k=k, W=W, B=B, m=m)
             assert (
-                rademacher_bound(ClassParams(n=n, s=s, k=k, W=W, B=B, m=4 * m)).value
-                <= rademacher_bound(base).value
+                rademacher_bound(ClassParams(n=n, s=s, k=k, W=W, B=B, m=4 * m))
+                <= rademacher_bound(base)
             )
             for bump in (
                 ClassParams(n=n + 1, s=s, k=k, W=W, B=B, m=m),
@@ -239,10 +230,10 @@ class TestMonotonicity:
                 ClassParams(n=n, s=s, k=k, W=W + 0.5, B=B, m=m),
                 ClassParams(n=n, s=s, k=k, W=W, B=B + 0.5, m=m),
             ):
-                assert rademacher_bound(bump).value >= rademacher_bound(base).value
+                assert rademacher_bound(bump) >= rademacher_bound(base)
                 assert (
-                    rademacher_conjecture(bump).value
-                    >= rademacher_conjecture(base).value
+                    rademacher_conjecture(bump)
+                    >= rademacher_conjecture(base)
                 )
 
     def test_sample_complexity_grid(self):
@@ -265,8 +256,8 @@ class TestMonotonicity:
             ):
                 got = sample_complexity_general(bump)
                 ref = sample_complexity_general(base)
-                assert got[0].value >= ref[0].value
-                assert got[1].value >= ref[1].value
+                assert got[0] >= ref[0]
+                assert got[1] >= ref[1]
 
 
 class TestClassParams:

@@ -38,6 +38,7 @@ from sparseact.cli import (
     run,
 )
 from sparseact.config import REL_TOL_EXACT
+from sparseact.constructions import random_junta
 
 DATA = Path(__file__).parent / "data"
 
@@ -250,7 +251,7 @@ class TestBoundsTable:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         row = rows[0]
-        want = avg_sensitivity_bound(ClassParams(n=8, s=4, k=1, W=1.5, B=2.0)).value
+        want = avg_sensitivity_bound(ClassParams(n=8, s=4, k=1, W=1.5, B=2.0))
         assert float(row["avg_sensitivity_bound"]) == want
         assert float(row["measured_as"]) == 3.25
 
@@ -675,6 +676,23 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must lie in [1, " in err and err.count("\n") == 1
 
+    def test_junta_dimension_above_the_packed_cap(self, capsys):
+        rc = run(["construct", "--kind", "junta", "--n", "63", "--relevant", "1", "--seed", "1"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: junta construction needs n <= 62, got 63\n")
+
+    @pytest.mark.parametrize("n", ["63", "64"])
+    def test_rademacher_dimension_above_the_packed_cap(self, capsys, monkeypatch, n):
+        # refused while the first pool member is built
+        draws = []
+        monkeypatch.setattr(
+            rademacher_lab, "random_junta", lambda *a: draws.append(a) or random_junta(*a)
+        )
+        rc = run(["rademacher", "--n", n, "--s", "4", "--pool-count", "3",
+                  "--m-grid", "8", "--trials", "10", "--seed", "1"])
+        assert rc == 1 and len(draws) == 1
+        assert capsys.readouterr() == ("", f"error: junta construction needs n <= 62, got {n}\n")
+
     @pytest.mark.parametrize("grid", ["0", "1", "-3"])
     def test_rademacher_m_grid_below_two(self, capsys, monkeypatch, grid):
         def estimate(*args, **kwargs):
@@ -933,9 +951,10 @@ class TestReaderFuzz:
 
 # -- fuzzing the command lines of all eight subcommands -----------------------
 
-# Values any flag may be given instead of a sensible one.  No size flag ever
+# Values any flag may be given instead of a sensible one.  No other size flag
 # gets a large positive count: per-chunk bookkeeping grows with --trials, and
-# a large --n or --bits makes dense tables.
+# a large --bits makes dense tables.  The --n of construct and rademacher may
+# be huge, since a junta above 62 inputs is refused before any allocation.
 _ARGV_JUNK = ["nan", "inf", "-1", "0", "1e308", "x", ""]
 
 # subcommand -> (required flags, optional flags), each mapped to its sensible
@@ -944,7 +963,7 @@ _ARGV_JUNK = ["nan", "inf", "-1", "0", "1e308", "x", ""]
 _ARGV_FLAGS = {
     "construct": (
         {"--kind": ["junta", "index", "parity", "gamma"]},
-        {"--n": ["1", "4"], "--relevant": ["1", "1,2", "2,2", "5"],
+        {"--n": ["1", "4", "63", "1000000000"], "--relevant": ["1", "1,2", "2,2", "5"],
          "--table": ["1,-1", "1,-1,-1,1"], "--bits": ["1", "2", "11"],
          "--m": ["2", "3", "13"], "--subset": ["1", "1,2", "4"],
          "--gate-bits": ["1", "2", "9"], "--payload-dim": ["1", "3", "17"],
@@ -968,7 +987,8 @@ _ARGV_FLAGS = {
          "--tol": ["0", "1e-6", "0.5"]},
     ),
     "rademacher": (
-        {"--n": ["2", "4", "6"], "--s": ["1", "2", "4"], "--pool-count": ["1", "2"],
+        {"--n": ["2", "4", "6", "63", "1000000000"], "--s": ["1", "2", "4"],
+         "--pool-count": ["1", "2"],
          "--m-grid": ["2", "4,8", "8,4", "1", "-3", ""], "--trials": ["1", "16"],
          "--seed": ["1", "7"]},
         {"--k": ["1", "2", "3"], "--mode": ["auto", "exact", "mc"],

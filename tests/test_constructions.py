@@ -19,7 +19,7 @@ from sparseact import (
     tabulate,
     verify_sparsity,
 )
-from sparseact.config import MAX_LIFT_M
+from sparseact.config import MAX_LIFT_M, MAX_PACKED_N
 from sparseact.hypercube import index_signs
 
 
@@ -66,6 +66,12 @@ class TestJunta:
     def test_duplicate_relevant_rejected(self):
         with pytest.raises(ValueError):
             JuntaSpec(n=4, relevant=(2, 2), table=np.zeros(4))
+
+    def test_dimension_capped_at_packed_n(self):
+        table = np.array([1.0, -1.0])
+        assert junta_to_net(JuntaSpec(n=MAX_PACKED_N, relevant=(1,), table=table)).n == 62
+        with pytest.raises(CapacityError, match=r"^junta construction needs n <= 62, got 63$"):
+            junta_to_net(JuntaSpec(n=MAX_PACKED_N + 1, relevant=(1,), table=table))
 
     def test_table_length_checked(self):
         with pytest.raises(ValueError):

@@ -318,7 +318,7 @@ class TestHalfspaceTrend:
             p = float(np.mean(f.values))
             if p in (0.0, 1.0):
                 return None
-            bound = halfspace_sensitivity_bound(p, f.n).value
+            bound = halfspace_sensitivity_bound(p, f.n)
             return avg_sensitivity_exact(f) / bound
 
         rng = np.random.default_rng(22)

@@ -211,12 +211,14 @@ class TestBucketPair:
     def test_flip_rate_matches_one_over_r(self, rho, r_want):
         rng = np.random.default_rng(11)
         n, N = 6, 100_000
-        flips = np.zeros(n)
-        for _ in range(N):
+        xs = np.empty(N, dtype=np.int64)
+        ys = np.empty(N, dtype=np.int64)
+        for t in range(N):
             x, y, r, b = sample_bucket_pair(n, rho, rng)
             assert r == r_want
             assert 1 <= b <= r
-            flips += x.signs() != y.signs()
+            xs[t], ys[t] = x.index, y.index
+        flips = (index_signs(xs ^ ys, n) < 0).sum(axis=0)
         p = 1.0 / r_want
         sigma = np.sqrt(p * (1 - p) / N)
         assert np.all(np.abs(flips / N - p) < 4 * sigma)
@@ -224,10 +226,11 @@ class TestBucketPair:
     def test_marginal_x_uniform(self):
         rng = np.random.default_rng(13)
         n, N = 6, 100_000
-        sums = np.zeros(n)
-        for _ in range(N):
+        xs = np.empty(N, dtype=np.int64)
+        for t in range(N):
             x, _, _, _ = sample_bucket_pair(n, 0.5, rng)
-            sums += x.signs()
+            xs[t] = x.index
+        sums = index_signs(xs, n).sum(axis=0)
         assert np.all(np.abs(sums / N) < 4.0 / np.sqrt(N))
 
     def test_rho_one_rejected(self):
@@ -242,10 +245,12 @@ class TestBucketPair:
         scipy_stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(17)
         n, N = 5, 50_000
-        indicators = np.zeros((N, n), dtype=bool)
+        xs = np.empty(N, dtype=np.int64)
+        ys = np.empty(N, dtype=np.int64)
         for t in range(N):
             x, y, r, _ = sample_bucket_pair(n, 0.5, rng)
-            indicators[t] = x.signs() != y.signs()
+            xs[t], ys[t] = x.index, y.index
+        indicators = index_signs(xs ^ ys, n) < 0  # coordinates where x and y differ
         for i in range(n):
             for j in range(i + 1, n):
                 table = np.array(
@@ -281,3 +286,15 @@ class TestBucketPair:
         a = sample_bucket_pair(8, 0.5, np.random.default_rng(99))
         b = sample_bucket_pair(8, 0.5, np.random.default_rng(99))
         assert a == b
+
+    def test_packed_range_reaches_max_packed_n(self):
+        rng = np.random.default_rng(23)
+        tops = []
+        for _ in range(200):
+            x, y, r, _ = sample_bucket_pair(MAX_PACKED_N, 0.5, rng)
+            assert x.n == y.n == MAX_PACKED_N and r == 4
+            assert 0 <= x.index < 1 << MAX_PACKED_N and 0 <= y.index < 1 << MAX_PACKED_N
+            tops.append(x.index >> (MAX_PACKED_N - 1))
+        assert any(tops)  # the top coordinate is drawn too
+        with pytest.raises(ValueError, match=r"dimension must be in \[1, 62\], got 63"):
+            sample_bucket_pair(MAX_PACKED_N + 1, 0.5, rng)

@@ -145,6 +145,18 @@ class TestVerifySparsity:
         assert report.samples == 500
         assert report.violation_fraction == 1.0
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_sampled_count_below_one(self, count):
+        with pytest.raises(ValueError, match=rf"^sampled mode needs count >= 1, got {count}$"):
+            verify_sparsity(single_unit_net(), 1, "sampled", count=count,
+                            rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_whole_support_equals_whole_cube(self, k):
+        # the block scan and the one-block scan of every index give one report
+        net = random_net(np.random.default_rng(6), _BLOCK_BITS + 1, 5)
+        assert verify_sparsity(net, k, support=np.arange(1 << net.n)) == verify_sparsity(net, k)
+
     def test_capacity(self):
         net = SparseNet(
             n=25, s=1, k=1, u=np.ones(1), w=np.zeros((1, 25)), b=np.zeros(1)

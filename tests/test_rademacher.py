@@ -298,7 +298,7 @@ class TestCompareToBound:
         for row in rows:
             want = rademacher_bound(
                 ClassParams(n=6, s=4, k=1, W=pool.W, B=pool.B, m=row["m"])
-            ).value
+            )
             assert row["bound"] == want
             assert row["ratio"] == row["estimate"] / want
 
