@@ -67,27 +67,33 @@ def _column_texts(columns: Sequence[Sequence], cell) -> list[list[str]]:
 
     A column of floats is checked for finiteness once and formatted in one
     pass, a column of ints likewise; any other column goes through ``cell``
-    one value at a time.  When a cell is refused, the error names the first
-    bad cell in row order, as a row-by-row writer would.
+    one value at a time.  When cells are refused, ``cell``'s error at the
+    first of them in row order is raised, as a row-by-row writer would.
     """
-    try:
-        texts = []
-        for column in columns:
-            kinds = set(map(type, column))
+    texts, refused = [], []
+    for j, column in enumerate(columns):
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        # the cells of an array, or of a range, share one type
+        kinds = set(map(type, values[:1] if isinstance(column, (np.ndarray, range)) else values))
+        try:
             if kinds <= {float}:
-                if not np.isfinite(np.array(column, dtype=np.float64)).all():
-                    raise ValueError("non-finite result")
-                texts.append(list(map(float.__repr__, column)))
+                if not np.isfinite(np.asarray(column, dtype=np.float64)).all():
+                    raise ValueError
+                texts.append(list(map(float.__repr__, values)))
             elif kinds == {int}:
-                texts.append(list(map(int.__repr__, column)))
+                texts.append(list(map(int.__repr__, values)))
             else:
-                texts.append(list(map(cell, column)))
-        return texts
-    except (TypeError, ValueError):
-        for row in zip(*columns):
-            for value in row:
-                cell(value)
-        raise
+                texts.append(list(map(cell, values)))
+        except (TypeError, ValueError):
+            for row, value in enumerate(values):
+                try:
+                    cell(value)
+                except (TypeError, ValueError) as exc:
+                    refused.append((row, j, exc))
+                    break
+    if refused:
+        raise min(refused)[2]
+    return texts
 
 
 def _join_rows(texts: list[list[str]], seps: list[str]) -> str:
@@ -258,8 +264,7 @@ def _cmd_construct(args) -> int:
 def _cmd_transform(args) -> int:
     net = _load_net(args.net)
     spec = wht(tabulate(net, net.n))
-    columns = [range(spec.coeffs.size), spec.coeffs.tolist()]
-    _emit_table(args, ["bitmask", "coefficient"], columns)
+    _emit_table(args, ["bitmask", "coefficient"], [range(spec.coeffs.size), spec.coeffs])
     return 0
 
 

@@ -18,7 +18,8 @@ Coordinates are 1-indexed throughout the public API; only storage is
 between packed indices and sign rows; everything else goes through them,
 except ``flip_masks``, which packs the Monte-Carlo flip draws in place.
 Whole-cube affine maps (a net's pre-activations at all 2^n points) come
-from ``affine_blocks``, which never unpacks an index.
+from ``affine_blocks``, which never unpacks an index; the exhaustive sparsity
+scan counts their positive entries off the same tables, with no float block.
 """
 
 from __future__ import annotations
@@ -128,6 +129,19 @@ def _doubling(W: np.ndarray, start: np.ndarray) -> np.ndarray:
     return T
 
 
+def _cube_tables(W, c) -> tuple[np.ndarray, np.ndarray]:
+    """The doubling tables of ``affine_blocks``: (base block, offsets)."""
+    W = np.asarray(W, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    if W.ndim != 2 or c.shape != W.shape[:1]:
+        raise ValueError(
+            f"need W of shape (s, n) and c of shape (s,), got {W.shape} and {c.shape}"
+        )
+    _check_dim(W.shape[1])
+    low = min(W.shape[1], _BLOCK_BITS)
+    return _doubling(W[:, :low], c), _doubling(W[:, low:], np.zeros_like(c))
+
+
 def affine_blocks(W, c) -> Iterator[tuple[int, np.ndarray]]:
     """The affine map x -> W x + c over the whole cube, in aligned blocks.
 
@@ -140,18 +154,22 @@ def affine_blocks(W, c) -> Iterator[tuple[int, np.ndarray]]:
     weights (the constructions) every entry is exact, including the zero
     ties the strict ``> 0`` rule reads.
     """
-    W = np.asarray(W, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if W.ndim != 2 or c.shape != W.shape[:1]:
-        raise ValueError(
-            f"need W of shape (s, n) and c of shape (s,), got {W.shape} and {c.shape}"
-        )
-    _check_dim(W.shape[1])
-    low = min(W.shape[1], _BLOCK_BITS)
-    base = _doubling(W[:, :low], c)
-    offsets = _doubling(W[:, low:], np.zeros_like(c))
+    base, offsets = _cube_tables(W, c)
     for high in range(offsets.shape[1]):
-        yield high << low, base + offsets[:, high : high + 1]
+        yield high * base.shape[1], base + offsets[:, high : high + 1]
+
+
+def _positive_counts(W, c) -> Iterator[tuple[range, np.ndarray]]:
+    """``(points, counts)`` per block Z of ``affine_blocks``: counts[r] is the
+    number of entries > 0 in column r of Z, found without building Z, since
+    ``a > -b`` holds exactly when ``fl(a + b) > 0`` does (zero ties included)."""
+    base, offsets = _cube_tables(W, c)
+    s, cols = base.shape
+    mask = np.empty((s, cols), dtype=bool)
+    for high, offset in enumerate(offsets.T):
+        np.greater(base, -offset[:, None], out=mask)
+        counts = np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.min_scalar_type(s))
+        yield range(high * cols, (high + 1) * cols), counts
 
 
 # Multiplier that gathers the low bits of the 8 bytes of a uint64 into its

@@ -18,6 +18,7 @@ import numpy as np
 from .config import MAX_EXHAUSTIVE_N, MAX_SPLIT_N
 from .errors import CapacityError
 from .hypercube import CubePoint, affine_blocks, index_signs, packed_indices, point_index
+from .hypercube import _positive_counts
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -166,7 +167,8 @@ def verify_sparsity(
 ) -> SparsityReport:
     """Check how many units activate simultaneously, against level k.
 
-    Exhaustive mode scans all 2^n inputs (n <= 24) block by block, or
+    Exhaustive mode scans all 2^n inputs (n <= 24) block by block, counting
+    from the doubling tables with no float block of pre-activations, or
     exactly the packed indices ``support`` when they are given (lifted
     constructions are only promised to be sparse on their embedded image).
     Sampled mode draws ``count >= 1`` uniform inputs from ``rng``.  Every
@@ -179,10 +181,7 @@ def verify_sparsity(
             raise CapacityError(
                 f"exhaustive scan needs n <= {MAX_EXHAUSTIVE_N}, got {net.n}"
             )
-        blocks = (
-            (range(lo, lo + z.shape[1]), np.count_nonzero(z > 0.0, axis=0))
-            for lo, z in affine_blocks(net.w, -net.b)
-        )
+        blocks = _positive_counts(net.w, -net.b)
     else:
         if mode == "exhaustive":
             idx = packed_indices(support, net.n)

@@ -420,12 +420,14 @@ def reference_read_dataset_csv(path) -> Dataset:
 
 def reference_scan(net: SparseNet, k: int, chunk: int = 1 << 16) -> SparsityReport:
     """Exhaustive sparsity scan by unpacking every index and multiplying out
-    the pre-activations, chunk by chunk; the oracle for ``verify_sparsity``."""
+    the pre-activations ``signs @ w.T - b``, chunk by chunk, and counting the
+    positive ones; the oracle for ``verify_sparsity``."""
     total = 1 << net.n
     max_active, violations, witness = 0, 0, None
     for lo in range(0, total, chunk):
         idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        counts = net.active_counts(index_signs(idx, net.n))
+        signs = index_signs(idx, net.n).astype(np.float64)
+        counts = np.count_nonzero(signs @ net.w.T - net.b > 0.0, axis=1)
         max_active = max(max_active, int(counts.max()))
         over = counts > k
         violations += int(over.sum())

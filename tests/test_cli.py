@@ -5,6 +5,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +41,7 @@ from sparseact.cli import (
     run,
 )
 from sparseact.config import REL_TOL_EXACT
-from sparseact.constructions import random_junta
+from sparseact.constructions import random_junta, random_net
 
 DATA = Path(__file__).parent / "data"
 
@@ -234,6 +237,34 @@ class TestTableWriters:
         with pytest.raises(ValueError) as exc:
             write(["x", "y"], [[1.0, float("nan")], [float("inf"), 2.0]])
         assert str(exc.value) == message
+
+
+class TestBlasThreadCount:
+    """stdout of the dense commands does not depend on how many threads
+    OpenBLAS runs, which splits long dot products between them."""
+
+    # both tables of one net, printed by one process
+    SCRIPT = (
+        "import sys; from sparseact.cli import run; "
+        "run(['transform', '--net', sys.argv[1]]); "
+        "run(['sensitivity', '--net', sys.argv[1], '--rho', '0.5'])"
+    )
+
+    def test_same_bytes_at_one_and_two_threads(self, tmp_path):
+        path = tmp_path / "net18.json"
+        path.write_text(random_net(np.random.default_rng(18), 18, 8).to_json())
+        src = str(Path(__file__).parents[1] / "src")
+        stdouts = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT, str(path)],
+                env=env, capture_output=True, check=True,
+            )
+            stdouts.append(proc.stdout)
+        assert stdouts[0] == stdouts[1]
+        assert stdouts[0].count(b"\n") == (1 << 18) + 1 + 4
 
 
 class TestBoundsTable:

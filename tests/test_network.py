@@ -27,7 +27,13 @@ from sparseact import (
 )
 from sparseact.config import REL_TOL_EXACT
 from sparseact.constructions import random_net
-from sparseact.hypercube import _BLOCK_BITS, affine_blocks, index_signs, pack_bits
+from sparseact.hypercube import (
+    _BLOCK_BITS,
+    _positive_counts,
+    affine_blocks,
+    index_signs,
+    pack_bits,
+)
 
 
 def active_sets(net, X):
@@ -475,7 +481,8 @@ class TestCubeKernel:
 
     def test_memory_bounded_by_block(self):
         rng = np.random.default_rng(5)
-        net = random_net(rng, 22, 8)
+        net = random_net(rng, 22, 32)
+        block = net.s * (1 << _BLOCK_BITS) * 8
         tracemalloc.start()
         try:
             report = verify_sparsity(net, 4, "exhaustive")
@@ -483,8 +490,10 @@ class TestCubeKernel:
         finally:
             tracemalloc.stop()
         assert report.samples == 1 << 22
-        # one (2^n, s) float array alone would be 256 MiB, a sign table 88 MiB
-        assert peak < 8 * (1 << 20)
+        # the scan keeps the base block, the offsets and one bool mask: one
+        # (s, 2^13) float block per block of points on top would pass 2 blocks,
+        # one (2^n, s) float array would be 1 GiB and a sign table 88 MiB
+        assert peak < 1.5 * block
 
     @pytest.mark.parametrize(
         "W, c", [(np.zeros(3), np.zeros(1)), (np.zeros((2, 3)), np.zeros(3))]
@@ -492,3 +501,70 @@ class TestCubeKernel:
     def test_shape_mismatch(self, W, c):
         with pytest.raises(ValueError):
             next(affine_blocks(W, c))
+
+
+def _crowded_net(rng, n, s):
+    """A random net whose unit j fires wherever <w_j, x> > -t_j ||w_j||_1,
+    t_j ~ U(0, 1.5), and also at the all-ones point: all s units fire there,
+    a third fire everywhere, and the counts elsewhere spread below s."""
+    w = rng.normal(size=(s, n))
+    b = -rng.uniform(0.0, 1.5, size=s) * np.abs(w).sum(axis=1)
+    b = np.minimum(b, w.sum(axis=1) - 0.5)
+    return SparseNet(n=n, s=s, k=s, u=rng.uniform(-1, 1, size=s), w=w, b=b)
+
+
+class TestCountKernel:
+    """The fused whole-cube count kernel against the float blocks of
+    ``affine_blocks`` (same tables, so equal for any weights) and against
+    the matmul oracle ``reference_scan``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_kernel_nets())
+    def test_counts_equal_float_block_counts(self, case):
+        net, _ = case
+        fused = list(_positive_counts(net.w, -net.b))
+        blocks = list(affine_blocks(net.w, -net.b))
+        assert len(fused) == len(blocks)
+        for (points, counts), (lo, z) in zip(fused, blocks):
+            assert points == range(lo, lo + z.shape[1])
+            assert counts.dtype == np.min_scalar_type(net.s)
+            assert np.array_equal(counts, np.count_nonzero(z > 0.0, axis=0))
+
+    @pytest.mark.parametrize("n", [1, 12, 13, 14, 16])
+    def test_random_nets_match_oracle(self, n):
+        rng = np.random.default_rng(100 + n)
+        net = random_net(rng, n, 6)
+        for k in range(1, 7):
+            assert verify_sparsity(net, k, "exhaustive") == reference_scan(net, k)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_index_net_ties_match_oracle(self, bits):
+        net = index_net(bits)
+        for k in (1, 2):
+            assert verify_sparsity(net, k, "exhaustive") == reference_scan(net, k)
+
+    def test_gamma_and_junta_nets_match_oracle(self):
+        rng = np.random.default_rng(7)
+        table = rng.normal(size=(8, 11))
+        table /= np.linalg.norm(table, axis=1, keepdims=True)
+        spec = JuntaSpec(n=14, relevant=(2, 5, 9, 14), table=rng.uniform(-1, 1, 16))
+        for net in (gamma_gated_net(3, 11, float(np.sqrt(11)), table), junta_to_net(spec)):
+            for k in (1, 2):
+                assert verify_sparsity(net, k, "exhaustive") == reference_scan(net, k)
+
+    @pytest.mark.parametrize("s", [255, 256, 300])
+    def test_count_dtype_edge(self, s):
+        # counts reach s: uint8 holds 255, s = 256 and 300 take uint16
+        net = _crowded_net(np.random.default_rng(s), 12, s)
+        assert reference_scan(net, s).max_active == s
+        for k in (1, 150, 200, 254, 255, 256, 299, s):
+            assert verify_sparsity(net, k, "exhaustive") == reference_scan(net, k)
+
+    def test_every_unit_active_at_s_300(self):
+        net = SparseNet(n=13, s=300, k=300, u=np.ones(300), w=np.zeros((300, 13)),
+                        b=np.full(300, -1.0))
+        for k, fraction in ((255, 1.0), (256, 1.0), (299, 1.0), (300, 0.0), (400, 0.0)):
+            report = verify_sparsity(net, k, "exhaustive")
+            assert report.max_active == 300
+            assert report.violation_fraction == fraction
+            assert report.violating_input == (CubePoint(13, 0) if fraction else None)
