@@ -221,22 +221,36 @@ def _check_dataset_signs(table: np.ndarray, lines: list[int], n: int) -> None:
 # -- subcommands -------------------------------------------------------
 
 
-# The flags each kind cannot do without, in the order they are checked.
+# Each kind's flags: those it cannot do without, in the order they are
+# checked, then those it may take.  Any other kind's flag is refused.
 _CONSTRUCT_FLAGS = {
-    "junta": ["relevant", "n"],
-    "index": ["bits"],
-    "parity": ["subset", "m"],
-    "gamma": ["gate_bits", "payload_dim"],
+    "junta": (["relevant", "n"], ["table", "seed"]),
+    "index": (["bits"], []),
+    "parity": (["subset", "m"], []),
+    "gamma": (["gate_bits", "payload_dim", "seed"], ["gamma"]),
 }
+_KIND_FLAGS = [name for required, optional in _CONSTRUCT_FLAGS.values()
+               for name in required + optional]
+
+
+def _refuse_beside(args, beside: str, *names: str) -> None:
+    """ValueError for the first flag of ``names`` given along with ``beside``."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} cannot be combined with {beside}")
 
 
 def _cmd_construct(args) -> int:
-    for name in _CONSTRUCT_FLAGS[args.kind]:
+    required, optional = _CONSTRUCT_FLAGS[args.kind]
+    for name in required:
         if getattr(args, name) is None:
             raise ValueError(f"--{name.replace('_', '-')} is required for {args.kind}")
+    _refuse_beside(args, f"--kind {args.kind}",
+                   *(name for name in _KIND_FLAGS if name not in required + optional))
     if args.kind == "junta":
         relevant = _parse_ints(args.relevant)
         if args.table is not None:
+            _refuse_beside(args, "--table", "seed")
             table = np.array(_parse_floats(args.table))
         elif args.seed is not None:
             rng = np.random.default_rng(args.seed)
@@ -249,8 +263,6 @@ def _cmd_construct(args) -> int:
     elif args.kind == "parity":
         net = parity_lift(args.m, _parse_ints(args.subset))
     else:  # gamma
-        if args.seed is None:
-            raise ValueError("gamma needs --seed for the payload table")
         constructions.check_gate_sizes(args.gate_bits, args.payload_dim)  # before the draw
         rng = np.random.default_rng(args.seed)
         table = rng.normal(size=(1 << args.gate_bits, args.payload_dim))
@@ -269,6 +281,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
+    if bool(args.trials) == (args.seed is None):
+        raise ValueError("--trials needs --seed" if args.trials else "--seed needs --trials")
     net = _load_net(args.net)
     f = tabulate(net, net.n)
     spec = wht(f)
@@ -286,8 +300,6 @@ def _cmd_sensitivity(args) -> int:
         value = noise_sensitivity_exact(spec, rho)
         rows.append(["noise_sensitivity_exact", rho, value, ""])
     if args.trials:
-        if args.seed is None:
-            raise ValueError("--seed is required with --trials")
         rng = np.random.default_rng(args.seed)
         for rho in rhos:
             est, err = noise_sensitivity_mc(f, rho, args.trials, rng, threads=args.threads)
@@ -379,16 +391,9 @@ def _model_payload(model) -> dict:
     }
 
 
-def _refuse_beside_data(args, *names: str) -> None:
-    """ValueError for the first flag of ``names`` given along with --data."""
-    for name in names:
-        if getattr(args, name) is not None:
-            raise ValueError(f"--{name.replace('_', '-')} cannot be combined with --data")
-
-
 def _cmd_learn_low_degree(args) -> int:
     if args.data is not None:
-        _refuse_beside_data(args, "net", "samples", "holdout", "seed")
+        _refuse_beside(args, "--data", "net", "samples", "holdout", "seed")
         data = _read_dataset_csv(args.data)
         holdout = None
     else:
@@ -415,7 +420,7 @@ def _cmd_learn_low_degree(args) -> int:
 
 def _cmd_learn_dlist(args) -> int:
     if args.data is not None:
-        _refuse_beside_data(args, "net", "full_cube")
+        _refuse_beside(args, "--data", "net", "full_cube")
         data = _read_dataset_csv(args.data)
     elif args.full_cube:
         if args.net is None:
@@ -500,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True, help="network JSON path")
     p.add_argument("--rho", default="", help="comma-separated correlations")
     p.add_argument("--trials", type=int, default=0, help="Monte-Carlo trials")
-    p.add_argument("--seed", type=int, help="seed (required with --trials)")
+    p.add_argument("--seed", type=int, help="seed (required with --trials, refused without)")
     p.add_argument("--threads", type=_thread_count, default=1)
     add_common(p, fmt=True)
     p.set_defaults(fn=_cmd_sensitivity)

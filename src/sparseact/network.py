@@ -3,15 +3,15 @@
 A net computes h(x) = sum_j u_j * relu(<w_j, x> - b_j).  A hidden unit is
 *active* at x when its pre-activation is strictly positive; the declared
 level k promises at most k active units on the inputs of interest.  The
-promise is never assumed: ``verify_sparsity`` checks it, exhaustively or by
-sampling.
+promise is never assumed: ``verify_sparsity`` checks it on the whole cube or
+on a given set of points.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -141,59 +141,49 @@ class ScaleParams:
 
 @dataclass(frozen=True)
 class SparsityReport:
-    """Outcome of a sparsity check at some level k.
-
-    ``mode`` records the quantification: "exhaustive" covers every point of
-    the cube (or of an explicitly supplied support), "sampled" estimates the
-    violation fraction under the uniform distribution from ``samples`` draws.
-    ``violating_input`` is the first scanned point with more than k active.
-    """
+    """Outcome of a sparsity check at level k over ``samples`` points, the
+    whole cube or a given support; ``violating_input`` is the first scanned
+    point with more than k active."""
 
     max_active: int
     violating_input: Optional[CubePoint]
     violation_fraction: float
-    mode: str
     samples: int
 
 
+# Pre-activations per support slice (2^15 // s points, 256 KiB of floats);
+# slices of 2 MiB ran slower than one whole block, as each fresh temporary
+# that size was paged in anew.
+_SUPPORT_ENTRIES = 1 << 15
+
+
 def verify_sparsity(
-    net: SparseNet,
-    k: int,
-    mode: str = "exhaustive",
-    *,
-    support=None,
-    count: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
+    net: SparseNet, k: int, mode: str = "exhaustive", *, support=None
 ) -> SparsityReport:
     """Check how many units activate simultaneously, against level k.
 
-    Exhaustive mode scans all 2^n inputs (n <= 24) block by block, counting
-    from the doubling tables with no float block of pre-activations, or
-    exactly the packed indices ``support`` when they are given (lifted
-    constructions are only promised to be sparse on their embedded image).
-    Sampled mode draws ``count >= 1`` uniform inputs from ``rng``.  Every
-    mode feeds one report loop with (points, active counts) blocks.
+    Scans all 2^n inputs (n <= 24) block by block, counting from the doubling
+    tables with no float block of pre-activations, or exactly the packed
+    indices ``support`` when they are given (lifted constructions are only
+    promised to be sparse on their embedded image), in row slices of at most
+    2^15 pre-activations.  Both feed one report loop with (points, active
+    counts) blocks in scan order.  ``mode`` must be "exhaustive".
     """
     if k < 1:
         raise ValueError(f"sparsity level must be >= 1, got {k}")
-    if mode == "exhaustive" and support is None:
+    if mode != "exhaustive":
+        raise ValueError(f"mode must be 'exhaustive', got {mode!r}")
+    if support is None:
         if net.n > MAX_EXHAUSTIVE_N:
             raise CapacityError(
                 f"exhaustive scan needs n <= {MAX_EXHAUSTIVE_N}, got {net.n}"
             )
         blocks = _positive_counts(net.w, -net.b)
     else:
-        if mode == "exhaustive":
-            idx = packed_indices(support, net.n)
-        elif mode == "sampled":
-            if count is None or rng is None:
-                raise ValueError("sampled mode needs count and rng")
-            if count < 1:
-                raise ValueError(f"sampled mode needs count >= 1, got {count}")
-            idx = rng.integers(0, 1 << net.n, size=count)
-        else:
-            raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-        blocks = [(idx, net.active_counts(index_signs(idx, net.n)))]
+        idx = packed_indices(support, net.n)
+        rows = max(1, _SUPPORT_ENTRIES // net.s)
+        slices = (idx[lo : lo + rows] for lo in range(0, idx.size, rows))
+        blocks = ((p, net.active_counts(index_signs(p, net.n))) for p in slices)
     max_active = violations = total = 0
     witness: Optional[CubePoint] = None
     for points, counts in blocks:
@@ -208,7 +198,6 @@ def verify_sparsity(
         max_active=max_active,
         violating_input=witness,
         violation_fraction=violations / total,
-        mode=mode,
         samples=total,
     )
 
@@ -263,36 +252,25 @@ def avg_sensitivity_split(net: SparseNet) -> SensitivitySplit:
     return SensitivitySplit(same_region=same / size, changed_region=changed / size)
 
 
-def rebucket(net: SparseNet, z: int, partition: Sequence[Sequence[int]]) -> SparseNet:
-    """Collapse coordinates into buckets: the r-input net H_z.
+def rebucket(net: SparseNet, z: int, labels, r: int) -> SparseNet:
+    """Collapse coordinates into r buckets: the r-input net H_{z,a}.
 
-    ``z`` is the packed index of a point of {-1,+1}^n.  ``partition`` lists
-    r disjoint buckets of 1-indexed coordinates covering [n] exactly once.
-    Bucket e becomes input coordinate e of the new net, with collapsed
-    weights w'_{je} = sum_{l in bucket e} w_{jl} * z_l; the output weights
-    and biases are unchanged.  If x is reconstructed by
-    x_l = z_l * v_{bucket(l)} for bucket signs v, then h(x) = H_z(v).
+    ``z`` is the packed index of a point of {-1,+1}^n, and ``labels`` a
+    length-n integer array a that puts coordinate l in bucket a_l in [0, r),
+    the form ``sample_bucket_pair`` draws.  Bucket e becomes input coordinate
+    e + 1 of the new net, with collapsed weights w'_{je} = sum_{a_l = e}
+    w_{jl} * z_l (zero for an empty bucket); the output weights and biases
+    are unchanged.  So with x_l = z_l * v_{a_l} for bucket signs v, h(x) =
+    H_{z,a}(v), and H_{z,a} keeps every activation pattern of h.
     """
     z = point_index(z, net.n)
-    seen: set[int] = set()
-    buckets = [list(dict.fromkeys(int(l) for l in bucket)) for bucket in partition]
-    for bucket in buckets:
-        if not bucket:
-            raise ValueError("empty bucket in partition")
-        for l in bucket:
-            if not 1 <= l <= net.n:
-                raise ValueError(f"coordinate {l} out of range [1, {net.n}]")
-            if l in seen:
-                raise ValueError(f"coordinate {l} appears in two buckets")
-            seen.add(l)
-    if len(seen) != net.n:
-        missing = sorted(set(range(1, net.n + 1)) - seen)
-        raise ValueError(f"partition misses coordinates {missing}")
-
-    zs = index_signs(z, net.n).astype(np.float64)
-    r = len(buckets)
-    w_new = np.zeros((net.s, r))
-    for e, bucket in enumerate(buckets):
-        cols = [l - 1 for l in bucket]
-        w_new[:, e] = net.w[:, cols] @ zs[cols]
+    labels = np.asarray(labels)
+    if labels.shape != (net.n,) or labels.dtype.kind not in "iu":
+        raise ValueError(
+            f"labels must be a length-{net.n} integer array, "
+            f"got shape {labels.shape} and dtype {labels.dtype}"
+        )
+    if labels.min() < 0 or labels.max() >= r:
+        raise ValueError(f"bucket labels must lie in [0, {r})")
+    w_new = (net.w * index_signs(z, net.n)) @ (labels[:, None] == np.arange(r))
     return SparseNet(n=r, s=net.s, k=net.k, u=net.u, w=w_new, b=net.b)

@@ -134,7 +134,8 @@ def random_sparse_pool(
     Each member stacks k junta networks on disjoint unit blocks (a junta
     net keeps exactly one unit strictly active, so the stack keeps exactly
     k).  Junta width: the largest p <= n with k * 2^p <= s.  Sparsity is
-    re-verified per member: exhaustively for n <= 14, sampled otherwise.
+    re-verified per member: exhaustively for n <= 14, else on 20,000
+    uniform points.
     """
     if count < 1:
         raise ValueError(f"need at least one member, got {count}")
@@ -150,7 +151,7 @@ def random_sparse_pool(
         report = (
             verify_sparsity(net, k, "exhaustive")
             if n <= 14
-            else verify_sparsity(net, k, "sampled", count=20_000, rng=rng)
+            else verify_sparsity(net, k, support=rng.integers(0, 1 << n, size=20_000))
         )
         if report.max_active > k:
             raise RuntimeError(

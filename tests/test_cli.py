@@ -641,6 +641,34 @@ class TestBadInput:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {flag} is required for {argv[1]}\n"
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["construct", "--kind", "index", "--bits", "2", "--seed", "5", "--n", "9",
+              "--gamma", "2"], "--n cannot be combined with --kind index"),
+            (["construct", "--kind", "parity", "--m", "2", "--subset", "1", "--seed", "1"],
+             "--seed cannot be combined with --kind parity"),
+            (["construct", "--kind", "gamma", "--gate-bits", "2", "--payload-dim", "3",
+              "--seed", "1", "--table", "1,2"], "--table cannot be combined with --kind gamma"),
+            (["construct", "--kind", "junta", "--n", "3", "--relevant", "1", "--table", "1,2",
+              "--seed", "4"], "--seed cannot be combined with --table"),
+            (["construct", "--kind", "gamma", "--gate-bits", "2", "--payload-dim", "3"],
+             "--seed is required for gamma"),
+            (["sensitivity", "--net", str(DATA / "index3.json"), "--seed", "3"],
+             "--seed needs --trials"),
+            (["sensitivity", "--net", str(DATA / "index3.json"), "--rho", "0.5",
+              "--trials", "8"], "--trials needs --seed"),
+        ],
+        ids=["index-foreign", "parity-seed", "gamma-table", "junta-table-seed",
+             "gamma-no-seed", "seed-no-trials", "trials-no-seed"],
+    )
+    def test_flag_that_would_be_ignored(self, capsys, monkeypatch, argv, error):
+        # refused before any table is drawn or any net is read
+        monkeypatch.setattr(np.random, "default_rng", None)
+        monkeypatch.setattr(cli, "_load_net", None)
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
     @pytest.mark.parametrize("gamma", ["nan", "inf", "0"])
     def test_construct_bad_gamma(self, capsys, gamma):
         rc = run(["construct", "--kind", "gamma", "--gate-bits", "2", "--payload-dim", "3",
@@ -689,7 +717,7 @@ class TestBadInput:
     def test_construct_size_below_one(self, capsys, monkeypatch, argv, message):
         # refused before the gamma payload table is drawn
         monkeypatch.setattr(np.random, "default_rng", None)
-        rc = run(["construct", "--seed", "1"] + argv)
+        rc = run(["construct"] + argv + (["--seed", "1"] if argv[1] == "gamma" else []))
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error:") and err.count("\n") == 1
         assert message in err
@@ -703,7 +731,7 @@ class TestBadInput:
     )
     def test_construct_size_above_the_cap(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(np.random, "default_rng", None)
-        assert run(["construct", "--seed", "1"] + argv) == 1
+        assert run(["construct"] + argv + (["--seed", "1"] if argv[1] == "gamma" else [])) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must lie in [1, " in err and err.count("\n") == 1
 

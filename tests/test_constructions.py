@@ -274,9 +274,8 @@ class TestGammaGated:
         fractions = []
         for c in (1.0, 2.0, 3.0):
             net = gamma_gated_net(b, q, c * float(np.sqrt(np.log(s))), payloads)
-            report = verify_sparsity(
-                net, 1, "sampled", count=20_000, rng=np.random.default_rng(5)
-            )
+            points = np.random.default_rng(5).integers(0, 1 << net.n, size=20_000)
+            report = verify_sparsity(net, 1, support=points)
             fractions.append(report.violation_fraction)
         assert fractions[0] >= fractions[1] >= fractions[2]
         assert fractions[0] > fractions[2]

@@ -1,6 +1,7 @@
 """Network evaluation, activation sets, sparsity checks, decomposition,
 rebucketing, and serialization."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -19,10 +20,12 @@ from sparseact import (
     gamma_gated_net,
     index_net,
     junta_to_net,
+    noise_sensitivity_exact,
     parity_lift,
     rebucket,
     tabulate,
     verify_sparsity,
+    wht,
     JuntaSpec,
 )
 from sparseact.config import REL_TOL_EXACT
@@ -141,21 +144,10 @@ class TestVerifySparsity:
         assert report.max_active == 1
         assert report.violating_input is None
 
-    def test_sampled_mode(self):
-        rng = np.random.default_rng(4)
-        net = SparseNet(
-            n=10, s=3, k=1, u=np.ones(3), w=rng.normal(size=(3, 10)), b=np.full(3, -10.0)
-        )
-        report = verify_sparsity(net, 1, "sampled", count=500, rng=rng)
-        assert report.mode == "sampled"
-        assert report.samples == 500
-        assert report.violation_fraction == 1.0
-
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_sampled_count_below_one(self, count):
-        with pytest.raises(ValueError, match=rf"^sampled mode needs count >= 1, got {count}$"):
-            verify_sparsity(single_unit_net(), 1, "sampled", count=count,
-                            rng=np.random.default_rng(0))
+    @pytest.mark.parametrize("mode", ["sampled", "EXHAUSTIVE", ""])
+    def test_mode_must_be_exhaustive(self, mode):
+        with pytest.raises(ValueError, match=r"^mode must be 'exhaustive', got "):
+            verify_sparsity(single_unit_net(), 1, mode)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_whole_support_equals_whole_cube(self, k):
@@ -170,15 +162,46 @@ class TestVerifySparsity:
         with pytest.raises(CapacityError):
             verify_sparsity(net, 1, "exhaustive")
 
-    def test_sampled_witness_past_the_scan_cap(self):
+    def test_support_witness_past_the_scan_cap(self):
         # both units always fire; the witness is a packed point of n=30
         net = SparseNet(
             n=30, s=2, k=1, u=np.ones(2), w=np.zeros((2, 30)), b=np.full(2, -1.0)
         )
-        report = verify_sparsity(net, 1, "sampled", count=10, rng=np.random.default_rng(0))
+        points = np.random.default_rng(0).integers(0, 1 << 30, size=10)
+        report = verify_sparsity(net, 1, support=points)
         assert report.violation_fraction == 1.0
-        assert report.violating_input.n == 30
-        assert 0 <= report.violating_input.index < 1 << 30
+        assert report.violating_input == CubePoint(30, int(points[0]))
+
+    def test_support_memory_bounded_by_slice(self):
+        net = random_net(np.random.default_rng(18), 16, 1024)
+        points = np.random.default_rng(19).integers(0, 1 << 16, size=20_000)
+        tracemalloc.start()
+        try:
+            report = verify_sparsity(net, 1, support=points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.samples == 20_000
+        # a slice holds at most 2^15 pre-activations (256 KiB); the whole
+        # (20000, 1024) float block would be 156 MiB
+        assert peak < 16 << 20
+
+    def test_support_slices_match_oracle(self):
+        # s = 4096 gives slices of at most 64 points, so 1000 points take 16
+        # or more; only the last 30 have the top coordinate -1, where units
+        # fire, so the first violation lies in a late slice
+        rng = np.random.default_rng(17)
+        n, s = 16, 4096
+        net = _top_half_net(rng, n, s)
+        low = rng.integers(0, 1 << (n - 1), size=970)
+        points = np.concatenate([low, low[:30] | 1 << (n - 1)])
+        for k in (1, s // 2, s):
+            assert verify_sparsity(net, k, support=points) == reference_scan(
+                net, k, points=points
+            )
+        report = verify_sparsity(net, 1, support=points)
+        assert report.violating_input == CubePoint(n, int(points[970]))
+        assert 0 < report.violation_fraction <= 30 / 1000
 
     def test_support_takes_packed_indices(self):
         net = single_unit_net()
@@ -295,7 +318,7 @@ class TestRebucket:
         rng = np.random.default_rng(11)
         net = random_net(rng, 5, 3)
         z = 0  # all ones
-        out = rebucket(net, z, [[i] for i in range(1, 6)])
+        out = rebucket(net, z, np.arange(5), 5)
         assert np.array_equal(out.w, net.w)
         assert np.array_equal(out.u, net.u)
         assert np.array_equal(out.b, net.b)
@@ -306,22 +329,19 @@ class TestRebucket:
         for _ in range(100):
             z = Point(8, int(rng.integers(0, 1 << 8)))
             r = int(rng.integers(2, 5))
-            assignment = rng.integers(0, r, size=8)
-            # guarantee every bucket is nonempty
-            assignment[:r] = np.arange(r)
-            partition = [
-                [int(l) + 1 for l in np.flatnonzero(assignment == e)] for e in range(r)
-            ]
-            H = rebucket(net, z.index, partition)
+            labels = rng.integers(0, r, size=8)
+            H = rebucket(net, z.index, labels, r)
             v = Point(r, int(rng.integers(0, 1 << r)))
-            xs = np.empty(8, dtype=np.int64)
-            for e, bucket in enumerate(partition):
-                for l in bucket:
-                    xs[l - 1] = z.sign(l) * v.sign(e + 1)
-            x = Point.from_signs(xs)
+            x = Point.from_signs(z.signs() * v.signs()[labels])
             assert abs(net_value(net, x.index) - net_value(H, v.index)) <= 1e-12 * max(
                 1.0, abs(net_value(net, x.index))
             )
+
+    def test_empty_bucket_is_a_zero_input(self):
+        net = random_net(np.random.default_rng(20), 4, 3)
+        H = rebucket(net, 5, np.array([0, 2, 2, 0]), 4)
+        assert H.n == 4
+        assert np.all(H.w[:, [1, 3]] == 0.0)
 
     def test_scale_bounds(self):
         rng = np.random.default_rng(13)
@@ -331,13 +351,9 @@ class TestRebucket:
         for _ in range(200):
             z = int(rng.integers(0, 1 << 12))
             r = 4
-            assignment = rng.integers(0, r, size=12)
-            assignment[:r] = np.arange(r)
-            partition = [
-                [int(l) + 1 for l in np.flatnonzero(assignment == e)] for e in range(r)
-            ]
-            H = rebucket(net, z, partition)
-            max_bucket = max(len(bk) for bk in partition)
+            labels = rng.integers(0, r, size=12)
+            H = rebucket(net, z, labels, r)
+            max_bucket = int(np.bincount(labels).max())
             log_cap = 8 * np.log(net.n * net.s * r)
             for j in range(net.s):
                 before = float(np.sum(net.w[j] ** 2))
@@ -348,18 +364,48 @@ class TestRebucket:
                     hits += 1
         assert hits / total >= 0.95
 
-    def test_invalid_partitions(self):
-        rng = np.random.default_rng(14)
-        net = random_net(rng, 4, 2)
-        z = 0
+    def test_invalid_labels(self):
+        net = random_net(np.random.default_rng(14), 4, 2)
+        for labels in ([0, 1, 2, 1], [0, -1, 1, 1], [0, 1, 1], [[0, 1, 1, 0]],
+                       [0.0, 1.0, 1.0, 0.0], [True, False, True, False]):
+            with pytest.raises(ValueError):  # out of range, wrong shape, not integers
+                rebucket(net, 0, np.array(labels), 2)
         with pytest.raises(ValueError):
-            rebucket(net, z, [[1, 2], [3]])  # misses 4
-        with pytest.raises(ValueError):
-            rebucket(net, z, [[1, 2], [2, 3, 4]])  # duplicate 2
-        with pytest.raises(ValueError):
-            rebucket(net, z, [[1, 2], [3, 4, 5]])  # out of range
-        with pytest.raises(ValueError):
-            rebucket(net, 1 << 4, [[1, 2], [3, 4]])  # z outside the cube
+            rebucket(net, 1 << 4, np.array([0, 1, 1, 0]), 2)  # z outside the cube
+
+
+def _all_labels(n, r):
+    """Every bucket-label array of length n over [0, r), one per row."""
+    return np.array(list(itertools.product(range(r), repeat=n)))
+
+
+class TestBucketingReduction:
+    """NS_rho(h) = E_{z,a}[AS(H_{z,a})] / r at rho = 1 - 2/r, where H_{z,a} =
+    rebucket(h, z, a, r): the bucket procedure flips one of r buckets, so
+    each coordinate independently with probability 1/r = (1 - rho) / 2."""
+
+    @pytest.mark.parametrize("n, s, r", [(6, 5, 2), (4, 3, 3), (4, 3, 4)])
+    def test_noise_sensitivity_is_mean_bucket_sensitivity(self, n, s, r):
+        net = random_net(np.random.default_rng(30 + r), n, s)
+        want = noise_sensitivity_exact(wht(tabulate(net, n)), 1 - 2 / r)
+        total = sum(
+            avg_sensitivity_exact(tabulate(rebucket(net, z, a, r), r))
+            for z in range(1 << n)
+            for a in _all_labels(n, r)
+        )
+        got = total / ((1 << n) * r**n) / r
+        assert want > 0.0
+        assert abs(got - want) <= REL_TOL_EXACT * want
+
+    def test_index_net_buckets_are_table_slices(self):
+        # dyadic weights: H_{z,a}(v) equals h at x_l = z_l v_{a_l} exactly
+        net = index_net(1)
+        table = tabulate(net, net.n).values
+        v = np.arange(4)
+        for z in range(1 << net.n):
+            for a in _all_labels(net.n, 2):
+                x = z ^ pack_bits((v[:, None] >> a) & 1)
+                assert np.array_equal(tabulate(rebucket(net, z, a, 2), 2).values, table[x])
 
 
 class TestSerialization:
@@ -501,6 +547,16 @@ class TestCubeKernel:
     def test_shape_mismatch(self, W, c):
         with pytest.raises(ValueError):
             next(affine_blocks(W, c))
+
+
+def _top_half_net(rng, n, s):
+    """A random net whose unit j fires only where coordinate n is -1: with
+    L_j the l1 norm of w_j's other weights, w_jn = -L_j and b_j ~ U(0, 2 L_j),
+    so the counts there spread below s."""
+    w = rng.normal(size=(s, n))
+    L = np.abs(w[:, :-1]).sum(axis=1)
+    w[:, -1] = -L
+    return SparseNet(n=n, s=s, k=s, u=np.ones(s), w=w, b=rng.uniform(0, 2, size=s) * L)
 
 
 def _crowded_net(rng, n, s):

@@ -6,7 +6,8 @@ installs it, so renaming or deleting a traced function would break
 ``perfbench/run.py --trace 1`` at install time.  A changed signature or
 return type breaks it silently instead: the recorder counts the counter's
 error and goes on.  The module imports only the standard library, so it is
-loaded straight from its path.
+loaded straight from its path.  The workloads also call a few functions
+directly; the last tests pin those call shapes.
 """
 
 import importlib
@@ -18,7 +19,16 @@ import pytest
 
 import sparseact.cli  # noqa: F401  the recorder patches every traced layer
 import sparseact.selfcheck  # noqa: F401
-from sparseact import CubeFunction, HypothesisPool, fourier, parallel, rademacher_lab
+from sparseact import (
+    CubeFunction,
+    HypothesisPool,
+    SparseNet,
+    fourier,
+    hypercube,
+    network,
+    parallel,
+    rademacher_lab,
+)
 from sparseact.config import MC_CHUNK
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -65,3 +75,20 @@ def test_recorder_reads_chunked_monte_carlo():
     assert counts["parallel.run_chunked.cpu_s"] > 0
     assert counts["parallel.mean_and_stderr.calls"] == 2
     assert counts["rademacher_lab.empirical_rademacher.sign_vectors"] == MC_CHUNK + 1
+
+
+def test_scan_call_shape():
+    # perfbench/workloads.py passes the mode positionally, and
+    # perfbench/checks.check_scan reads the point count and the witness index
+    net = SparseNet(n=3, s=2, k=1, u=np.ones(2), w=np.zeros((2, 3)), b=np.full(2, -1.0))
+    report = network.verify_sparsity(net, 1, "exhaustive")
+    assert report.samples == 8
+    assert report.violating_input.index == 0
+
+
+def test_bucket_pair_call_shape():
+    # perfbench/workloads.py reads .index off both points of each pair
+    x, y, r, b = hypercube.sample_bucket_pair(8, 0.5, np.random.default_rng(3))
+    assert isinstance(x.index, int) and isinstance(y.index, int)
+    assert r == 4 and 1 <= b <= r
+    assert 0 <= x.index < 1 << 8 and 0 <= y.index < 1 << 8
