@@ -42,6 +42,7 @@ from .learners import (
 )
 from .network import SparseNet
 from .rademacher_lab import compare_to_bound, random_sparse_pool
+from .texts import float_texts, int_texts
 
 
 def _fmt(value) -> str:
@@ -65,26 +66,20 @@ def _write_text(path: Optional[str], text: str) -> None:
 def _column_texts(columns: Sequence[Sequence], cell) -> list[list[str]]:
     """The text of every cell, column by column.
 
-    A column of floats is checked for finiteness once and formatted in one
-    pass, a column of ints likewise; any other column goes through ``cell``
-    one value at a time.  When cells are refused, ``cell``'s error at the
-    first of them in row order is raised, as a row-by-row writer would.
+    A float64 or int64 array, or a range of int64 values, goes through the
+    block kernels of ``texts``, whose bytes are ``float.__repr__``'s and
+    ``int.__repr__``'s.  Any other column of floats is checked for
+    finiteness once and formatted in one pass, a column of ints likewise;
+    any other column goes through ``cell`` one value at a time.  When cells
+    are refused, ``cell``'s error at the first of them in row order is
+    raised, as a row-by-row writer would.
     """
     texts, refused = [], []
     for j, column in enumerate(columns):
-        values = column.tolist() if isinstance(column, np.ndarray) else column
-        # the cells of an array, or of a range, share one type
-        kinds = set(map(type, values[:1] if isinstance(column, (np.ndarray, range)) else values))
         try:
-            if kinds <= {float}:
-                if not np.isfinite(np.asarray(column, dtype=np.float64)).all():
-                    raise ValueError
-                texts.append(list(map(float.__repr__, values)))
-            elif kinds == {int}:
-                texts.append(list(map(int.__repr__, values)))
-            else:
-                texts.append(list(map(cell, values)))
+            texts.append(_texts(column, cell))
         except (TypeError, ValueError):
+            values = column.tolist() if isinstance(column, np.ndarray) else column
             for row, value in enumerate(values):
                 try:
                     cell(value)
@@ -94,6 +89,28 @@ def _column_texts(columns: Sequence[Sequence], cell) -> list[list[str]]:
     if refused:
         raise min(refused)[2]
     return texts
+
+
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
+def _texts(column: Sequence, cell) -> list[str]:
+    """One column's cell texts; TypeError or ValueError where a cell is refused."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return float_texts(column)
+    if isinstance(column, np.ndarray) and column.dtype == np.int64:
+        return int_texts(column)
+    if isinstance(column, range) and all(v in _INT64 for v in (*column[:1], *column[-1:])):
+        return int_texts(column)  # the first and last values bound the rest
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
+            raise ValueError("non-finite value")
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    return list(map(cell, values))
 
 
 def _join_rows(texts: list[list[str]], seps: list[str]) -> str:
@@ -283,6 +300,11 @@ def _cmd_transform(args) -> int:
 def _cmd_sensitivity(args) -> int:
     if bool(args.trials) == (args.seed is None):
         raise ValueError("--trials needs --seed" if args.trials else "--seed needs --trials")
+    rhos = _parse_floats(args.rho) if args.rho else []
+    if args.trials and not rhos:
+        raise ValueError("--trials needs --rho")  # the Monte-Carlo loop runs once per rho
+    if args.threads is not None and not args.trials:
+        raise ValueError("--threads needs --trials")
     net = _load_net(args.net)
     f = tabulate(net, net.n)
     spec = wht(f)
@@ -295,14 +317,13 @@ def _cmd_sensitivity(args) -> int:
             "",
         ],
     ]
-    rhos = _parse_floats(args.rho) if args.rho else []
     for rho in rhos:
         value = noise_sensitivity_exact(spec, rho)
         rows.append(["noise_sensitivity_exact", rho, value, ""])
     if args.trials:
         rng = np.random.default_rng(args.seed)
         for rho in rhos:
-            est, err = noise_sensitivity_mc(f, rho, args.trials, rng, threads=args.threads)
+            est, err = noise_sensitivity_mc(f, rho, args.trials, rng, threads=args.threads or 1)
             rows.append(["noise_sensitivity_mc", rho, est, err])
     _emit_table(args, ["quantity", "rho", "value", "stderr"], list(zip(*rows)))
     return 0
@@ -506,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", default="", help="comma-separated correlations")
     p.add_argument("--trials", type=int, default=0, help="Monte-Carlo trials")
     p.add_argument("--seed", type=int, help="seed (required with --trials, refused without)")
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--threads", type=_thread_count, help="Monte-Carlo threads (default 1; "
+                   "only with --trials)")
     add_common(p, fmt=True)
     p.set_defaults(fn=_cmd_sensitivity)
 

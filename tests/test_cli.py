@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -176,7 +177,11 @@ class TestRecordedConstructs:
 _TEXT = st.text(
     alphabet=st.sampled_from(list("ab, \"\n\r%é€") + ["\u2028", "\x00"]), max_size=4
 )
-_FLOATS = st.floats() | st.sampled_from([-0.0, 1e-300, 1e300])
+_FLOATS = (
+    st.floats()
+    | st.integers(0, (1 << 64) - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+    | st.sampled_from([-0.0, 1e-300, 1e300])
+)
 _CELLS = st.one_of(
     st.integers(-(10**20), 10**20),
     st.booleans(),
@@ -190,16 +195,35 @@ _CELLS = st.one_of(
 
 @st.composite
 def _tables(draw):
-    """(header, columns): all-float, all-int and mixed columns of equal height."""
+    """(header, columns): all-float, all-int, mixed and range columns of equal
+    height."""
     width = draw(st.integers(1, 4))
     header = draw(st.lists(_TEXT, min_size=width, max_size=width, unique=True))
     height = draw(st.integers(0, 6))
-    columns = [
-        draw(st.lists(draw(st.sampled_from([_FLOATS, st.integers(), _CELLS])),
-                      min_size=height, max_size=height))
-        for _ in range(width)
-    ]
+    columns = []
+    for _ in range(width):
+        kind = draw(st.sampled_from([_FLOATS, st.integers(), _CELLS, None]))
+        if kind is None:
+            start = draw(st.integers(-(1 << 64), 1 << 64))
+            step = draw(st.integers(-(1 << 62), 1 << 62).filter(bool))
+            columns.append(range(start, start + height * step, step))
+        else:
+            columns.append(draw(st.lists(kind, min_size=height, max_size=height)))
     return header, columns
+
+
+def _as_arrays(columns):
+    """The table with every all-float column as a float64 array and every
+    all-int column that fits int64 as an int64 array; ranges stay ranges."""
+    out = []
+    for column in columns:
+        kinds = set(map(type, column))
+        if kinds <= {float} and not isinstance(column, range):
+            column = np.array(column, dtype=np.float64)
+        elif kinds == {int} and all(-(1 << 63) <= v < 1 << 63 for v in column):
+            column = column if isinstance(column, range) else np.array(column, dtype=np.int64)
+        out.append(column)
+    return out
 
 
 def _text_or_error(write, header, table):
@@ -218,15 +242,22 @@ class TestTableWriters:
     @example(table=(["x", "y"], [[], []]))
     @example(table=(["x", "y"], [[1.0, float("inf")], [float("nan"), 2.0]]))
     @example(table=(["x", "y"], [[1.0, 2.0], ["", float("-inf")]]))
+    @example(table=(["x", "y"], [
+        [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.0001, 1e16, 9999999999999998.0,
+         9007199254741000.0, 2.9802322387695312e-08],
+        [0, -1, (1 << 63) - 1, -(1 << 63), 1 << 63, 10**18, 7, 8, 9],
+    ]))
+    @example(table=(["i", "x"], [range(-3, 2**64, 2**61), [0.1, 0.0, -0.0, 1e300, 1e-300,
+                                                            float("nan"), 2.0, 3.0, 4.0]]))
     def test_same_bytes_and_errors(self, table):
         header, columns = table
         rows = [list(row) for row in zip(*columns)]
-        assert _text_or_error(_columns_to_csv, header, columns) == _text_or_error(
-            reference_csv, header, rows
-        )
-        assert _text_or_error(_columns_to_json, header, columns) == _text_or_error(
-            reference_json, header, rows
-        )
+        want_csv = _text_or_error(reference_csv, header, rows)
+        want_json = _text_or_error(reference_json, header, rows)
+        for table_columns in (columns, [list(column) for column in columns],
+                              _as_arrays(columns)):
+            assert _text_or_error(_columns_to_csv, header, table_columns) == want_csv
+            assert _text_or_error(_columns_to_json, header, table_columns) == want_json
 
     @pytest.mark.parametrize(
         "write, message",
@@ -237,6 +268,25 @@ class TestTableWriters:
         with pytest.raises(ValueError) as exc:
             write(["x", "y"], [[1.0, float("nan")], [float("inf"), 2.0]])
         assert str(exc.value) == message
+
+    def test_object_array_column_keeps_every_cell(self):
+        # an array's cells are typed one by one unless its dtype fixes them
+        columns = [np.array([1, "x"], dtype=object), [1, 2]]
+        rows = [[1, 1], ["x", 2]]
+        assert _columns_to_csv(["a", "b"], columns) == reference_csv(["a", "b"], rows)
+        assert _columns_to_json(["a", "b"], columns) == reference_json(["a", "b"], rows)
+
+    def test_spectrum_table_memory(self):
+        # 2^18 rows hold about 51.6 MiB at peak in the row texts and their
+        # join; the block kernels add no table-sized temporary on top
+        coeffs = np.random.default_rng(18).standard_normal(1 << 18)
+        tracemalloc.start()
+        try:
+            _columns_to_csv(["bitmask", "coefficient"], [range(1 << 18), coeffs])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 56 << 20
 
 
 class TestBlasThreadCount:
@@ -658,9 +708,16 @@ class TestBadInput:
              "--seed needs --trials"),
             (["sensitivity", "--net", str(DATA / "index3.json"), "--rho", "0.5",
               "--trials", "8"], "--trials needs --seed"),
+            (["sensitivity", "--net", str(DATA / "index3.json"), "--trials", "10",
+              "--seed", "1"], "--trials needs --rho"),
+            (["sensitivity", "--net", str(DATA / "index3.json"), "--threads", "4"],
+             "--threads needs --trials"),
+            (["sensitivity", "--net", str(DATA / "index3.json"), "--rho", "0.5",
+              "--threads", "1"], "--threads needs --trials"),
         ],
         ids=["index-foreign", "parity-seed", "gamma-table", "junta-table-seed",
-             "gamma-no-seed", "seed-no-trials", "trials-no-seed"],
+             "gamma-no-seed", "seed-no-trials", "trials-no-seed", "trials-no-rho",
+             "threads-no-trials", "threads-with-rho-no-trials"],
     )
     def test_flag_that_would_be_ignored(self, capsys, monkeypatch, argv, error):
         # refused before any table is drawn or any net is read

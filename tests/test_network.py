@@ -23,12 +23,13 @@ from sparseact import (
     noise_sensitivity_exact,
     parity_lift,
     rebucket,
+    sample_bucket_pair,
     tabulate,
     verify_sparsity,
     wht,
     JuntaSpec,
 )
-from sparseact.config import REL_TOL_EXACT
+from sparseact.config import MC_SIGMA, REL_TOL_EXACT
 from sparseact.constructions import random_net
 from sparseact.hypercube import (
     _BLOCK_BITS,
@@ -396,6 +397,21 @@ class TestBucketingReduction:
         got = total / ((1 << n) * r**n) / r
         assert want > 0.0
         assert abs(got - want) <= REL_TOL_EXACT * want
+
+    def test_bucket_pairs_estimate_noise_sensitivity(self):
+        # the sampler's own pairs: rho = 0.5 puts r = 4, and 1 - 2/r is rho
+        rng = np.random.default_rng(38)
+        net = random_net(rng, 6, 5)
+        table = tabulate(net, 6).values
+        want = noise_sensitivity_exact(wht(tabulate(net, 6)), 0.5)
+        draws = [sample_bucket_pair(6, 0.5, rng) for _ in range(20_000)]
+        assert {r for _, _, r, _ in draws} == {4}
+        x = np.array([x.index for x, _, _, _ in draws])
+        y = np.array([y.index for _, y, _, _ in draws])
+        terms = (table[x] - table[y]) ** 2 / 4
+        stderr = terms.std(ddof=1) / np.sqrt(terms.size)
+        assert want > 0.0
+        assert abs(terms.mean() - want) <= MC_SIGMA * stderr
 
     def test_index_net_buckets_are_table_slices(self):
         # dyadic weights: H_{z,a}(v) equals h at x_l = z_l v_{a_l} exactly
