@@ -40,7 +40,7 @@ from .learners import (
     full_cube_dataset,
     sample_uniform_dataset,
 )
-from .network import SparseNet
+from .network import SparseNet, json_field
 from .rademacher_lab import compare_to_bound, random_sparse_pool
 from .texts import float_texts, int_texts
 
@@ -66,13 +66,11 @@ def _write_text(path: Optional[str], text: str) -> None:
 def _column_texts(columns: Sequence[Sequence], cell) -> list[list[str]]:
     """The text of every cell, column by column.
 
-    A float64 or int64 array, or a range of int64 values, goes through the
-    block kernels of ``texts``, whose bytes are ``float.__repr__``'s and
-    ``int.__repr__``'s.  Any other column of floats is checked for
-    finiteness once and formatted in one pass, a column of ints likewise;
-    any other column goes through ``cell`` one value at a time.  When cells
-    are refused, ``cell``'s error at the first of them in row order is
-    raised, as a row-by-row writer would.
+    A float64 array, or a range of int64 values, goes through the block
+    kernels of ``texts``, whose bytes are ``float.__repr__``'s and
+    ``int.__repr__``'s; any other column goes through ``cell`` one value at
+    a time.  When cells are refused, ``cell``'s error at the first of them
+    in row order is raised, as a row-by-row writer would.
     """
     texts, refused = [], []
     for j, column in enumerate(columns):
@@ -98,18 +96,9 @@ def _texts(column: Sequence, cell) -> list[str]:
     """One column's cell texts; TypeError or ValueError where a cell is refused."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         return float_texts(column)
-    if isinstance(column, np.ndarray) and column.dtype == np.int64:
-        return int_texts(column)
     if isinstance(column, range) and all(v in _INT64 for v in (*column[:1], *column[-1:])):
         return int_texts(column)  # the first and last values bound the rest
     values = column.tolist() if isinstance(column, np.ndarray) else column
-    kinds = set(map(type, values))
-    if kinds <= {float}:
-        if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
-            raise ValueError("non-finite value")
-        return list(map(float.__repr__, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
     return list(map(cell, values))
 
 
@@ -365,9 +354,10 @@ def _cmd_bounds_table(args) -> int:
     for pos, rec in enumerate(records, start=1):
         try:
             params = bounds.ClassParams(
-                **{key: cast(rec[key]) for key, cast in _PARAM_TYPES.items() if key in rec}
+                **{key: json_field(rec, key, kind)
+                   for key, kind in _PARAM_TYPES.items() if key in rec}
             )
-            C = float(rec.get("C", 1.0))
+            C = json_field(rec, "C", float) if "C" in rec else 1.0
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"grid record {pos}: {exc}") from None
         bounds.require_level(params)
@@ -425,7 +415,7 @@ def _cmd_learn_low_degree(args) -> int:
         data = sample_uniform_dataset(net, net.n, args.samples, rng)
         holdout = (
             sample_uniform_dataset(net, net.n, args.holdout, rng)
-            if args.holdout
+            if args.holdout is not None
             else None
         )
     model = fit_low_degree(data, args.degree, args.ridge)
@@ -588,6 +578,8 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         # overflow to inf/nan is refused where results are written (tables,
         # learner JSON), so numpy's warning lines would only add noise
         with np.errstate(over="ignore", invalid="ignore"):

@@ -19,6 +19,7 @@ from .config import MAX_EXHAUSTIVE_N, MAX_SPLIT_N
 from .errors import CapacityError
 from .hypercube import CubePoint, affine_blocks, index_signs, packed_indices, point_index
 from .hypercube import _positive_counts
+from .texts import float_texts
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -107,16 +108,14 @@ class SparseNet:
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> str:
-        """Canonical JSON with fixed field order and round-trip floats."""
-        payload = {
-            "n": self.n,
-            "s": self.s,
-            "k": self.k,
-            "u": self.u.tolist(),
-            "w": self.w.tolist(),
-            "b": self.b.tolist(),
-        }
-        return json.dumps(payload)
+        """Canonical JSON with fixed field order and round-trip floats: the
+        bytes of ``json.dumps`` of the fields with u, w and b as lists."""
+        s, n = self.w.shape
+        texts = float_texts(np.concatenate([self.u, self.w.ravel(), self.b]))
+        u, b = ", ".join(texts[:s]), ", ".join(texts[s + s * n :])
+        w = "], [".join(", ".join(texts[lo : lo + n]) for lo in range(s, s + s * n, n))
+        head = f'{{"n": {self.n}, "s": {self.s}, "k": {self.k}'
+        return f'{head}, "u": [{u}], "w": [[{w}]], "b": [{b}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "SparseNet":
@@ -124,11 +123,24 @@ class SparseNet:
         if not isinstance(d, dict) or not {"n", "s", "k", "u", "w", "b"} <= d.keys():
             raise ValueError("net JSON must be an object with keys n, s, k, u, w, b")
         try:
-            n, s, k = (int(d[key]) for key in ("n", "s", "k"))
-            u, w, b = (np.array(d[key], dtype=np.float64) for key in ("u", "w", "b"))
+            counts = {key: json_field(d, key, int) for key in ("n", "s", "k")}
+            arrays = {key: np.array(d[key]) for key in ("u", "w", "b")}
+            for key, a in arrays.items():
+                if a.dtype.kind in "bU":  # all booleans, or a string among numbers
+                    raise TypeError(f"{key} must hold numbers only")
+            return cls(**counts, **arrays)
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"net JSON has a malformed field: {exc}") from None
-        return cls(n=n, s=s, k=k, u=u, w=w, b=b)
+
+
+def json_field(record: dict, key: str, kind: type):
+    """record[key] as ``kind``: a JSON integer for int, any JSON number for
+    float.  TypeError for a boolean, a string, or a float where int is asked."""
+    value = record[key]
+    if type(value) is not int and (kind is int or type(value) is not float):
+        what = "an integer" if kind is int else "a number"
+        raise TypeError(f"{key} must be {what}, got {json.dumps(value)}")
+    return kind(value)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@
 float64 array, and ``int_texts(a)`` is ``[int.__repr__(v) for v in a]`` for
 an int64 array or a range of int64 values: the same characters, byte for
 byte, computed for 2^13 values at a time with numpy rather than one value at
-a time by CPython's big-integer ``dtoa``.  The table writers in ``cli`` send
-every array and range column through them.  No temporary is longer than a
-block, whatever the column's length.
+a time by CPython's big-integer ``dtoa``.  Net files (``SparseNet.to_json``,
+its weights in one call), float64 table columns and range table columns go
+through them; every other table cell goes through the writer's one per-cell
+formatter.  No temporary is longer than a block, whatever the column's
+length.
 
 Shortest digits.  A nonzero double v = c 2^q rounds back from every real in
 an interval around it; ``repr`` prints the shortest decimal in that interval,
@@ -32,14 +34,6 @@ iff the decimal exponent is below -4 or at least 16, the exponent signed and
 at least two digits (``1e-05``, ``1e+16``; but ``0.0001``,
 ``9999999999999998.0``), and ``.0`` after an integral value.  Rows become ``str`` through
 a UCS4 view and ``tolist()``.  Zeros take no digit work.
-
-``SparseNet.to_json`` still writes through ``json.dumps``, whose bytes the
-pinned construct hashes fix.  It was left there because ``index_net(10)``'s
-1.06 million weights hold only four distinct values, and on them
-``json.dumps`` took 183-276 ms against 518-615 ms for an early prototype of
-this kernel.  The kernel as it stands writes that weight matrix's text, row
-joins included, in 110-121 ms against 198-225 ms for ``json.dumps`` (2 vCPU
-Xeon, Python 3.11.7, numpy 2.4.6), so the case for keeping it there is gone.
 """
 
 from __future__ import annotations

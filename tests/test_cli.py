@@ -760,6 +760,35 @@ class TestBadInput:
         assert capsys.readouterr().err == f"error: --n-max must be >= 1, got {n_max}\n"
 
     @pytest.mark.parametrize(
+        "count", [["--samples", "0"], ["--holdout", "-5"], ["--holdout", "0"]],
+        ids=["samples-0", "holdout-neg", "holdout-0"],
+    )
+    def test_learn_low_degree_count_below_one(self, capsys, count):
+        argv = ["learn-low-degree", "--net", str(DATA / "index3.json"), "--samples", "5",
+                "--seed", "1", "--degree", "1"]
+        assert run(argv + count) == 2
+        assert capsys.readouterr() == ("", f"error: need at least one sample, got {count[1]}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--n-max", "2"],
+         ["construct", "--kind", "junta", "--n", "3", "--relevant", "1"],
+         ["sensitivity", "--net", str(DATA / "index3.json"), "--rho", "0.5", "--trials", "8"],
+         ["learn-low-degree", "--net", str(DATA / "index3.json"), "--samples", "5",
+          "--degree", "1"],
+         ["rademacher", "--n", "4", "--s", "4", "--pool-count", "2", "--m-grid", "8",
+          "--trials", "10"]],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "-2"])
+    def test_negative_seed(self, capsys, monkeypatch, argv, seed):
+        # refused before any generator is made or any net is read
+        monkeypatch.setattr(np.random, "default_rng", None)
+        monkeypatch.setattr(cli, "_load_net", None)
+        assert run(argv + ["--seed", seed]) == 2
+        assert capsys.readouterr() == ("", f"error: --seed must be >= 0, got {seed}\n")
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["--kind", "index", "--bits", "0"], "address bits must be >= 1, got 0"),
@@ -860,8 +889,11 @@ class TestBadInput:
 
     @pytest.mark.parametrize(
         "key, text",
-        [("k", "[1]"), ("n", "null"), ("u", '{"a": 1}'), ("n", "1e999")],
-        ids=["k-list", "n-null", "u-object", "n-overflow"],
+        [("k", "[1]"), ("n", "null"), ("u", '{"a": 1}'), ("n", "1e999"), ("n", "3.9"),
+         ("s", "2.0"), ("k", "true"), ("n", '"3"'), ("u", "[true, false]"),
+         ("w", '[[1, "1", 0], [-1, 1, 0]]'), ("b", '[1, "x"]'), ("b", "[1, null]")],
+        ids=["k-list", "n-null", "u-object", "n-overflow", "n-fraction", "s-float",
+             "k-bool", "n-string", "u-bool", "w-string", "b-text", "b-null"],
     )
     @pytest.mark.parametrize("command", _NET_COMMANDS, ids=lambda argv: argv[0])
     def test_malformed_net_field(self, tmp_path, capsys, key, text, command):
@@ -875,8 +907,12 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "record",
         ['{"n": null, "s": 4}', '{"n": 4, "s": 4, "k": null}', '{"n": 4, "s": 1e999}',
-         '{"n": 4, "s": 4, "W": 1e200}'],
-        ids=["n-null", "k-null", "s-overflow", "bound-overflow"],
+         '{"n": 4, "s": 4, "W": 1e200}', '{"n": "4", "s": 2.5, "W": "1.5", "k": true}',
+         '{"n": "4", "s": 2}', '{"n": 4, "s": 2.5}', '{"n": 4, "s": 2, "k": true}',
+         '{"n": 4, "s": 2, "m": 10.0}', '{"n": 4, "s": 2, "W": "1.5"}',
+         '{"n": 4, "s": 2, "rho": false}', '{"n": 4, "s": 2, "C": "2"}'],
+        ids=["n-null", "k-null", "s-overflow", "bound-overflow", "all-coerced", "n-string",
+             "s-fraction", "k-bool", "m-float", "W-string", "rho-bool", "C-string"],
     )
     def test_malformed_grid_record(self, tmp_path, capsys, record):
         grid = tmp_path / "grid.json"

@@ -2,12 +2,13 @@
 rebucketing, and serialization."""
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import Point, active_set, brute_split, net_value, reference_scan
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparseact import (
@@ -424,7 +425,59 @@ class TestBucketingReduction:
                 assert np.array_equal(tabulate(rebucket(net, z, a, 2), 2).values, table[x])
 
 
+# every finite float64, as its bit pattern
+_FINITE_BITS = st.integers(0, 2**64 - 1).filter(lambda bits: bits >> 52 & 0x7FF != 0x7FF)
+
+
+@st.composite
+def _bit_nets(draw):
+    """A net of up to 8 x 8 whose weights are drawn from all finite doubles."""
+    s, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    bits = draw(st.lists(_FINITE_BITS, min_size=s * (n + 2), max_size=s * (n + 2)))
+    weights = np.array(bits, dtype=np.uint64).view(np.float64)
+    return SparseNet(n=n, s=s, k=draw(st.integers(1, s)), u=weights[:s],
+                     w=weights[s:-s].reshape(s, n), b=weights[-s:])
+
+
+def _net_of(value):
+    """A 2 x 3 net holding ``value`` in u, w and b, and its negation in w and b."""
+    return SparseNet(n=3, s=2, k=1, u=[value, 1.0], w=[[value, -value, 0.5], [0.0, 1.0, value]],
+                     b=[-value, value])
+
+
 class TestSerialization:
+    @settings(max_examples=200, deadline=None)
+    @given(net=_bit_nets())
+    @example(net=_net_of(-0.0))
+    @example(net=_net_of(5e-324))
+    @example(net=_net_of(2.2250738585072014e-308))
+    @example(net=_net_of(1e-05))
+    @example(net=_net_of(1e16))
+    @example(net=_net_of(9007199254741000.0))
+    @example(net=_net_of(1.7976931348623157e308))
+    def test_to_json_is_json_dumps(self, net):
+        fields = {"n": net.n, "s": net.s, "k": net.k,
+                  "u": net.u.tolist(), "w": net.w.tolist(), "b": net.b.tolist()}
+        text = net.to_json()
+        assert text == json.dumps(fields)
+        back = SparseNet.from_json(text)
+        assert (back.n, back.s, back.k) == (net.n, net.s, net.k)
+        for name in ("u", "w", "b"):
+            want, got = getattr(net, name), getattr(back, name)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_index_net_json_memory(self):
+        # json.dumps of the weight lists peaked at 42.6 MiB, the block
+        # kernel's cell and row texts at 19.3 MiB
+        net = index_net(10)
+        tracemalloc.start()
+        try:
+            net.to_json()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(15)
         net = random_net(rng, 6, 3)
