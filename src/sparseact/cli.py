@@ -175,12 +175,17 @@ def _thread_count(text: str) -> int:
     return threads
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip() != ""]
-
-
-def _parse_floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip() != ""]
+def _parse_list(text: str, kind: type, flag: str) -> list:
+    """The nonblank comma-separated entries of ``flag``'s value as ``kind``
+    (int or float); ValueError naming the flag at the first other entry."""
+    values = []
+    for t in filter(str.strip, text.split(",")):
+        try:
+            values.append(kind(t))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{flag}: {t!r} is not {what}") from None
+    return values
 
 
 def _read_dataset_csv(path: str) -> Dataset:
@@ -254,10 +259,10 @@ def _cmd_construct(args) -> int:
     _refuse_beside(args, f"--kind {args.kind}",
                    *(name for name in _KIND_FLAGS if name not in required + optional))
     if args.kind == "junta":
-        relevant = _parse_ints(args.relevant)
+        relevant = _parse_list(args.relevant, int, "--relevant")
         if args.table is not None:
             _refuse_beside(args, "--table", "seed")
-            table = np.array(_parse_floats(args.table))
+            table = np.array(_parse_list(args.table, float, "--table"))
         elif args.seed is not None:
             rng = np.random.default_rng(args.seed)
             table = rng.uniform(-1.0, 1.0, size=1 << len(relevant))
@@ -267,7 +272,7 @@ def _cmd_construct(args) -> int:
     elif args.kind == "index":
         net = index_net(args.bits)
     elif args.kind == "parity":
-        net = parity_lift(args.m, _parse_ints(args.subset))
+        net = parity_lift(args.m, _parse_list(args.subset, int, "--subset"))
     else:  # gamma
         constructions.check_gate_sizes(args.gate_bits, args.payload_dim)  # before the draw
         rng = np.random.default_rng(args.seed)
@@ -289,7 +294,7 @@ def _cmd_transform(args) -> int:
 def _cmd_sensitivity(args) -> int:
     if bool(args.trials) == (args.seed is None):
         raise ValueError("--trials needs --seed" if args.trials else "--seed needs --trials")
-    rhos = _parse_floats(args.rho) if args.rho else []
+    rhos = _parse_list(args.rho, float, "--rho") if args.rho else []
     if args.trials and not rhos:
         raise ValueError("--trials needs --rho")  # the Monte-Carlo loop runs once per rho
     if args.threads is not None and not args.trials:
@@ -447,12 +452,14 @@ def _cmd_learn_dlist(args) -> int:
 
 
 def _cmd_rademacher(args) -> int:
+    if args.trials < 1:  # exact mode never reads it, but the flag is required
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     params = bounds.ClassParams(n=args.n, s=args.s, k=args.k)
     pool = random_sparse_pool(params, args.pool_count, rng)
     rows_dicts = compare_to_bound(
         pool,
-        _parse_ints(args.m_grid),
+        _parse_list(args.m_grid, int, "--m-grid"),
         args.trials,
         rng,
         mode=args.mode,

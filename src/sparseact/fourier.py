@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import MAX_PACKED_N, MAX_TABULATE_N, MC_CHUNK
 from .errors import CapacityError
-from .hypercube import affine_blocks, flip_masks, index_signs, point_index
+from .hypercube import affine_blocks, flip_masks, point_index
 from .network import SparseNet
 from .parallel import mean_and_stderr, run_chunked
 
@@ -82,10 +82,9 @@ def values_at(f, n: int, idx) -> np.ndarray:
     """f at the packed indices ``idx`` of {-1,+1}^n, as float64.
 
     A CubeFunction is looked up; anything with an ``eval_indices(idx)``
-    method (monomial models) gets the packed indices as they are; anything
-    with an ``eval_batch((N, n) signs) -> (N,)`` method (networks, decision
-    lists) gets the unpacked sign rows; any other callable is called once
-    per point, with its packed index as an ``int``.
+    method (nets, monomial models, decision lists) gets the packed indices
+    as they are; any other callable is called once per point, with its
+    packed index as an ``int``.
     """
     if isinstance(f, CubeFunction):
         if f.n != n:
@@ -95,8 +94,6 @@ def values_at(f, n: int, idx) -> np.ndarray:
         if f.n != n:
             raise ValueError(f"model has n={f.n}, requested {n}")
         return f.eval_indices(idx)
-    if hasattr(f, "eval_batch"):
-        return np.asarray(f.eval_batch(index_signs(idx, n)), dtype=np.float64)
     return np.array([f(int(u)) for u in idx], dtype=np.float64)
 
 

@@ -10,13 +10,15 @@ which makes the fast Walsh-Hadamard transform and exhaustive scans line up
 with plain array indexing.
 
 Public functions take points as packed indices: an ``int`` for one point,
-an int64 array for many.  ``CubePoint`` only wraps the index that
-``sample_bucket_pair`` and a sparsity report's witness return.
+an int64 array for many (every predictor's ``eval_indices`` takes one).
+``CubePoint`` only wraps the index that ``sample_bucket_pair`` and a
+sparsity report's witness return.
 
 Coordinates are 1-indexed throughout the public API; only storage is
 0-indexed.  ``index_signs`` and ``pack_bits`` are the only converters
-between packed indices and sign rows; everything else goes through them,
-except ``flip_masks``, which packs the Monte-Carlo flip draws in place.
+between packed indices and sign rows (a net unpacks its points a slice
+at a time); everything else goes through them, except ``flip_masks``,
+which packs the Monte-Carlo flip draws in place.
 Whole-cube affine maps (a net's pre-activations at all 2^n points) come
 from ``affine_blocks``, which never unpacks an index; the exhaustive sparsity
 scan counts their positive entries off the same tables, with no float block.

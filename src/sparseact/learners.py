@@ -188,11 +188,9 @@ class GeneralizedDecisionList:
     nodes: tuple[ListNode, ...]
     default: float = 0.0
 
-    def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate on an (N, n) array of +-1 rows; returns (N,) floats."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n:
-            raise ValueError(f"expected (N, {self.n}) sign rows, got {X.shape}")
+    def eval_indices(self, idx) -> np.ndarray:
+        """Evaluate at packed int64 indices; returns a float64 array of their length."""
+        X = index_signs(packed_indices(idx, self.n), self.n).astype(np.float64)
         out = np.full(X.shape[0], self.default)
         undecided = np.ones(X.shape[0], dtype=bool)
         for node in self.nodes:
@@ -221,7 +219,7 @@ def _distinct_inputs(data: Dataset, tol: float) -> tuple[np.ndarray, np.ndarray]
 
 def _affine_fit(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Least-squares affine fit; returns (v, c, max abs residual), the residual
-    computed as ``GeneralizedDecisionList.eval_batch`` computes the leaf."""
+    computed as ``GeneralizedDecisionList.eval_indices`` computes the leaf."""
     A = np.hstack([X, np.ones((X.shape[0], 1))])
     sol, *_ = np.linalg.lstsq(A, y, rcond=None)
     v, c = sol[:-1], float(sol[-1])
@@ -384,7 +382,7 @@ def fit_decision_list(
     # the peel order guarantees each sample fires exactly its covering node,
     # so the per-leaf residual bound transfers to the whole list; check it
     # rather than assume it
-    achieved = float(np.max(np.abs(result.eval_batch(X) - y)))
+    achieved = float(np.max(np.abs(result.eval_indices(data.idx) - y)))
     if achieved > tol:
         raise AssertionError(
             f"internal error: training residual {achieved:.3g} exceeds tol {tol}"
@@ -402,8 +400,7 @@ class LossReport:
 
 def evaluate_loss(predictor, data: Dataset) -> LossReport:
     """Mean loss of a predictor (anything :func:`~sparseact.fourier.values_at`
-    accepts: a CubeFunction, a model with eval_indices or eval_batch, or a
-    callable)."""
+    accepts: a CubeFunction, a net or model with eval_indices, or a callable)."""
     preds = values_at(predictor, data.n, data.idx)
     return LossReport(mse=float(np.mean(0.5 * (preds - data.y) ** 2)), count=len(data))
 

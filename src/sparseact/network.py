@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -26,6 +26,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     a.setflags(write=False)
     return a
+
+
+# Pre-activations per point slice (2^15 // s points, 256 KiB of floats);
+# slices of 2 MiB ran slower than one whole block, as each fresh temporary
+# that size was paged in anew.
+_SLICE_ENTRIES = 1 << 15
+
+
+def _point_slices(idx: np.ndarray, s: int) -> Iterator[np.ndarray]:
+    """Row slices of ``idx`` of at most 2^15 // s points each (at least one)."""
+    rows = max(1, _SLICE_ENTRIES // s)
+    return (idx[lo : lo + rows] for lo in range(0, idx.size, rows))
 
 
 @dataclass(frozen=True)
@@ -79,6 +91,12 @@ class SparseNet:
         """Number of strictly active units per row of an (N, n) sign array."""
         return (self.preactivations(X) > 0.0).sum(axis=1)
 
+    def eval_indices(self, idx) -> np.ndarray:
+        """h at packed int64 indices; returns a float64 array of their length,
+        from ``eval_batch`` on the sign rows of one point slice at a time."""
+        slices = _point_slices(packed_indices(idx, self.n), self.s)
+        return np.concatenate([self.eval_batch(index_signs(p, self.n)) for p in slices])
+
     # -- derived quantities --------------------------------------------
 
     def scale_params(self) -> "ScaleParams":
@@ -125,8 +143,12 @@ class SparseNet:
         try:
             counts = {key: json_field(d, key, int) for key in ("n", "s", "k")}
             arrays = {key: np.array(d[key]) for key in ("u", "w", "b")}
+            # np.array reads a boolean among numbers as 0 or 1, so the lists
+            # are walked for one, but only when the text holds such a literal
+            literal = "true" in text or "false" in text
             for key, a in arrays.items():
-                if a.dtype.kind in "bU":  # all booleans, or a string among numbers
+                mixed = literal and bool in map(type, np.array(d[key], dtype=object).flat)
+                if a.dtype.kind in "bU" or mixed:  # all booleans, a string, or mixed
                     raise TypeError(f"{key} must hold numbers only")
             return cls(**counts, **arrays)
         except (TypeError, OverflowError) as exc:
@@ -163,12 +185,6 @@ class SparsityReport:
     samples: int
 
 
-# Pre-activations per support slice (2^15 // s points, 256 KiB of floats);
-# slices of 2 MiB ran slower than one whole block, as each fresh temporary
-# that size was paged in anew.
-_SUPPORT_ENTRIES = 1 << 15
-
-
 def verify_sparsity(
     net: SparseNet, k: int, mode: str = "exhaustive", *, support=None
 ) -> SparsityReport:
@@ -192,9 +208,7 @@ def verify_sparsity(
             )
         blocks = _positive_counts(net.w, -net.b)
     else:
-        idx = packed_indices(support, net.n)
-        rows = max(1, _SUPPORT_ENTRIES // net.s)
-        slices = (idx[lo : lo + rows] for lo in range(0, idx.size, rows))
+        slices = _point_slices(packed_indices(support, net.n), net.s)
         blocks = ((p, net.active_counts(index_signs(p, net.n))) for p in slices)
     max_active = violations = total = 0
     witness: Optional[CubePoint] = None

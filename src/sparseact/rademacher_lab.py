@@ -194,7 +194,7 @@ def compare_to_bound(
     knows the theorem's hidden constant.
     """
     m_grid = list(m_grid)
-    if any(b <= a for a, b in zip([1] + m_grid, m_grid)):  # from 2 upward
+    if not m_grid or any(b <= a for a, b in zip([1] + m_grid, m_grid)):  # from 2 upward
         raise ValueError(f"m grid must be strictly increasing sizes >= 2, got {m_grid}")
     rows = []
     for m in m_grid:

@@ -838,7 +838,7 @@ class TestBadInput:
         assert rc == 1 and len(draws) == 1
         assert capsys.readouterr() == ("", f"error: junta construction needs n <= 62, got {n}\n")
 
-    @pytest.mark.parametrize("grid", ["0", "1", "-3"])
+    @pytest.mark.parametrize("grid", ["0", "1", "-3", "", ","])
     def test_rademacher_m_grid_below_two(self, capsys, monkeypatch, grid):
         def estimate(*args, **kwargs):
             raise AssertionError("an estimate ran")
@@ -848,8 +848,39 @@ class TestBadInput:
                   "--m-grid", grid, "--trials", "10", "--seed", "1"])
         assert rc == 2
         assert capsys.readouterr() == (
-            "", f"error: m grid must be strictly increasing sizes >= 2, got [{grid}]\n"
+            "", f"error: m grid must be strictly increasing sizes >= 2, got [{grid.strip(',')}]\n"
         )
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    @pytest.mark.parametrize("mode", ["exact", "mc", "auto"])
+    def test_rademacher_trials_below_one(self, capsys, monkeypatch, mode, trials):
+        def draw(*args):
+            raise AssertionError("a pool member was drawn")
+
+        monkeypatch.setattr(rademacher_lab, "random_junta", draw)
+        rc = run(["rademacher", "--n", "4", "--s", "4", "--pool-count", "2", "--m-grid", "8",
+                  "--trials", trials, "--seed", "1", "--mode", mode])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: --trials must be >= 1, got {trials}\n")
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [(["rademacher", "--n", "4", "--s", "4", "--pool-count", "2", "--m-grid", "8,abc",
+           "--trials", "10", "--seed", "1"], "--m-grid: 'abc' is not an integer"),
+         (["construct", "--kind", "junta", "--n", "4", "--relevant", "1,2.5", "--seed", "1"],
+          "--relevant: '2.5' is not an integer"),
+         (["construct", "--kind", "junta", "--n", "4", "--relevant", "1", "--table", "0.5,x"],
+          "--table: 'x' is not a number"),
+         (["construct", "--kind", "parity", "--m", "3", "--subset", "1, two"],
+          "--subset: ' two' is not an integer"),
+         (["sensitivity", "--net", "NET", "--rho", "0.5,half"], "--rho: 'half' is not a number")],
+        ids=["m-grid", "relevant", "table", "subset", "rho"],
+    )
+    def test_list_flag_bad_entry_named(self, tmp_path, capsys, argv, shown):
+        _, net = write_net(tmp_path)
+        rc = run([str(net) if arg == "NET" else arg for arg in argv])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {shown}\n")
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -891,9 +922,11 @@ class TestBadInput:
         "key, text",
         [("k", "[1]"), ("n", "null"), ("u", '{"a": 1}'), ("n", "1e999"), ("n", "3.9"),
          ("s", "2.0"), ("k", "true"), ("n", '"3"'), ("u", "[true, false]"),
-         ("w", '[[1, "1", 0], [-1, 1, 0]]'), ("b", '[1, "x"]'), ("b", "[1, null]")],
+         ("w", '[[1, "1", 0], [-1, 1, 0]]'), ("b", '[1, "x"]'), ("b", "[1, null]"),
+         ("w", "[[1, true, 0], [-1, 1, 0]]"), ("u", "[true, 1.5]"), ("b", "[1, false]")],
         ids=["k-list", "n-null", "u-object", "n-overflow", "n-fraction", "s-float",
-             "k-bool", "n-string", "u-bool", "w-string", "b-text", "b-null"],
+             "k-bool", "n-string", "u-bool", "w-string", "b-text", "b-null",
+             "w-bool-among-ints", "u-bool-among-floats", "b-bool-among-ints"],
     )
     @pytest.mark.parametrize("command", _NET_COMMANDS, ids=lambda argv: argv[0])
     def test_malformed_net_field(self, tmp_path, capsys, key, text, command):

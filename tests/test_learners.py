@@ -14,6 +14,7 @@ from helpers import (
     net_value,
     parity_function,
     reference_decision_list,
+    reference_dlist_values,
     reference_fit_low_degree,
     reference_monomial_values,
     reference_normal_equations,
@@ -26,8 +27,10 @@ from sparseact import (
     CapacityError,
     CubeFunction,
     Dataset,
+    GeneralizedDecisionList,
     InconsistentDataError,
     JuntaSpec,
+    ListNode,
     MonomialModel,
     NoConsistentListError,
     SparseNet,
@@ -276,7 +279,7 @@ class TestEvalIndices:
         def unpack(*args):
             raise AssertionError("index_signs called")
 
-        for module in (fourier, learners, hypercube):
+        for module in (learners, hypercube):
             monkeypatch.setattr(module, "index_signs", unpack)
         rng = np.random.default_rng(11)
         data = Dataset(12, rng.integers(0, 1 << 12, size=3000), rng.normal(size=3000))
@@ -619,15 +622,11 @@ class TestDecisionListScreen:
 
 class TestDlPredict:
     def test_empty_list_default(self):
-        from sparseact import GeneralizedDecisionList
-
         dlist = GeneralizedDecisionList(n=3, nodes=(), default=1.5)
         for u in range(8):
             assert value_at(dlist, 3, u) == 1.5
 
     def test_all_covering_node(self):
-        from sparseact import GeneralizedDecisionList, ListNode
-
         node = ListNode(gate_w=(0, 0), gate_b=-1, leaf_v=(0.5, -0.5), leaf_c=1.0)
         dlist = GeneralizedDecisionList(n=2, nodes=(node,), default=0.0)
         for u in range(4):
@@ -643,9 +642,32 @@ class TestDlPredict:
         data = full_cube_dataset(net, 3)
         dlist = fit_decision_list(data, s=2, M=1)
         X = np.array([Point(3, int(u)).signs() for u in data.idx], dtype=np.float64)
-        batch = dlist.eval_batch(X)
-        for u, value in zip(data.idx, batch):
+        want = reference_dlist_values(dlist, X)
+        assert np.array_equal(dlist.eval_indices(data.idx), want)
+        for u, value in zip(data.idx, want):
             assert value == pytest.approx(value_at(dlist, 3, int(u)), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 9])
+    def test_eval_indices_matches_sign_row_oracle(self, n):
+        # gates in {-2..2}^(n+1) leave some points undecided, so the
+        # default leaf is read too
+        rng = np.random.default_rng(n)
+        nodes = tuple(
+            ListNode(tuple(int(g) for g in rng.integers(-2, 3, n)), int(rng.integers(-2, 3)),
+                     tuple(float(v) for v in rng.normal(size=n)), float(rng.normal()))
+            for _ in range(4)
+        )
+        dlist = GeneralizedDecisionList(n=n, nodes=nodes, default=0.75)
+        X = np.array([Point(n, u).signs() for u in range(1 << n)], dtype=np.float64)
+        assert np.array_equal(dlist.eval_indices(np.arange(1 << n)),
+                              reference_dlist_values(dlist, X))
+
+    def test_wrong_dimension_refused(self):
+        dlist = GeneralizedDecisionList(n=3, nodes=(), default=1.5)
+        with pytest.raises(ValueError, match="model has n=3, requested 4"):
+            values_at(dlist, 4, np.arange(4))
+        with pytest.raises(ValueError):
+            dlist.eval_indices(np.array([8]))
 
 
 class TestEvaluateLoss:

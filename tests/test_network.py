@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from sparseact import (
     CapacityError,
     CubePoint,
+    HypothesisPool,
     SparseNet,
     avg_sensitivity_exact,
     avg_sensitivity_split,
@@ -25,6 +26,7 @@ from sparseact import (
     parity_lift,
     rebucket,
     sample_bucket_pair,
+    sample_uniform_dataset,
     tabulate,
     verify_sparsity,
     wht,
@@ -32,6 +34,7 @@ from sparseact import (
 )
 from sparseact.config import MC_SIGMA, REL_TOL_EXACT
 from sparseact.constructions import random_net
+from sparseact.fourier import values_at
 from sparseact.hypercube import (
     _BLOCK_BITS,
     _positive_counts,
@@ -39,6 +42,7 @@ from sparseact.hypercube import (
     index_signs,
     pack_bits,
 )
+from sparseact.network import _SLICE_ENTRIES
 
 
 def active_sets(net, X):
@@ -106,6 +110,89 @@ class TestEval:
         batch = net.eval_batch(X)
         for u in range(64):
             assert batch[u] == pytest.approx(net_value(net, u), abs=1e-12)
+
+
+def _slice_sizes(monkeypatch, net, idx):
+    """(values, rows per eval_batch call) of ``net.eval_indices(idx)``."""
+    sizes = []
+    eval_batch = SparseNet.eval_batch
+
+    def record(self, X):
+        sizes.append(len(X))
+        return eval_batch(self, X)
+
+    monkeypatch.setattr(SparseNet, "eval_batch", record)
+    values = net.eval_indices(idx)
+    monkeypatch.undo()
+    return values, sizes
+
+
+class TestEvalIndices:
+    """``SparseNet.eval_indices`` against ``eval_batch`` on the unpacked rows,
+    at point counts one below, at and one above a slice."""
+
+    @pytest.mark.parametrize(
+        "net",
+        [index_net(3), index_net(5),
+         junta_to_net(JuntaSpec(n=9, relevant=(2, 5, 9), table=[0.5, -1, 0.25, 2, -3, 0, 1, 4])),
+         junta_to_net(JuntaSpec(n=20, relevant=tuple(range(3, 13)),
+                                table=np.arange(-512, 512) / 8)),
+         parity_lift(4, [1, 3, 4]), parity_lift(7, [2, 5, 7])],
+        ids=["index3", "index5", "junta9", "junta20", "parity4", "parity7"],
+    )
+    def test_dyadic_nets_match_sign_rows_exactly(self, monkeypatch, net):
+        rows = max(1, _SLICE_ENTRIES // net.s)
+        rng = np.random.default_rng(net.s)
+        for m in (rows - 1, rows, rows + 1):
+            idx = rng.integers(0, 1 << net.n, size=m)
+            got, sizes = _slice_sizes(monkeypatch, net, idx)
+            assert np.array_equal(got, net.eval_batch(index_signs(idx, net.n)))
+            assert sizes == [rows] * (m // rows) + [m % rows] * (m % rows > 0)
+
+    @pytest.mark.parametrize("n, s", [(1, 1), (6, 4), (16, 64), (20, 1000), (62, 300)])
+    def test_random_nets_match_sign_rows(self, monkeypatch, n, s):
+        rng = np.random.default_rng(n + s)
+        net = random_net(rng, n, s)
+        rows = max(1, _SLICE_ENTRIES // s)
+        for m in (rows - 1, rows, rows + 1):
+            idx = rng.integers(0, 1 << n, size=m)
+            got, sizes = _slice_sizes(monkeypatch, net, idx)
+            want = net.eval_batch(index_signs(idx, n))
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            assert sizes == [rows] * (m // rows) + [m % rows] * (m % rows > 0)
+
+    def test_more_units_than_slice_entries_take_one_row_per_slice(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        net = random_net(rng, 5, _SLICE_ENTRIES + 3)
+        idx = np.array([0, 31, 7, 7, 12])
+        got, sizes = _slice_sizes(monkeypatch, net, idx)
+        want = net.eval_batch(index_signs(idx, 5))
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert sizes == [1] * 5
+
+    def test_wrong_dimension_refused(self):
+        net = single_unit_net()
+        with pytest.raises(ValueError, match="model has n=2, requested 3"):
+            values_at(net, 3, np.arange(4))
+        with pytest.raises(ValueError):
+            net.eval_indices(np.array([4]))
+
+    @pytest.mark.parametrize("s", [64, 4096])
+    def test_memory_at_points_bounded_by_slice(self, s):
+        # the (20000, s) pre-activations at once were 22.5 MiB at s = 64 and
+        # 1253 MiB at s = 4096; a slice holds 2^15 of them (256 KiB)
+        net = random_net(np.random.default_rng(s), 16, s)
+        pool = HypothesisPool(members=(net,), n=16, s=s, k=s, W=1.0, B=1.0)
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            data = sample_uniform_dataset(net, 16, 20_000, rng)
+            values = pool.value_matrix(data.idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(values[0], data.y)
+        assert peak < 4 << 20
 
 
 class TestActiveSet:

@@ -32,8 +32,8 @@ class ConstantPredictor:
         self.n = n
         self.c = c
 
-    def eval_batch(self, X):
-        return np.full(X.shape[0], self.c)
+    def eval_indices(self, idx):
+        return np.full(len(idx), self.c)
 
 
 def constant_pool(n, values):
