@@ -42,7 +42,7 @@ from .learners import (
 )
 from .network import SparseNet, json_field
 from .rademacher_lab import compare_to_bound, random_sparse_pool
-from .texts import float_texts, int_texts
+from .texts import _BLOCK, _WIDTH, float_chars, int_chars
 
 
 def _fmt(value) -> str:
@@ -63,19 +63,45 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _column_texts(columns: Sequence[Sequence], cell) -> list[list[str]]:
-    """The text of every cell, column by column.
+_INT64 = range(-(1 << 63), 1 << 63)
 
-    A float64 array, or a range of int64 values, goes through the block
-    kernels of ``texts``, whose bytes are ``float.__repr__``'s and
-    ``int.__repr__``'s; any other column goes through ``cell`` one value at
-    a time.  When cells are refused, ``cell``'s error at the first of them
-    in row order is raised, as a row-by-row writer would.
-    """
-    texts, refused = [], []
+
+def _column_bytes(column: Sequence, cell):
+    """(width, block): block(lo, hi) gives the texts of rows lo..hi-1 as a
+    byte matrix at most ``width`` wide, and the mask of its text bytes.
+
+    A finite float64 array, or a range of int64 values, goes through the
+    kernels of ``texts``, whose NUL padding marks the text (the mask is
+    None); any other column through ``cell``, as UTF-8, each cell's length
+    marking its bytes (TypeError or ValueError where a cell is refused)."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64 and np.isfinite(column).all():
+        return _WIDTH, lambda lo, hi: (float_chars(column[lo:hi]), None)
+    ends = (*column[:1], *column[-1:]) if isinstance(column, range) else ()
+    if ends and all(v in _INT64 for v in ends):  # the first and last values bound the rest
+        width = max(len(str(v)) for v in ends)
+        return width, lambda lo, hi: (int_chars(column[lo:hi])[:, :width], None)
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    cells = [text.encode() for text in map(cell, values)]
+    lengths = np.array(list(map(len, cells)), dtype=np.intp)
+    width = max(1, int(lengths.max(initial=0)))
+    chars = np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    return width, lambda lo, hi: (chars[lo:hi], np.arange(width) < lengths[lo:hi, None])
+
+
+def _table_text(columns: Sequence[Sequence], cell, seps: list[str], head: str,
+                tail: str = "", cut: int = 0) -> str:
+    """head, then each row as seps[0] cell_0 seps[1] ... cell_{k-1} seps[k]
+    with the last ``cut`` bytes of the rows dropped, then tail.
+
+    ``_BLOCK`` rows at a time are laid out in one byte matrix, each column
+    in a slot as wide as its widest text, and one mask drops the padding
+    into one buffer, which becomes ``str`` once.  When cells are refused,
+    ``cell``'s error at the first of them in row order is raised, as a
+    row-by-row writer would, before any row is laid out."""
+    slots, refused = [], []
     for j, column in enumerate(columns):
         try:
-            texts.append(_texts(column, cell))
+            slots.append(_column_bytes(column, cell))
         except (TypeError, ValueError):
             values = column.tolist() if isinstance(column, np.ndarray) else column
             for row, value in enumerate(values):
@@ -86,33 +112,30 @@ def _column_texts(columns: Sequence[Sequence], cell) -> list[list[str]]:
                     break
     if refused:
         raise min(refused)[2]
-    return texts
-
-
-_INT64 = range(-(1 << 63), 1 << 63)
-
-
-def _texts(column: Sequence, cell) -> list[str]:
-    """One column's cell texts; TypeError or ValueError where a cell is refused."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return float_texts(column)
-    if isinstance(column, range) and all(v in _INT64 for v in (*column[:1], *column[-1:])):
-        return int_texts(column)  # the first and last values bound the rest
-    values = column.tolist() if isinstance(column, np.ndarray) else column
-    return list(map(cell, values))
-
-
-def _join_rows(texts: list[list[str]], seps: list[str]) -> str:
-    """Each row as seps[0] cell_0 seps[1] ... cell_{k-1} seps[k], rows joined:
-    one C-level join over interleaved references, no per-row string."""
-    rows = len(texts[0]) if texts else 0
-    step = 2 * len(texts) + 1
-    parts = [""] * (step * rows)
-    for j, sep in enumerate(seps):
-        parts[2 * j :: step] = [sep] * rows
-    for j, column in enumerate(texts):
-        parts[2 * j + 1 :: step] = column
-    return "".join(parts)
+    rows, seps_ = len(columns[0]) if columns else 0, [sep.encode() for sep in seps]
+    # the separators are the same in every row, so they are laid out once
+    row = b"".join(sep + bytes(width) for sep, (width, _) in zip(seps_, slots + [(0, None)]))
+    stops = np.cumsum([len(sep) + width for sep, (width, _) in zip(seps_, slots)]).tolist()
+    matrix = np.tile(np.frombuffer(row, np.uint8), (min(rows, _BLOCK), 1))
+    keep = np.ones(matrix.shape, dtype=bool)
+    head_, tail_ = head.encode(), tail.encode()
+    out = np.empty(len(head_) + rows * len(row) + len(tail_), dtype=np.uint8)
+    out[: len(head_)] = np.frombuffer(head_, np.uint8)
+    end = len(head_)
+    for lo in range(0, rows, _BLOCK):
+        size = min(_BLOCK, rows - lo)
+        for stop, (width, block) in zip(stops, slots):
+            chars, kept = block(lo, lo + size)
+            at, cells_end = stop - width, stop - width + chars.shape[1]
+            matrix[:size, at:cells_end] = chars
+            keep[:size, at:cells_end] = chars != 0 if kept is None else kept
+            keep[:size, cells_end:stop] = False
+        text = matrix[:size][keep[:size]]
+        out[end : end + text.size] = text
+        end += text.size
+    end -= cut
+    out[end : end + len(tail_)] = np.frombuffer(tail_, np.uint8)
+    return str(out[: end + len(tail_)], "utf-8")
 
 
 def _columns_to_csv(header: list[str], columns: Sequence[Sequence]) -> str:
@@ -124,16 +147,13 @@ def _columns_to_csv(header: list[str], columns: Sequence[Sequence]) -> str:
 
     def cell(value) -> str:
         # csv quoting for the rare non-numeric cell; the empty second field
-        # keeps an empty cell unquoted, as it is in a row of several fields
+        # keeps an empty cell unquoted, as csv does unless it is a row's only one
         buf.seek(0)
         buf.truncate()
         writer.writerow((_fmt(value), ""))
-        return buf.getvalue()[:-2]
+        return buf.getvalue()[:-2] or ('""' if len(columns) == 1 else "")
 
-    texts = _column_texts(columns, cell)
-    if len(texts) == 1:  # csv writes a row of one empty field as ""
-        texts = [['""' if text == "" else text for text in texts[0]]]
-    return head + _join_rows(texts, [""] + [","] * (len(texts) - 1) + ["\n"])
+    return _table_text(columns, cell, [""] + [","] * (len(columns) - 1) + ["\n"], head)
 
 
 def _json_cell(value) -> str:
@@ -144,13 +164,12 @@ def _json_cell(value) -> str:
 def _columns_to_json(header: list[str], columns: Sequence[Sequence]) -> str:
     """``json.dumps(records, indent=2, allow_nan=False)`` of the table's rows
     as records keyed by the (distinct) header names, plus a newline."""
-    texts = _column_texts(columns, _json_cell)
-    if not texts or not texts[0]:
+    if not columns or not len(columns[0]):
         return "[]\n"
     keys = [f"    {json.dumps(key)}: " for key in header]
     seps = ["  {\n" + keys[0]] + [",\n" + key for key in keys[1:]] + ["\n  },\n"]
     # the last record ends "  }" rather than "  },"
-    return "[\n" + _join_rows(texts, seps)[:-2] + "\n]\n"
+    return _table_text(columns, _json_cell, seps, "[\n", "\n]\n", cut=2)
 
 
 def _emit_table(args, header: list[str], columns: Sequence[Sequence]) -> None:

@@ -158,9 +158,12 @@ def parity_lift(m: int, S: Sequence[int]) -> SparseNet:
     net returns 1 when sum_{i in S} y_i is even and 0 otherwise, and at most
     one unit is active on any lifted input.
     """
-    S = sorted(set(int(i) for i in S))
+    S = tuple(int(i) for i in S)
     if not S:
         raise ValueError("S must be nonempty")
+    if len(set(S)) != len(S):
+        raise ValueError(f"duplicate subset indices in {S}")
+    S = sorted(S)
     if m > MAX_LIFT_M:
         raise CapacityError(f"parity lifting needs m <= {MAX_LIFT_M}, got {m}")
     if any(not 1 <= i <= m for i in S):

@@ -126,14 +126,25 @@ def tabulate(f, n: int) -> CubeFunction:
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """In-place fast transform: out[t] = sum_u a[u] * (-1)^popcount(u & t)."""
-    m = a.size
-    h = 1
-    while h < m:
-        b = a.reshape(-1, 2, h)
-        x = b[:, 0, :].copy()
-        b[:, 0, :] += b[:, 1, :]
-        np.subtract(x, b[:, 1, :], out=b[:, 1, :])
+    """In-place fast transform: out[t] = sum_u a[u] * (-1)^popcount(u & t).
+
+    Stages pairing elements under 256 apart run on transposed 2^16-element
+    slices, where numpy adds whole rows, with each element's operations unchanged."""
+    cols, scratch = min(a.size, 256), np.empty(a.size // 2)
+    for lo in range(0, a.size, 1 << 16):
+        rows = a[lo : lo + (1 << 16)].reshape(-1, cols)
+        t = rows.T.copy()
+        rows[:] = _butterflies(t.reshape(-1), t.shape[1], scratch).reshape(cols, -1).T
+    return _butterflies(a, cols, scratch)
+
+
+def _butterflies(a: np.ndarray, h: int, scratch: np.ndarray) -> np.ndarray:
+    """The stages h, 2h, ... below a.size, in place."""
+    while h < a.size:
+        pairs, x = a.reshape(-1, 2, h), scratch[: a.size // 2].reshape(-1, h)
+        np.copyto(x, pairs[:, 0])
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(x, pairs[:, 1], out=pairs[:, 1])
         h *= 2
     return a
 

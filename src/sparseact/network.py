@@ -19,7 +19,7 @@ from .config import MAX_EXHAUSTIVE_N, MAX_SPLIT_N
 from .errors import CapacityError
 from .hypercube import CubePoint, affine_blocks, index_signs, packed_indices, point_index
 from .hypercube import _positive_counts
-from .texts import float_texts
+from .texts import float_chars
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -127,13 +127,25 @@ class SparseNet:
 
     def to_json(self) -> str:
         """Canonical JSON with fixed field order and round-trip floats: the
-        bytes of ``json.dumps`` of the fields with u, w and b as lists."""
+        bytes of ``json.dumps`` of the fields with u, w and b as lists.
+
+        Only the weights whose bits are not all zero (-0.0 too) are formatted,
+        and spliced over their "0.0"s in the text of an all-zero net."""
         s, n = self.w.shape
-        texts = float_texts(np.concatenate([self.u, self.w.ravel(), self.b]))
-        u, b = ", ".join(texts[:s]), ", ".join(texts[s + s * n :])
-        w = "], [".join(", ".join(texts[lo : lo + n]) for lo in range(s, s + s * n, n))
-        head = f'{{"n": {self.n}, "s": {self.s}, "k": {self.k}'
-        return f'{head}, "u": [{u}], "w": [[{w}]], "b": [{b}]}}'
+        head = f'{{"n": {self.n}, "s": {self.s}, "k": {self.k}, "u": ['
+        weights = np.concatenate([self.u, self.w.ravel(), self.b])
+        j = np.flatnonzero(weights.view(np.uint64))
+        chars = float_chars(weights[j])
+        del weights
+        # each piece of the template and the text after it (NULs stripped)
+        texts = [*chars.view(f"S{chars.shape[1]}").ravel().tolist(), b""]
+        # "0.0, " a weight, 8 more bytes into w and into b, 2 more a row of w
+        at = len(head) + 5 * j + 8 * (j >= s) + 8 * (j >= s + s * n)
+        at += 2 * np.clip((j - s) // n, 0, s - 1)
+        zeros, row = ", ".join(["0.0"] * s), "[" + ", ".join(["0.0"] * n) + "]"
+        template = f'{head}{zeros}], "w": [{", ".join([row] * s)}], "b": [{zeros}]}}'
+        starts, stops = [0, *(at + 3).tolist()], [*at.tolist(), len(template)]
+        return "".join([template[a:b] + t.decode() for a, b, t in zip(starts, stops, texts)])
 
     @classmethod
     def from_json(cls, text: str) -> "SparseNet":

@@ -1,14 +1,14 @@
-"""Decimal text of float64 and int64 columns, a block of values at a time.
+"""Decimal text of float64 and int64 values, a block of values at a time.
 
-``float_texts(a)`` is ``[float.__repr__(v) for v in a.tolist()]`` for a
-float64 array, and ``int_texts(a)`` is ``[int.__repr__(v) for v in a]`` for
-an int64 array or a range of int64 values: the same characters, byte for
-byte, computed for 2^13 values at a time with numpy rather than one value at
-a time by CPython's big-integer ``dtoa``.  Net files (``SparseNet.to_json``,
-its weights in one call), float64 table columns and range table columns go
-through them; every other table cell goes through the writer's one per-cell
-formatter.  No temporary is longer than a block, whatever the column's
-length.
+``float_chars(a)`` holds ``float.__repr__(v)`` of each value of a float64
+array, and ``int_chars(a)`` ``int.__repr__(v)`` of each value of an int64
+array or a range of int64 values, as ASCII bytes: one NUL-padded row per
+value, computed for 2^13 values at a time with numpy rather than one value
+at a time by CPython's big-integer ``dtoa``.  Net files
+(``SparseNet.to_json``, its nonzero weights in one call), float64 table
+columns and range table columns go through them; every other table cell
+goes through the writer's one per-cell formatter.  No temporary is longer
+than a block, whatever the column's length.
 
 Shortest digits.  A nonzero double v = c 2^q rounds back from every real in
 an interval around it; ``repr`` prints the shortest decimal in that interval,
@@ -32,8 +32,8 @@ table, indexed by the sign, the decimal point's position and the digit
 count, then picks each row's characters in ``repr``'s order: exponent form
 iff the decimal exponent is below -4 or at least 16, the exponent signed and
 at least two digits (``1e-05``, ``1e+16``; but ``0.0001``,
-``9999999999999998.0``), and ``.0`` after an integral value.  Rows become ``str`` through
-a UCS4 view and ``tolist()``.  Zeros take no digit work.
+``9999999999999998.0``), and ``.0`` after an integral value; no ``str`` is
+made.  Zeros take no digit work.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ _DIGITS4 = (
     .ravel()
 )
 _POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
-_ZEROS = np.array(["0.0", "-0.0"], dtype=object)
+_ZEROS = np.array([b"0.0", b"-0.0"], dtype=f"S{_WIDTH}").view(np.uint8).reshape(2, _WIDTH)
 
 _M32 = np.uint64(0xFFFF_FFFF)
 _M63 = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
@@ -183,14 +183,13 @@ def _source_rows(size: int) -> np.ndarray:
     return rows
 
 
-def _strings(rows: np.ndarray, layouts, index: np.ndarray) -> np.ndarray:
-    """The texts of the first len(index) rows, each laid out by layouts[index]."""
+def _chars(rows: np.ndarray, layouts, index: np.ndarray) -> np.ndarray:
+    """The first len(index) rows' texts by layouts[index], NUL-padded."""
     layouts, lengths = layouts
     width = int(np.take(lengths, index).max(initial=1))
     cols = np.take(layouts[:, :width], index, axis=0)
     cols = cols + np.arange(0, index.size * _ROW, _ROW)[:, None]  # flat indices into rows
-    chars = np.take(rows.reshape(-1), cols, mode="clip")  # all in range: no check
-    return chars.astype(np.uint32).view(f"U{width}")[:, 0]
+    return np.take(rows.reshape(-1), cols, mode="clip")  # all in range: no check
 
 
 def _write_digits(rows: np.ndarray, values: np.ndarray) -> None:
@@ -217,7 +216,7 @@ def _float_block(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # significant digits: 17 less the trailing zeros
     count = 17 - np.argmax(rows[: d.size, 19:2:-1] != ord("0"), axis=1)
     index = ((bits >> 63).astype(np.intp) * 22 + np.clip(point, -4, 17) + 4) * 2 + (exp >= 100)
-    return _strings(rows, _FLOAT_LAYOUTS, index * 17 + count - 1)
+    return _chars(rows, _FLOAT_LAYOUTS, index * 17 + count - 1)
 
 
 def _int_block(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -225,39 +224,35 @@ def _int_block(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     magnitude = (v.view(np.uint64) ^ neg) - neg
     _write_digits(rows, magnitude)
     count = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1)
-    return _strings(rows, _INT_LAYOUTS, count - 1 + 20 * (v < 0))
+    return _chars(rows, _INT_LAYOUTS, count - 1 + 20 * (v < 0))
 
 
-def float_texts(a: np.ndarray) -> list[str]:
-    """``[float.__repr__(v) for v in a.tolist()]`` for a 1-D float64 array;
-    ValueError if a value is not finite."""
+def float_chars(a: np.ndarray) -> np.ndarray:
+    """``float.__repr__(v)`` of each value of a 1-D float64 array as a row of
+    ASCII bytes; ValueError if a value is not finite."""
     bits = a.view(np.uint64)
-    rows = _source_rows(bits.size)
-    texts: list[str] = []
-    for start in range(0, bits.size, _BLOCK):
-        block = bits[start : start + _BLOCK]
-        magnitude = block << 1  # the sign shifted out
-        if (magnitude >= 0x7FF << 53).any():
-            raise ValueError("not every value is finite")
-        nonzero = np.flatnonzero(magnitude)
-        if nonzero.size == block.size:
-            texts += _float_block(block, rows).tolist()
-            continue
-        cells = np.take(_ZEROS, block >> 63)
-        if nonzero.size:
-            cells[nonzero] = _float_block(block[nonzero], rows)
-        texts += cells.tolist()
-    return texts
+    magnitude = bits << 1  # the sign shifted out
+    if (magnitude >= 0x7FF << 53).any():
+        raise ValueError("not every value is finite")
+    nonzero = np.flatnonzero(magnitude)
+    if nonzero.size == bits.size <= _BLOCK:
+        return _float_block(bits, _source_rows(bits.size))
+    chars, rows = np.take(_ZEROS, bits >> 63, axis=0), _source_rows(nonzero.size)
+    for start in range(0, nonzero.size, _BLOCK):
+        at = nonzero[start : start + _BLOCK]
+        text = _float_block(bits[at], rows)
+        chars[at, : text.shape[1]] = text
+    return chars
 
 
-def int_texts(a) -> list[str]:
-    """``[int.__repr__(v) for v in a]`` for a 1-D int64 array or a range of
-    int64 values."""
-    rows = _source_rows(len(a))
-    texts: list[str] = []
+def int_chars(a) -> np.ndarray:
+    """``int.__repr__(v)`` of each value of a 1-D int64 array or a range of
+    int64 values as a row of ASCII bytes."""
+    chars, rows = np.zeros((len(a), 20), dtype=np.uint8), _source_rows(len(a))
     for start in range(0, len(a), _BLOCK):
         block = a[start : start + _BLOCK]
         if isinstance(block, range):
             block = np.arange(block.start, block.stop, block.step, dtype=np.int64)
-        texts += _int_block(block, rows).tolist()
-    return texts
+        text = _int_block(block, rows)
+        chars[start : start + block.size, : text.shape[1]] = text
+    return chars

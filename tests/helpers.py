@@ -110,15 +110,15 @@ def naive_spectrum(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def reference_fwht(a: np.ndarray) -> np.ndarray:
-    """The butterfly with four half-size temporaries per stage: the oracle
-    for ``fourier._fwht``, which updates in place with one."""
+    """One butterfly stage a pass, in place with one half-size temporary:
+    the oracle for ``fourier._fwht``, which runs the short strides on
+    transposed slices."""
     h = 1
     while h < a.size:
         b = a.reshape(-1, 2, h)
         x = b[:, 0, :].copy()
-        y = b[:, 1, :].copy()
-        b[:, 0, :] = x + y
-        b[:, 1, :] = x - y
+        b[:, 0, :] += b[:, 1, :]
+        np.subtract(x, b[:, 1, :], out=b[:, 1, :])
         h *= 2
     return a
 

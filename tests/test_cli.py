@@ -43,6 +43,7 @@ from sparseact.cli import (
 )
 from sparseact.config import REL_TOL_EXACT
 from sparseact.constructions import random_junta, random_net
+from sparseact.texts import _BLOCK
 
 DATA = Path(__file__).parent / "data"
 
@@ -226,6 +227,13 @@ def _as_arrays(columns):
     return out
 
 
+def _rows(columns):
+    """The table's rows of Python values."""
+    columns = [column.tolist() if isinstance(column, np.ndarray) else column
+               for column in columns]
+    return [list(row) for row in zip(*columns)]
+
+
 def _text_or_error(write, header, table):
     try:
         return write(header, table)
@@ -249,6 +257,14 @@ class TestTableWriters:
     ]))
     @example(table=(["i", "x"], [range(-3, 2**64, 2**61), [0.1, 0.0, -0.0, 1e300, 1e-300,
                                                             float("nan"), 2.0, 3.0, 4.0]]))
+    # ranges at and past the int64 limits; string cells with NUL and non-ASCII
+    @example(table=(["i"], [range(-(1 << 63), -(1 << 63) + 5)]))
+    @example(table=(["i", "x"], [range((1 << 63) - 1, (1 << 63) - 16, -3), [0.5] * 5]))
+    @example(table=(["i", "x"], [range(-(1 << 63) - 1, -(1 << 63) + 3), [1e300] * 4]))
+    @example(table=(["i"], [range((1 << 63) - 3, (1 << 63) + 2)]))
+    @example(table=(["i", "x"], [range(-(1 << 63), 1 << 63, 1 << 61), [-0.0] * 8]))
+    @example(table=(["a"], [["", "é", "a\0", "\0b", "x,y", 'q"', "\u2028", "z" * 40]]))
+    @example(table=(["a", "b"], [range(3), ["é", "a\0", ""]]))
     def test_same_bytes_and_errors(self, table):
         header, columns = table
         rows = [list(row) for row in zip(*columns)]
@@ -277,16 +293,32 @@ class TestTableWriters:
         assert _columns_to_json(["a", "b"], columns) == reference_json(["a", "b"], rows)
 
     def test_spectrum_table_memory(self):
-        # 2^18 rows hold about 51.6 MiB at peak in the row texts and their
-        # join; the block kernels add no table-sized temporary on top
-        coeffs = np.random.default_rng(18).standard_normal(1 << 18)
-        tracemalloc.start()
-        try:
-            _columns_to_csv(["bitmask", "coefficient"], [range(1 << 18), coeffs])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 56 << 20
+        # 2^18 rows: the row texts and their join peaked at 7.2x the CSV and
+        # 3.9x the JSON; one buffer of at most the widest rows, then its text
+        for write in (_columns_to_csv, _columns_to_json):
+            coeffs = np.random.default_rng(18).standard_normal(1 << 18)
+            tracemalloc.start()
+            try:
+                text = write(["bitmask", "coefficient"], [range(1 << 18), coeffs])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * len(text)
+
+    @pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_rows_across_blocks(self, rows):
+        # an all-zero block, a block of -0.0 and a block with no zero; a
+        # range column, and a per-cell column with non-ASCII and NUL cells
+        rng = np.random.default_rng(rows)
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+        values[:_BLOCK] = 0.0
+        values[_BLOCK : 2 * _BLOCK : 2] = -0.0
+        cells = [["é", "a\0b", "", "\0", 7, None, 2.5, "日本"][i % 8] for i in range(rows)]
+        columns = [range(rows, -rows, -2), values, cells, np.zeros(rows) - 0.0]
+        header = ["i", "x", "note", "z"]
+        assert _columns_to_csv(header, columns) == reference_csv(header, _rows(columns))
+        assert _columns_to_json(header, columns) == reference_json(header, _rows(columns))
+
 
 
 class TestBlasThreadCount:
@@ -881,6 +913,20 @@ class TestBadInput:
         rc = run([str(net) if arg == "NET" else arg for arg in argv])
         assert rc == 2
         assert capsys.readouterr() == ("", f"error: {shown}\n")
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [(["--kind", "junta", "--n", "4", "--relevant", "1,1", "--seed", "1"],
+          "duplicate relevant indices in (1, 1)"),
+         (["--kind", "parity", "--m", "3", "--subset", "1,1"],
+          "duplicate subset indices in (1, 1)")],
+        ids=["relevant", "subset"],
+    )
+    def test_duplicate_indices_refused(self, tmp_path, capsys, argv, shown):
+        out = tmp_path / "net.json"
+        assert run(["construct", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {shown}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, flag",

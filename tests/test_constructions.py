@@ -242,6 +242,11 @@ class TestParityLift:
         with pytest.raises(ValueError):
             parity_lift(3, [])
 
+    def test_duplicate_subset_rejected(self):
+        for S in ([1, 1], (2, 3, 2)):
+            with pytest.raises(ValueError, match=r"^duplicate subset indices in \("):
+                parity_lift(3, S)
+
     def test_unit_count(self):
         assert parity_lift(2, [1]).s == 3  # shifts -2, 0, 2
         assert parity_lift(3, [1]).s == 3  # shifts -2, 0, 2

@@ -97,6 +97,19 @@ class TestWht:
         a = np.random.default_rng(seed).normal(size=1 << n)
         assert np.array_equal(_fwht(a.copy()), reference_fwht(a.copy()))
 
+    @pytest.mark.parametrize("n", [*range(17), 20])
+    def test_butterfly_bytes_match_one_stage_loop(self, n):
+        # signed zeros, infinities, subnormals and sums that overflow to inf
+        # or meet as inf - inf: the same operations give the same bytes
+        rng = np.random.default_rng(n)
+        special = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308,
+                   2.2250738585072014e-308, 1.7976931348623157e308]
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = rng.standard_normal(1 << n) * 10.0 ** rng.integers(-320, 309, 1 << n)
+            picked = rng.random(1 << n) < 0.3
+            a[picked] = rng.choice(special, int(picked.sum()))
+            assert _fwht(a.copy()).tobytes() == reference_fwht(a.copy()).tobytes()
+
     def test_reconstruction(self):
         rng = np.random.default_rng(6)
         f = random_function(rng, 8)

@@ -532,6 +532,19 @@ def _net_of(value):
                      b=[-value, value])
 
 
+def _check_json(net):
+    """to_json is json.dumps of the fields as lists, and reads back bit for bit."""
+    fields = {"n": net.n, "s": net.s, "k": net.k,
+              "u": net.u.tolist(), "w": net.w.tolist(), "b": net.b.tolist()}
+    text = net.to_json()
+    assert text == json.dumps(fields)
+    back = SparseNet.from_json(text)
+    assert (back.n, back.s, back.k) == (net.n, net.s, net.k)
+    for name in ("u", "w", "b"):
+        want, got = getattr(net, name), getattr(back, name)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestSerialization:
     @settings(max_examples=200, deadline=None)
     @given(net=_bit_nets())
@@ -543,15 +556,26 @@ class TestSerialization:
     @example(net=_net_of(9007199254741000.0))
     @example(net=_net_of(1.7976931348623157e308))
     def test_to_json_is_json_dumps(self, net):
-        fields = {"n": net.n, "s": net.s, "k": net.k,
-                  "u": net.u.tolist(), "w": net.w.tolist(), "b": net.b.tolist()}
-        text = net.to_json()
-        assert text == json.dumps(fields)
-        back = SparseNet.from_json(text)
-        assert (back.n, back.s, back.k) == (net.n, net.s, net.k)
-        for name in ("u", "w", "b"):
-            want, got = getattr(net, name), getattr(back, name)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        _check_json(net)
+
+    def test_constructed_and_block_crossing_nets(self):
+        # index nets up to a million weights; random nets of a few weight
+        # values whose nonzero count crosses the kernel's block, and whose
+        # s * n is no multiple of it
+        rng = np.random.default_rng(22)
+        table = rng.normal(size=(4, 3))
+        table /= np.linalg.norm(table, axis=1, keepdims=True)
+        nets = [index_net(bits) for bits in range(1, 11)]
+        nets += [parity_lift(4, [1, 3, 4]), parity_lift(7, [2, 5, 7]),
+                 gamma_gated_net(2, 3, 1.5, table),
+                 junta_to_net(JuntaSpec(n=9, relevant=(2, 5, 9), table=rng.uniform(-1, 1, 8)))]
+        values = np.array([0.0, -0.0, 5e-324, 1e-05, 1e16, 9999999999999998.0])
+        for s, n in ((1, 1), (3, 7), (300, 37), (229, 41)):
+            assert s * n % (1 << 13)
+            nets.append(SparseNet(n=n, s=s, k=1, u=rng.choice(values, s),
+                                  w=rng.choice(values, (s, n)), b=rng.choice(values, s)))
+        for net in nets:
+            _check_json(net)
 
     def test_index_net_json_memory(self):
         # json.dumps of the weight lists peaked at 42.6 MiB, the block

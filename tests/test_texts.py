@@ -3,9 +3,28 @@
 import numpy as np
 import pytest
 
-from sparseact.texts import _BLOCK, float_texts, int_texts
+from sparseact.texts import _BLOCK, float_chars, int_chars
 
 TINY, HUGE = 5e-324, 1.7976931348623157e308
+
+
+def _decoded(chars: np.ndarray) -> list[str]:
+    """The texts of NUL-padded rows, checking that only NULs follow a text."""
+    assert chars.dtype == np.uint8 and chars.ndim == 2
+    texts = []
+    for row in chars:
+        text, _, padding = bytes(row).partition(b"\0")
+        assert not padding.strip(b"\0")
+        texts.append(text.decode("ascii"))
+    return texts
+
+
+def float_texts(a: np.ndarray) -> list[str]:
+    return _decoded(float_chars(a))
+
+
+def int_texts(a) -> list[str]:
+    return _decoded(int_chars(a))
 
 
 def _neighbours(values: np.ndarray) -> np.ndarray:
