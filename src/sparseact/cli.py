@@ -178,13 +178,15 @@ def _emit_table(args, header: list[str], columns: Sequence[Sequence]) -> None:
     _write_text(args.out, convert(header, columns))
 
 
-def _load_net(path: str) -> SparseNet:
+def _read_json(path: str, what: str, parse):
+    """``parse`` of the text of the JSON file at ``path``; ValueError naming
+    ``what`` when the text nests too deeply to parse."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return SparseNet.from_json(text)
+        return parse(text)
     except RecursionError:
-        raise ValueError(f"net JSON {path} is nested too deeply") from None
+        raise ValueError(f"{what} JSON {path} is nested too deeply") from None
 
 
 def _thread_count(text: str) -> int:
@@ -216,7 +218,7 @@ def _read_dataset_csv(path: str) -> Dataset:
         n = len(header) - 1
         if n > MAX_PACKED_N:
             raise ValueError(f"dataset CSV has {n} sign columns, at most {MAX_PACKED_N}")
-        rows, lines = [], []
+        rows, lines, error = [], [], None
         try:
             for row in reader:
                 if len(row) != n + 1:
@@ -226,26 +228,22 @@ def _read_dataset_csv(path: str) -> Dataset:
                     )
                 rows.append(list(map(float, row)))
                 lines.append(reader.line_num)
-        except ValueError:
-            _check_dataset_signs(np.array(rows), lines, n)  # an earlier line wins
-            raise
+        except ValueError as exc:
+            error = exc
         except csv.Error as exc:
-            _check_dataset_signs(np.array(rows), lines, n)
-            raise ValueError(f"dataset CSV line {reader.line_num}: {exc}") from None
+            error = ValueError(f"dataset CSV line {reader.line_num}: {exc}")
+    # the signs of the rows read before a read error are checked first, so
+    # the first bad line in file order wins
+    table = np.array(rows).reshape(len(rows), n + 1)
+    signs = table[:, :n]
+    bad = np.flatnonzero(((signs != 1.0) & (signs != -1.0)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"dataset CSV line {lines[bad[0]]}: a sign is not +-1")
+    if error is not None:
+        raise error
     if not rows:
         raise ValueError("dataset CSV contains no rows")
-    table = np.array(rows)
-    _check_dataset_signs(table, lines, n)
-    return Dataset(n, pack_bits(table[:, :n] < 0), table[:, n])
-
-
-def _check_dataset_signs(table: np.ndarray, lines: list[int], n: int) -> None:
-    """ValueError naming the first line whose n sign cells are not all +-1."""
-    if lines:
-        signs = table[:, :n]
-        bad = np.flatnonzero(((signs != 1.0) & (signs != -1.0)).any(axis=1))
-        if bad.size:
-            raise ValueError(f"dataset CSV line {lines[bad[0]]}: a sign is not +-1")
+    return Dataset(n, pack_bits(signs < 0), table[:, n])
 
 
 # -- subcommands -------------------------------------------------------
@@ -304,7 +302,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    net = _load_net(args.net)
+    net = _read_json(args.net, "net", SparseNet.from_json)
     spec = wht(tabulate(net, net.n))
     _emit_table(args, ["bitmask", "coefficient"], [range(spec.coeffs.size), spec.coeffs])
     return 0
@@ -318,7 +316,7 @@ def _cmd_sensitivity(args) -> int:
         raise ValueError("--trials needs --rho")  # the Monte-Carlo loop runs once per rho
     if args.threads is not None and not args.trials:
         raise ValueError("--threads needs --trials")
-    net = _load_net(args.net)
+    net = _read_json(args.net, "net", SparseNet.from_json)
     f = tabulate(net, net.n)
     spec = wht(f)
     rows: list[list] = [
@@ -361,11 +359,7 @@ _PARAM_TYPES = {
 
 
 def _cmd_bounds_table(args) -> int:
-    with open(args.grid, "r", encoding="utf-8") as fh:
-        try:
-            records = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"grid JSON {args.grid} is nested too deeply") from None
+    records = _read_json(args.grid, "grid", json.loads)
     if not isinstance(records, list) or not all(
         isinstance(rec, dict) and "n" in rec and "s" in rec for rec in records
     ):
@@ -434,7 +428,7 @@ def _cmd_learn_low_degree(args) -> int:
     else:
         if args.net is None or args.samples is None or args.seed is None:
             raise ValueError("generated data needs --net, --samples, and --seed")
-        net = _load_net(args.net)
+        net = _read_json(args.net, "net", SparseNet.from_json)
         rng = np.random.default_rng(args.seed)
         data = sample_uniform_dataset(net, net.n, args.samples, rng)
         holdout = (
@@ -460,7 +454,7 @@ def _cmd_learn_dlist(args) -> int:
     elif args.full_cube:
         if args.net is None:
             raise ValueError("--full-cube needs --net")
-        net = _load_net(args.net)
+        net = _read_json(args.net, "net", SparseNet.from_json)
         data = full_cube_dataset(net, net.n)
     else:
         raise ValueError("give --data or --net with --full-cube")
@@ -613,7 +607,7 @@ def run(argv: Sequence[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CapacityError, NoConsistentListError, OSError) as exc:
+    except (CapacityError, NoConsistentListError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from .config import (
     MAX_GATE_BITS, MAX_INDEX_BITS, MAX_JUNTA_P, MAX_LIFT_M, MAX_PACKED_N, MAX_PAYLOAD_DIM,
 )
 from .errors import CapacityError
-from .hypercube import index_signs, packed_indices, point_index
+from .hypercube import _hold_array, index_signs, packed_indices, point_index
 from .network import SparseNet
 
 
@@ -37,10 +37,8 @@ class JuntaSpec:
 
     def __post_init__(self) -> None:
         relevant = tuple(int(i) for i in self.relevant)
-        table = np.asarray(self.table, dtype=np.float64)
-        table.setflags(write=False)
         object.__setattr__(self, "relevant", relevant)
-        object.__setattr__(self, "table", table)
+        table = _hold_array(self, "table", self.table, np.float64)
         p = len(relevant)
         if len(set(relevant)) != p:
             raise ValueError(f"duplicate relevant indices in {relevant}")
@@ -82,7 +80,7 @@ def junta_to_net(spec: JuntaSpec) -> SparseNet:
         cols = [i - 1 for i in spec.relevant]
         w[:, cols] = index_signs(np.arange(s), p)
     b = np.full(s, float(p - 1))
-    return SparseNet(n=spec.n, s=s, k=1, u=spec.table.copy(), w=w, b=b)
+    return SparseNet(n=spec.n, s=s, k=1, u=spec.table, w=w, b=b)
 
 
 def address_value(signs: Sequence[int]) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import MAX_PACKED_N, MAX_TABULATE_N, MC_CHUNK
 from .errors import CapacityError
-from .hypercube import affine_blocks, flip_masks, point_index
+from .hypercube import _hold_array, affine_blocks, flip_masks, point_index
 from .network import SparseNet
 from .parallel import mean_and_stderr, run_chunked
 
@@ -29,9 +29,7 @@ class CubeFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        values = _hold_array(self, "values", self.values, np.float64)
         if values.shape != (1 << self.n,):
             raise ValueError(
                 f"need exactly 2^{self.n} values, got shape {values.shape}"
@@ -52,9 +50,7 @@ class Spectrum:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+        coeffs = _hold_array(self, "coeffs", self.coeffs, np.float64)
         if coeffs.shape != (1 << self.n,):
             raise ValueError(
                 f"need exactly 2^{self.n} coefficients, got shape {coeffs.shape}"
@@ -69,9 +65,7 @@ class Spectrum:
         deg = self.__dict__.get("_degrees")
         if deg is None:
             masks = np.arange(1 << self.n, dtype=np.uint64)
-            deg = np.bitwise_count(masks).astype(np.int64)
-            deg.setflags(write=False)
-            object.__setattr__(self, "_degrees", deg)
+            deg = _hold_array(self, "_degrees", np.bitwise_count(masks), np.int64)
         return deg
 
     def total_mass(self) -> float:

@@ -76,6 +76,16 @@ def packed_indices(idx, n: int) -> np.ndarray:
     return out
 
 
+def _hold_array(obj, name: str, a, dtype) -> np.ndarray:
+    """Set field ``name`` of the frozen instance ``obj`` to a read-only copy of
+    ``a`` in ``dtype`` and return it: the one way a value type holds an array,
+    so it never freezes, shares or sees later writes to the caller's array."""
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    object.__setattr__(obj, name, a)
+    return a
+
+
 def point_index(u, n: int) -> int:
     """``u`` as the int index of one point of {-1,+1}^n; TypeError for a
     non-integer, ValueError for an index outside [0, 2^n)."""
@@ -151,10 +161,11 @@ def affine_blocks(W, c) -> Iterator[tuple[int, np.ndarray]]:
     column r of the fresh (s, cols) float64 array Z is ``W @ x + c`` at the
     point lo + r; the blocks tile [0, 2^n).  The low coordinates come from
     one base block built by the doubling recursion (starting from c), the
-    high ones from a table of per-block offsets, so memory is bounded by the
-    block and no sign table or n-wide matmul is built.  With small dyadic
-    weights (the constructions) every entry is exact, including the zero
-    ties the strict ``> 0`` rule reads.
+    high ones from a table of per-block offsets, so no sign table or n-wide
+    matmul is built.  Memory still grows with s, not with the block alone:
+    the base block is (s, 2^13) and the offsets (s, 2^(n-13)) (ROADMAP item
+    3).  With small dyadic weights (the constructions) every entry is exact,
+    including the zero ties the strict ``> 0`` rule reads.
     """
     base, offsets = _cube_tables(W, c)
     for high in range(offsets.shape[1]):

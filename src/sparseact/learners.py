@@ -22,12 +22,7 @@ import numpy as np
 from .config import MAX_LIST_M, MAX_LIST_N, MAX_MONOMIALS, MAX_TABULATE_N
 from .errors import CapacityError, InconsistentDataError, NoConsistentListError
 from .fourier import _fwht, tabulate, values_at
-from .hypercube import index_signs, packed_indices
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+from .hypercube import _hold_array, index_signs, packed_indices
 
 
 @dataclass(frozen=True)
@@ -41,10 +36,8 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = _frozen(packed_indices(self.idx, self.n))
-        y = _frozen(np.array(self.y, dtype=np.float64))
-        object.__setattr__(self, "idx", idx)
-        object.__setattr__(self, "y", y)
+        idx = _hold_array(self, "idx", packed_indices(self.idx, self.n), np.int64)
+        y = _hold_array(self, "y", self.y, np.float64)
         if idx.shape != y.shape:
             raise ValueError(f"need idx and y of one shape, got {idx.shape}, {y.shape}")
         if not np.all(np.isfinite(y)):
@@ -80,10 +73,8 @@ class MonomialModel:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        masks = _frozen(np.array(self.masks, dtype=np.int64))
-        coeffs = _frozen(np.array(self.coeffs, dtype=np.float64))
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "coeffs", coeffs)
+        masks = _hold_array(self, "masks", self.masks, np.int64)
+        coeffs = _hold_array(self, "coeffs", self.coeffs, np.float64)
         if masks.ndim != 1 or masks.shape != coeffs.shape:
             raise ValueError(f"need 1-d masks and coeffs of one shape, got {masks.shape}")
         if masks.size and (masks.min() < 0 or masks.max() >= 1 << self.n):

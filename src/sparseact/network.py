@@ -18,14 +18,8 @@ import numpy as np
 from .config import MAX_EXHAUSTIVE_N, MAX_SPLIT_N
 from .errors import CapacityError
 from .hypercube import CubePoint, affine_blocks, index_signs, packed_indices, point_index
-from .hypercube import _positive_counts
+from .hypercube import _hold_array, _positive_counts
 from .texts import float_chars
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
 
 
 # Pre-activations per point slice (2^15 // s points, 256 KiB of floats);
@@ -52,12 +46,9 @@ class SparseNet:
     b: np.ndarray  # (s,)
 
     def __post_init__(self) -> None:
-        u = _frozen(self.u)
-        w = _frozen(self.w)
-        b = _frozen(self.b)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", b)
+        u = _hold_array(self, "u", self.u, np.float64)
+        w = _hold_array(self, "w", self.w, np.float64)
+        b = _hold_array(self, "b", self.b, np.float64)
         if self.n < 1 or self.s < 1:
             raise ValueError(f"need n >= 1 and s >= 1, got n={self.n}, s={self.s}")
         if not 1 <= self.k <= self.s:

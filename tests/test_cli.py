@@ -754,7 +754,7 @@ class TestBadInput:
     def test_flag_that_would_be_ignored(self, capsys, monkeypatch, argv, error):
         # refused before any table is drawn or any net is read
         monkeypatch.setattr(np.random, "default_rng", None)
-        monkeypatch.setattr(cli, "_load_net", None)
+        monkeypatch.setattr(cli, "_read_json", None)
         assert run(argv) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
 
@@ -816,7 +816,7 @@ class TestBadInput:
     def test_negative_seed(self, capsys, monkeypatch, argv, seed):
         # refused before any generator is made or any net is read
         monkeypatch.setattr(np.random, "default_rng", None)
-        monkeypatch.setattr(cli, "_load_net", None)
+        monkeypatch.setattr(cli, "_read_json", None)
         assert run(argv + ["--seed", seed]) == 2
         assert capsys.readouterr() == ("", f"error: --seed must be >= 0, got {seed}\n")
 
@@ -1182,11 +1182,15 @@ class TestReaderFuzz:
 
 # -- fuzzing the command lines of all eight subcommands -----------------------
 
-# Values any flag may be given instead of a sensible one.  No other size flag
-# gets a large positive count: per-chunk bookkeeping grows with --trials, and
-# a large --bits makes dense tables.  The --n of construct and rademacher may
-# be huge, since a junta above 62 inputs is refused before any allocation.
+# Values any flag may be given instead of a sensible one.  Of the size flags
+# only --samples, --holdout and --m-grid get a huge count, _HUGE: 8 PiB of
+# int64 draws, beyond a 47-bit address space, so the allocation fails at once.
+# A huge --trials or --pool-count would run for hours instead (per-chunk
+# bookkeeping grows with --trials, and the pool is built one member at a time),
+# and a large --bits makes dense tables.  The --n of construct and rademacher
+# may be huge, since a junta above 62 inputs is refused before any allocation.
 _ARGV_JUNK = ["nan", "inf", "-1", "0", "1e308", "x", ""]
+_HUGE = "1000000000000000"
 
 # subcommand -> (required flags, optional flags), each mapped to its sensible
 # values; None marks a flag that takes no value.  NET, DATA, GRID and MISSING
@@ -1209,8 +1213,8 @@ _ARGV_FLAGS = {
     "bounds-table": ({"--grid": ["GRID", "NET", "MISSING"]}, {"--format": ["csv", "json"]}),
     "learn-low-degree": (
         {"--degree": ["0", "1", "2", "9"]},
-        {"--data": ["DATA", "NET"], "--net": ["NET", "DATA"], "--samples": ["1", "20"],
-         "--holdout": ["1", "8"], "--seed": ["1", "7"], "--ridge": ["0", "1e-10", "1"]},
+        {"--data": ["DATA", "NET"], "--net": ["NET", "DATA"], "--samples": ["1", "20", _HUGE],
+         "--holdout": ["1", "8", _HUGE], "--seed": ["1", "7"], "--ridge": ["0", "1e-10", "1"]},
     ),
     "learn-dlist": (
         {"--s": ["1", "2", "4"], "--grid-m": ["1", "2", "3"]},
@@ -1220,7 +1224,7 @@ _ARGV_FLAGS = {
     "rademacher": (
         {"--n": ["2", "4", "6", "63", "1000000000"], "--s": ["1", "2", "4"],
          "--pool-count": ["1", "2"],
-         "--m-grid": ["2", "4,8", "8,4", "1", "-3", ""], "--trials": ["1", "16"],
+         "--m-grid": ["2", "4,8", "8,4", "1", "-3", "", f"8,{_HUGE}"], "--trials": ["1", "16"],
          "--seed": ["1", "7"]},
         {"--k": ["1", "2", "3"], "--mode": ["auto", "exact", "mc"],
          "--threads": ["1", "2"], "--format": ["csv", "json"]},

@@ -1,4 +1,4 @@
-"""Points, characters, and the three samplers."""
+"""Points, characters, the three samplers, and how value types hold arrays."""
 
 import tracemalloc
 
@@ -11,6 +11,11 @@ from hypothesis import strategies as st
 from sparseact import (
     CubeFunction,
     CubePoint,
+    Dataset,
+    JuntaSpec,
+    MonomialModel,
+    SparseNet,
+    Spectrum,
     noise_sensitivity_mc,
     sample_bucket_pair,
     sample_uniform_dataset,
@@ -298,3 +303,49 @@ class TestBucketPair:
         assert any(tops)  # the top coordinate is drawn too
         with pytest.raises(ValueError, match=r"dimension must be in \[1, 62\], got 63"):
             sample_bucket_pair(MAX_PACKED_N + 1, 0.5, rng)
+
+
+def _value_type_args(dtype) -> dict:
+    """Constructor arguments of each value type, its real-valued arrays in
+    ``dtype`` (subset masks and packed indices are int64 either way)."""
+
+    def arr(*values):
+        return np.array(values, dtype=dtype)
+
+    return {
+        SparseNet: dict(n=2, s=1, k=1, u=arr(1), w=arr([1, -1]), b=arr(0)),
+        CubeFunction: dict(n=1, values=arr(1, -1)),
+        Spectrum: dict(n=1, coeffs=arr(0, 1)),
+        JuntaSpec: dict(n=2, relevant=(1,), table=arr(1, -1)),
+        MonomialModel: dict(n=2, d=1, masks=np.array([0, 1]), coeffs=arr(1, 2)),
+        Dataset: dict(n=2, idx=np.array([0, 3]), y=arr(1, -1)),
+    }
+
+
+_INT_FIELDS = {"masks", "idx"}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64], ids=["float64", "int64"])
+@pytest.mark.parametrize("cls", list(_value_type_args(np.float64)), ids=lambda c: c.__name__)
+def test_value_types_hold_read_only_copies(cls, dtype):
+    """A value type keeps read-only private copies of the arrays it is given:
+    the caller's arrays stay writable, and writing to them afterwards, a
+    non-finite value included, changes neither the value nor its JSON."""
+    kwargs = _value_type_args(dtype)[cls]
+    arrays = {key: a for key, a in kwargs.items() if isinstance(a, np.ndarray)}
+    value = cls(**kwargs)
+    held = {key: getattr(value, key).copy() for key in arrays}
+    text = value.to_json() if cls is SparseNet else None
+    for key, a in arrays.items():
+        mine = getattr(value, key)
+        assert a.flags.writeable and mine is not a
+        assert not mine.flags.writeable
+        assert mine.dtype == (np.int64 if key in _INT_FIELDS else np.float64)
+        a.flat[0] = np.inf if a.dtype.kind == "f" else 7
+    for key, before in held.items():
+        assert np.array_equal(getattr(value, key), before)
+    if cls is SparseNet:
+        assert value.to_json() == text
+    if cls is Spectrum:  # the cached degree table is held the same way
+        degrees = value.degrees()
+        assert degrees.dtype == np.int64 and not degrees.flags.writeable
