@@ -18,6 +18,11 @@ from typing import Optional
 LOG_FLOOR = 1.0
 
 
+class Inapplicable(ValueError):
+    """A parameter the formula needs is left out or outside its domain; other
+    inputs a formula refuses raise a plain ValueError."""
+
+
 @dataclass(frozen=True)
 class ClassParams:
     """Parameters shared by the bound formulas.
@@ -90,9 +95,9 @@ def noise_sensitivity_bound(p: ClassParams, C: float = 1.0) -> float:
     """
     _require_logs(p)
     if p.rho is None:
-        raise ValueError("rho is required")
+        raise Inapplicable("rho is required")
     if p.rho >= 1.0:
-        raise ValueError("rho must be < 1 for the noise-sensitivity bound")
+        raise Inapplicable("rho must be < 1 for the noise-sensitivity bound")
     t = 1.0 - p.rho
     return (
         C
@@ -113,7 +118,7 @@ def degree_for_error(p: ClassParams, C: float = 1.0) -> int:
     """
     _require_logs(p)
     if p.eps is None:
-        raise ValueError("eps is required")
+        raise Inapplicable("eps is required")
     raw = (
         C
         * (p.k**8 * p.W**4 * math.log(p.n * p.s) ** 4 + p.k**6 * p.B**4 * math.log(p.s))
@@ -125,7 +130,7 @@ def degree_for_error(p: ClassParams, C: float = 1.0) -> int:
 def rademacher_bound(p: ClassParams) -> float:
     """(WR + B) * sqrt(s n k log(k m (R + B))) / sqrt(m)."""
     if p.m is None or p.m < 2:
-        raise ValueError(f"m must be >= 2, got {p.m}")
+        raise Inapplicable(f"m must be >= 2, got {p.m}")
     arg = p.k * p.m * (p.radius + p.B)
     if arg <= 1.0:
         raise ValueError(f"log argument k*m*(R+B) = {arg:.6g} must exceed 1")
@@ -139,7 +144,7 @@ def rademacher_bound(p: ClassParams) -> float:
 def rademacher_conjecture(p: ClassParams) -> float:
     """(WR + B) * sqrt(s k) / sqrt(m) -- conjectured, not proven."""
     if p.m is None or p.m < 2:
-        raise ValueError(f"m must be >= 2, got {p.m}")
+        raise Inapplicable(f"m must be >= 2, got {p.m}")
     return (p.W * p.radius + p.B) * math.sqrt(p.s * p.k) / math.sqrt(p.m)
 
 
@@ -154,7 +159,7 @@ def sample_complexity_general(
     rounded up to whole numbers, returned as floats.
     """
     if p.eps is None or p.delta is None:
-        raise ValueError("eps and delta are required")
+        raise Inapplicable("eps and delta are required")
     log_term = max(math.log(p.k * (p.radius + p.B) / p.eps), LOG_FLOOR)
     main = (
         C

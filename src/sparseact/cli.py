@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -66,25 +67,28 @@ def _write_text(path: Optional[str], text: str) -> None:
 _INT64 = range(-(1 << 63), 1 << 63)
 
 
-def _column_bytes(column: Sequence, cell):
-    """(width, block): block(lo, hi) gives the texts of rows lo..hi-1 as a
-    byte matrix at most ``width`` wide, and the mask of its text bytes.
+def _column_bytes(column: Sequence):
+    """(width, block), where block(lo, hi) gives the texts of rows lo..hi-1
+    as a byte matrix at most ``width`` wide, and the mask of its text bytes.
 
     A finite float64 array, or a range of int64 values, goes through the
     kernels of ``texts``, whose NUL padding marks the text (the mask is
-    None); any other column through ``cell``, as UTF-8, each cell's length
-    marking its bytes (TypeError or ValueError where a cell is refused)."""
+    None); any other column gives None."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64 and np.isfinite(column).all():
         return _WIDTH, lambda lo, hi: (float_chars(column[lo:hi]), None)
     ends = (*column[:1], *column[-1:]) if isinstance(column, range) else ()
     if ends and all(v in _INT64 for v in ends):  # the first and last values bound the rest
         width = max(len(str(v)) for v in ends)
         return width, lambda lo, hi: (int_chars(column[lo:hi])[:, :width], None)
-    values = column.tolist() if isinstance(column, np.ndarray) else column
-    cells = [text.encode() for text in map(cell, values)]
-    lengths = np.array(list(map(len, cells)), dtype=np.intp)
+    return None
+
+
+def _text_bytes(texts: list[bytes]):
+    """(width, block) as ``_column_bytes`` gives, for a column of encoded
+    texts, each text's length marking its bytes."""
+    lengths = np.array(list(map(len, texts)), dtype=np.intp)
     width = max(1, int(lengths.max(initial=0)))
-    chars = np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    chars = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     return width, lambda lo, hi: (chars[lo:hi], np.arange(width) < lengths[lo:hi, None])
 
 
@@ -95,23 +99,17 @@ def _table_text(columns: Sequence[Sequence], cell, seps: list[str], head: str,
 
     ``_BLOCK`` rows at a time are laid out in one byte matrix, each column
     in a slot as wide as its widest text, and one mask drops the padding
-    into one buffer, which becomes ``str`` once.  When cells are refused,
-    ``cell``'s error at the first of them in row order is raised, as a
-    row-by-row writer would, before any row is laid out."""
-    slots, refused = [], []
-    for j, column in enumerate(columns):
-        try:
-            slots.append(_column_bytes(column, cell))
-        except (TypeError, ValueError):
-            values = column.tolist() if isinstance(column, np.ndarray) else column
-            for row, value in enumerate(values):
-                try:
-                    cell(value)
-                except (TypeError, ValueError) as exc:
-                    refused.append((row, j, exc))
-                    break
-    if refused:
-        raise min(refused)[2]
+    into one buffer, which becomes ``str`` once.  The columns the kernels
+    cannot write go through ``cell``, as UTF-8, in one row-major pass before
+    any row is laid out, so the first cell in row order on which ``cell``
+    raises (TypeError or ValueError) raises, as a row-by-row writer would."""
+    slots = [_column_bytes(column) for column in columns]
+    loose = [j for j, slot in enumerate(slots) if slot is None]
+    values = [columns[j].tolist() if isinstance(columns[j], np.ndarray) else columns[j]
+              for j in loose]
+    texts = [text.encode() for text in map(cell, itertools.chain.from_iterable(zip(*values)))]
+    for q, j in enumerate(loose):
+        slots[j] = _text_bytes(texts[q :: len(loose)])
     rows, seps_ = len(columns[0]) if columns else 0, [sep.encode() for sep in seps]
     # the separators are the same in every row, so they are laid out once
     row = b"".join(sep + bytes(width) for sep, (width, _) in zip(seps_, slots + [(0, None)]))
@@ -340,15 +338,17 @@ def _cmd_sensitivity(args) -> int:
     return 0
 
 
-_BOUND_COLUMNS = [
-    "avg_sensitivity_bound",
-    "noise_sensitivity_bound",
-    "degree_for_error",
-    "rademacher_theorem",
-    "rademacher_conjecture",
-    "sample_complexity_main",
-    "sample_complexity_list",
-]
+# Each bound column with its formula, in column order; a formula raising
+# bounds.Inapplicable leaves its cell blank.
+_BOUND_COLUMNS = {
+    "avg_sensitivity_bound": bounds.avg_sensitivity_bound,
+    "noise_sensitivity_bound": bounds.noise_sensitivity_bound,
+    "degree_for_error": bounds.degree_for_error,
+    "rademacher_theorem": lambda p, C: bounds.rademacher_bound(p),
+    "rademacher_conjecture": lambda p, C: bounds.rademacher_conjecture(p),
+    "sample_complexity_main": lambda p, C: bounds.sample_complexity_general(p, C)[0],
+    "sample_complexity_list": lambda p, C: bounds.sample_complexity_general(p, C)[1],
+}
 
 # The grid record's ClassParams fields in column order, each with the type it
 # is cast to; a field the record leaves out takes the ClassParams default.
@@ -367,7 +367,7 @@ def _cmd_bounds_table(args) -> int:
     measured_keys = sorted(
         {key for rec in records for key in rec if key.startswith("measured_")}
     )
-    header = list(_PARAM_TYPES) + _BOUND_COLUMNS + measured_keys
+    header = [*_PARAM_TYPES, *_BOUND_COLUMNS, *measured_keys]
     rows = []
     for pos, rec in enumerate(records, start=1):
         try:
@@ -381,27 +381,13 @@ def _cmd_bounds_table(args) -> int:
         bounds.require_level(params)
         values = (params.radius if key == "R" else getattr(params, key) for key in _PARAM_TYPES)
         row: list = ["" if value is None else value for value in values]
-        try:
-            row.append(bounds.avg_sensitivity_bound(params, C))
-            row.append(
-                bounds.noise_sensitivity_bound(params, C)
-                if params.rho is not None and params.rho < 1.0
-                else ""
-            )
-            row.append(
-                bounds.degree_for_error(params, C) if params.eps is not None else ""
-            )
-            if params.m is not None and params.m >= 2:
-                row.append(bounds.rademacher_bound(params))
-                row.append(bounds.rademacher_conjecture(params))
-            else:
-                row.extend(["", ""])
-            if params.eps is not None and params.delta is not None:
-                row.extend(bounds.sample_complexity_general(params, C))
-            else:
-                row.extend(["", ""])
-        except OverflowError as exc:
-            raise ValueError(f"grid record {pos}: a bound overflows ({exc})") from None
+        for formula in _BOUND_COLUMNS.values():
+            try:
+                row.append(formula(params, C))
+            except bounds.Inapplicable:
+                row.append("")
+            except (OverflowError, ZeroDivisionError) as exc:  # eps^2 may underflow to 0
+                raise ValueError(f"grid record {pos}: a bound overflows ({exc})") from None
         row.extend([rec.get(key, "") for key in measured_keys])
         rows.append(row)
     _emit_table(args, header, list(zip(*rows)))

@@ -9,6 +9,7 @@ taken on faith.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +37,7 @@ class JuntaSpec:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        relevant = tuple(int(i) for i in self.relevant)
+        relevant = tuple(map(operator.index, self.relevant))
         object.__setattr__(self, "relevant", relevant)
         table = _hold_array(self, "table", self.table, np.float64)
         p = len(relevant)
@@ -156,7 +157,7 @@ def parity_lift(m: int, S: Sequence[int]) -> SparseNet:
     net returns 1 when sum_{i in S} y_i is even and 0 otherwise, and at most
     one unit is active on any lifted input.
     """
-    S = tuple(int(i) for i in S)
+    S = tuple(map(operator.index, S))
     if not S:
         raise ValueError("S must be nonempty")
     if len(set(S)) != len(S):

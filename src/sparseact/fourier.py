@@ -88,7 +88,7 @@ def values_at(f, n: int, idx) -> np.ndarray:
         if f.n != n:
             raise ValueError(f"model has n={f.n}, requested {n}")
         return f.eval_indices(idx)
-    return np.array([f(int(u)) for u in idx], dtype=np.float64)
+    return np.fromiter((f(int(u)) for u in idx), np.float64, len(idx))
 
 
 def tabulate(f, n: int) -> CubeFunction:
@@ -104,19 +104,15 @@ def tabulate(f, n: int) -> CubeFunction:
         return f
     if n > MAX_TABULATE_N:
         raise CapacityError(f"tabulation needs n <= {MAX_TABULATE_N}, got {n}")
-    size = 1 << n
-    values = np.empty(size)
     if isinstance(f, SparseNet):
         if f.n != n:
             raise ValueError(f"net has n={f.n}, requested {n}")
+        values = np.empty(1 << n)
         for lo, z in affine_blocks(f.w, -f.b):
             np.maximum(z, 0.0, out=z)
             values[lo : lo + z.shape[1]] = f.u @ z
         return CubeFunction(n, values)
-    chunk = 1 << 16
-    for lo in range(0, size, chunk):
-        values[lo : lo + chunk] = values_at(f, n, np.arange(lo, min(lo + chunk, size)))
-    return CubeFunction(n, values)
+    return CubeFunction(n, values_at(f, n, np.arange(1 << n)))
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from .config import MAX_LIST_M, MAX_LIST_N, MAX_MONOMIALS, MAX_TABULATE_N
 from .errors import CapacityError, InconsistentDataError, NoConsistentListError
 from .fourier import _fwht, tabulate, values_at
 from .hypercube import _hold_array, index_signs, packed_indices
+from .network import _point_slices
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,10 @@ class MonomialModel:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        masks = _hold_array(self, "masks", self.masks, np.int64)
+        raw = np.asarray(self.masks)
+        if raw.size and raw.dtype.kind not in "iu":
+            raise ValueError(f"subset masks must be integers, got dtype {raw.dtype}")
+        masks = _hold_array(self, "masks", raw, np.int64)
         coeffs = _hold_array(self, "coeffs", self.coeffs, np.float64)
         if masks.ndim != 1 or masks.shape != coeffs.shape:
             raise ValueError(f"need 1-d masks and coeffs of one shape, got {masks.shape}")
@@ -180,16 +184,19 @@ class GeneralizedDecisionList:
     default: float = 0.0
 
     def eval_indices(self, idx) -> np.ndarray:
-        """Evaluate at packed int64 indices; returns a float64 array of their length."""
-        X = index_signs(packed_indices(idx, self.n), self.n).astype(np.float64)
-        out = np.full(X.shape[0], self.default)
-        undecided = np.ones(X.shape[0], dtype=bool)
-        for node in self.nodes:
-            fires = (X @ np.asarray(node.gate_w, dtype=np.float64) - node.gate_b) > 0.0
-            take = fires & undecided
-            if take.any():
-                out[take] = X[take] @ np.asarray(node.leaf_v) + node.leaf_c
-            undecided &= ~fires
+        """Evaluate at packed int64 indices; returns a float64 array of their
+        length, from the sign rows of one point slice at a time."""
+        idx = packed_indices(idx, self.n)
+        out = np.full(idx.size, self.default)
+        for points, part in zip(_point_slices(idx, self.n), _point_slices(out, self.n)):
+            X = index_signs(points, self.n).astype(np.float64)
+            undecided = np.ones(points.size, dtype=bool)
+            for node in self.nodes:
+                fires = (X @ np.asarray(node.gate_w, dtype=np.float64) - node.gate_b) > 0.0
+                take = fires & undecided
+                if take.any():
+                    part[take] = X[take] @ np.asarray(node.leaf_v) + node.leaf_c
+                undecided &= ~fires
         return out
 
 

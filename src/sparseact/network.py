@@ -9,6 +9,7 @@ on a given set of points.
 
 from __future__ import annotations
 
+import operator
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -22,15 +23,15 @@ from .hypercube import _hold_array, _positive_counts
 from .texts import float_chars
 
 
-# Pre-activations per point slice (2^15 // s points, 256 KiB of floats);
+# Values per point slice (2^15 // s points of a net, 256 KiB of floats);
 # slices of 2 MiB ran slower than one whole block, as each fresh temporary
 # that size was paged in anew.
 _SLICE_ENTRIES = 1 << 15
 
 
-def _point_slices(idx: np.ndarray, s: int) -> Iterator[np.ndarray]:
-    """Row slices of ``idx`` of at most 2^15 // s points each (at least one)."""
-    rows = max(1, _SLICE_ENTRIES // s)
+def _point_slices(idx: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """Row slices of ``idx`` of at most 2^15 // width points each (at least one)."""
+    rows = max(1, _SLICE_ENTRIES // width)
     return (idx[lo : lo + rows] for lo in range(0, idx.size, rows))
 
 
@@ -104,7 +105,7 @@ class SparseNet:
         On the region where the active set equals R, h coincides with
         x -> <wR, x> - bR.  Unit indices are 1-indexed.
         """
-        idx = sorted(set(int(j) for j in R))
+        idx = sorted(set(map(operator.index, R)))
         if any(not 1 <= j <= self.s for j in idx):
             raise ValueError(f"unit indices must lie in [1, {self.s}], got {idx}")
         if not idx:
@@ -285,12 +286,13 @@ def rebucket(net: SparseNet, z: int, labels, r: int) -> SparseNet:
     """Collapse coordinates into r buckets: the r-input net H_{z,a}.
 
     ``z`` is the packed index of a point of {-1,+1}^n, and ``labels`` a
-    length-n integer array a that puts coordinate l in bucket a_l in [0, r),
-    the form ``sample_bucket_pair`` draws.  Bucket e becomes input coordinate
-    e + 1 of the new net, with collapsed weights w'_{je} = sum_{a_l = e}
-    w_{jl} * z_l (zero for an empty bucket); the output weights and biases
-    are unchanged.  So with x_l = z_l * v_{a_l} for bucket signs v, h(x) =
-    H_{z,a}(v), and H_{z,a} keeps every activation pattern of h.
+    length-n integer array a, drawn by the caller (``sample_bucket_pair``
+    returns no labels), that puts coordinate l in bucket a_l in [0, r).
+    Bucket e becomes input coordinate e + 1 of the new net, with collapsed
+    weights w'_{je} = sum_{a_l = e} w_{jl} * z_l (zero for an empty bucket);
+    the output weights and biases are unchanged.  So with x_l = z_l * v_{a_l}
+    for bucket signs v, h(x) = H_{z,a}(v), and H_{z,a} keeps every activation
+    pattern of h.
     """
     z = point_index(z, net.n)
     labels = np.asarray(labels)

@@ -106,6 +106,8 @@ def run_chunked(
     result depends on their number.  Each worker thread runs in a copy of
     the caller's context, so settings such as ``np.errstate`` hold there too.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     ranges = chunk_ranges(n_items, chunk)
     rows = np.empty((len(ranges), 3))
     workers = max(min(threads, os.cpu_count() or 1, len(ranges)), 1)

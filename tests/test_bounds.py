@@ -1,5 +1,6 @@
 """Bound evaluators: spot values, scaling laws, monotonicity, guards."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,58 @@ from sparseact import (
     rademacher_conjecture,
     sample_complexity_general,
 )
-from sparseact.bounds import require_level
+from sparseact.bounds import Inapplicable, require_level
+
+
+def _blank(formula, p: ClassParams) -> bool:
+    """Whether ``bounds-table`` leaves the formula's cell blank, by the
+    conditions the table tested itself before the formulas decided them."""
+    if formula is noise_sensitivity_bound:
+        return p.rho is None or p.rho >= 1.0
+    if formula is degree_for_error:
+        return p.eps is None
+    if formula in (rademacher_bound, rademacher_conjecture):
+        return p.m is None or p.m < 2
+    if formula is sample_complexity_general:
+        return p.eps is None or p.delta is None
+    return False
+
+
+_FORMULAS = [avg_sensitivity_bound, noise_sensitivity_bound, degree_for_error,
+             rademacher_bound, rademacher_conjecture, sample_complexity_general]
+
+
+class TestInapplicable:
+    """A formula raises ``Inapplicable`` exactly where a parameter it needs is
+    left out or outside its domain, and a plain ValueError for the rest."""
+
+    @pytest.mark.parametrize("formula", _FORMULAS, ids=lambda f: f.__name__)
+    def test_exactly_where_the_table_is_blank(self, formula):
+        for rho, eps, delta, m in itertools.product(
+            [None, -0.5, 0.999, 1.0], [None, 0.1], [None, 0.2], [None, 1, 2, 100]
+        ):
+            p = ClassParams(n=6, s=4, k=2, W=1.0, B=0.5, rho=rho, eps=eps, delta=delta, m=m)
+            if _blank(formula, p):
+                with pytest.raises(Inapplicable):
+                    formula(p)
+            else:
+                formula(p)
+
+    @pytest.mark.parametrize(
+        "formula, p",
+        [(avg_sensitivity_bound, ClassParams(n=1, s=4)),
+         (noise_sensitivity_bound, ClassParams(n=1, s=4)),  # before rho is read
+         (noise_sensitivity_bound, ClassParams(n=1, s=4, rho=0.5)),
+         (degree_for_error, ClassParams(n=1, s=4, eps=0.1)),
+         (rademacher_bound, ClassParams(n=4, s=4, R=0.2, m=2)),
+         (rademacher_bound, ClassParams(n=1, s=2, W=1.0, R=0.4, m=2))],
+        ids=["avg-n1", "noise-n1-no-rho", "noise-n1", "degree-n1", "rademacher-log",
+             "rademacher-log-n1"],
+    )
+    def test_plain_value_error(self, formula, p):
+        with pytest.raises(ValueError) as info:
+            formula(p)
+        assert type(info.value) is ValueError
 
 
 class TestAvgSensitivityBound:

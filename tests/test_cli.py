@@ -378,6 +378,42 @@ class TestBoundsTable:
         assert row["rademacher_theorem"] == ""
         assert row["sample_complexity_main"] == ""
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_blanks_outside_each_formulas_domain(self, tmp_path, capsys, fmt):
+        from sparseact import bounds
+
+        records = [
+            {"n": 6, "s": 3, "W": 1.0, "B": 1.0, "rho": 1.0, "m": 1, "eps": 0.3},
+            {"n": 6, "s": 3, "W": 1.0, "B": 1.0, "rho": 0.5, "m": 2, "eps": 0.3, "delta": 0.1},
+        ]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(records))
+        assert run(["bounds-table", "--grid", str(grid), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        p = bounds.ClassParams(**records[1])
+        full = {
+            "avg_sensitivity_bound": bounds.avg_sensitivity_bound(p),
+            "noise_sensitivity_bound": bounds.noise_sensitivity_bound(p),
+            "degree_for_error": bounds.degree_for_error(p),
+            "rademacher_theorem": bounds.rademacher_bound(p),
+            "rademacher_conjecture": bounds.rademacher_conjecture(p),
+            "sample_complexity_main": bounds.sample_complexity_general(p)[0],
+            "sample_complexity_list": bounds.sample_complexity_general(p)[1],
+        }
+        # the records share n, s, W, B and eps; rho = 1, m = 1 and eps without
+        # delta leave the other formulas' cells blank in the first
+        blank = {"noise_sensitivity_bound", "rademacher_theorem", "rademacher_conjecture",
+                 "sample_complexity_main", "sample_complexity_list"}
+        first = {key: "" if key in blank else value for key, value in full.items()}
+        for row, want in zip(rows, [first, full]):
+            got = {key: row[key] for key in want}
+            if fmt == "csv":
+                got = {key: text if text == "" else float(text) for key, text in got.items()}
+            assert got == want
+        assert rows[0]["rho"] == (1.0 if fmt == "json" else "1.0")
+        assert rows[0]["m"] == (1 if fmt == "json" else "1")
+
 
 class TestLearnCommands:
     def test_learn_dlist_full_cube_in_grid_target(self, tmp_path):
@@ -989,9 +1025,11 @@ class TestBadInput:
          '{"n": 4, "s": 4, "W": 1e200}', '{"n": "4", "s": 2.5, "W": "1.5", "k": true}',
          '{"n": "4", "s": 2}', '{"n": 4, "s": 2.5}', '{"n": 4, "s": 2, "k": true}',
          '{"n": 4, "s": 2, "m": 10.0}', '{"n": 4, "s": 2, "W": "1.5"}',
-         '{"n": 4, "s": 2, "rho": false}', '{"n": 4, "s": 2, "C": "2"}'],
+         '{"n": 4, "s": 2, "rho": false}', '{"n": 4, "s": 2, "C": "2"}',
+         '{"n": 4, "s": 2, "eps": 1e-300}'],
         ids=["n-null", "k-null", "s-overflow", "bound-overflow", "all-coerced", "n-string",
-             "s-fraction", "k-bool", "m-float", "W-string", "rho-bool", "C-string"],
+             "s-fraction", "k-bool", "m-float", "W-string", "rho-bool", "C-string",
+             "eps-squared-underflow"],
     )
     def test_malformed_grid_record(self, tmp_path, capsys, record):
         grid = tmp_path / "grid.json"

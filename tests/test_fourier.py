@@ -1,5 +1,7 @@
 """Transform exactness, sensitivity, and noise sensitivity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import (
@@ -18,6 +20,9 @@ from hypothesis import strategies as st
 from sparseact import (
     CapacityError,
     CubeFunction,
+    GeneralizedDecisionList,
+    ListNode,
+    MonomialModel,
     SparseNet,
     avg_sensitivity_exact,
     halfspace_sensitivity_bound,
@@ -31,6 +36,7 @@ from sparseact import (
 )
 from sparseact.config import REL_TOL_EXACT
 from sparseact.constructions import random_net
+from sparseact import learners
 from sparseact.fourier import _fwht, values_at
 from sparseact.hypercube import index_signs
 
@@ -69,6 +75,38 @@ class TestTabulate:
         batch = tabulate(net, 5).values
         pointwise = tabulate(lambda u: net_value(net, u), 5).values
         assert np.allclose(batch, pointwise, atol=1e-12)
+
+    def test_model_tabulated_by_its_own_route(self, monkeypatch):
+        # at n = 20 a degree-3 model is one transform of the whole cube, as
+        # eval_indices chooses for it, not one transform per slice of the cube
+        masks = learners._monomial_masks(20, 3)
+        coeffs = np.random.default_rng(6).normal(size=masks.size)
+        model = MonomialModel(n=20, d=3, masks=masks, coeffs=coeffs)
+        want = model.eval_indices(np.arange(1 << 20))
+        sizes, fwht = [], learners._fwht
+        monkeypatch.setattr(learners, "_fwht", lambda a: sizes.append(a.size) or fwht(a))
+        assert np.array_equal(tabulate(model, 20).values, want)
+        assert sizes == [1 << 20]
+
+    def test_decision_list_memory_bounded_by_slice(self):
+        # the whole cube's (2^18, 18) float64 sign rows alone take 36 MiB;
+        # the value table, its index range and the kept copy 6 MiB
+        n, rng = 18, np.random.default_rng(7)
+        nodes = tuple(
+            ListNode(gate_w=tuple(rng.integers(-2, 3, n).tolist()), gate_b=int(rng.integers(-2, 3)),
+                     leaf_v=tuple(rng.normal(size=n).tolist()), leaf_c=float(rng.normal()))
+            for _ in range(4)
+        )
+        dlist = GeneralizedDecisionList(n=n, nodes=nodes, default=0.25)
+        tabulate(dlist, n)  # lazy set-up outside the traced call
+        tracemalloc.start()
+        try:
+            values = tabulate(dlist, n).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20
+        assert np.array_equal(values, dlist.eval_indices(np.arange(1 << n)))
 
 
 class TestWht:

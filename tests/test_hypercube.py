@@ -17,6 +17,7 @@ from sparseact import (
     SparseNet,
     Spectrum,
     noise_sensitivity_mc,
+    parity_lift,
     sample_bucket_pair,
     sample_uniform_dataset,
 )
@@ -349,3 +350,37 @@ def test_value_types_hold_read_only_copies(cls, dtype):
     if cls is Spectrum:  # the cached degree table is held the same way
         degrees = value.degrees()
         assert degrees.dtype == np.int64 and not degrees.flags.writeable
+
+
+def _single_unit_net():
+    return SparseNet(n=2, s=3, k=1, u=np.ones(3), w=np.ones((3, 2)), b=np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: MonomialModel(n=2, d=1, masks=np.array([1.9, 2.2]), coeffs=[1.0, 2.0]),
+         ValueError),
+        (lambda: MonomialModel(n=2, d=1, masks=[True], coeffs=[1.0]), ValueError),
+        (lambda: JuntaSpec(n=3, relevant=(1.9, 2.2), table=np.zeros(4)), TypeError),
+        (lambda: parity_lift(3, [1.7, 2.2]), TypeError),
+        (lambda: _single_unit_net().linear_piece([1.5, 2.9]), TypeError),
+    ],
+    ids=["monomial-float-masks", "monomial-bool-masks", "junta-relevant", "parity-subset",
+         "linear-piece-units"],
+)
+def test_integer_indices_refused_not_truncated(build, error):
+    """Subset masks, coordinates and unit numbers are refused unless they are
+    integers, as ``point_index`` refuses a point."""
+    with pytest.raises(error):
+        build()
+
+
+def test_numpy_integer_indices_pass():
+    spec = JuntaSpec(n=3, relevant=(np.int64(1), np.int32(3)), table=np.zeros(4))
+    assert spec.relevant == (1, 3) and all(type(i) is int for i in spec.relevant)
+    assert parity_lift(3, np.array([1, 3])).to_json() == parity_lift(3, [1, 3]).to_json()
+    wR, bR = _single_unit_net().linear_piece(np.array([1, 3], dtype=np.uint8))
+    assert wR.tolist() == [2.0, 2.0] and bR == 0.0
+    model = MonomialModel(n=2, d=1, masks=np.array([1, 2], dtype=np.uint8), coeffs=[1.0, 2.0])
+    assert model.masks.tolist() == [1, 2]

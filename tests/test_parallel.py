@@ -131,6 +131,11 @@ class TestThreadBound:
         alone = run_chunked(_random_chunk, chunks * 7 - 3, np.random.default_rng(4), 1, 7)
         assert np.array_equal(rows, alone)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_below_one_refused(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            run_chunked(_random_chunk, 10, np.random.default_rng(4), threads)
+
 
 class TestNoiseSensitivityMcAgainstOldForm:
     """The estimate against the concatenating loop it replaced: the same
