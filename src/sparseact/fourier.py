@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import MAX_PACKED_N, MAX_TABULATE_N, MC_CHUNK
 from .errors import CapacityError
-from .hypercube import _hold_array, affine_blocks, flip_masks, point_index
+from .hypercube import _hold_array, affine_blocks, flip_sampler, point_index
 from .network import SparseNet
 from .parallel import mean_and_stderr, run_chunked
 
@@ -215,6 +215,9 @@ def noise_sensitivity_mc(
     MAX_PACKED_N (62).  Trials are processed in fixed chunks with
     generators spawned from ``rng``, so the result is identical for any
     thread count, and a function draws the same stream as its table.
+    Flips come from one ``flip_sampler`` (ceil(n/8) words a row, exact to
+    2^-56 per byte mask), so seeded estimates differ from versions that drew
+    one double per coordinate.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -223,12 +226,12 @@ def noise_sensitivity_mc(
     n = f.n
     if n > MAX_PACKED_N:
         raise CapacityError(f"int64-packed sampling needs n <= {MAX_PACKED_N}, got {n}")
-    flip_p = (1.0 - rho) / 2.0
+    draw_flips = flip_sampler(n, (1.0 - rho) / 2.0)
 
     def worker(lo: int, hi: int, crng: np.random.Generator) -> np.ndarray:
         count = hi - lo
         xs = crng.integers(0, 1 << n, size=count)
-        masks = flip_masks(n, flip_p, count, crng)
+        masks = draw_flips(count, crng)
         return 0.25 * (values_at(f, n, xs) - values_at(f, n, xs ^ masks)) ** 2
 
     return mean_and_stderr(run_chunked(worker, trials, rng, threads=threads, chunk=MC_CHUNK))

@@ -17,8 +17,8 @@ sparsity report's witness return.
 Coordinates are 1-indexed throughout the public API; only storage is
 0-indexed.  ``index_signs`` and ``pack_bits`` are the only converters
 between packed indices and sign rows (a net unpacks its points a slice
-at a time); everything else goes through them, except ``flip_masks``,
-which packs the Monte-Carlo flip draws in place.
+at a time); everything else goes through them.  ``flip_sampler`` draws
+Monte-Carlo noise flips with no sign rows, a byte of 8 per 64-bit word.
 Whole-cube affine maps (a net's pre-activations at all 2^n points) come
 from ``affine_blocks``, which never unpacks an index; the exhaustive sparsity
 scan counts their positive entries off the same tables, with no float block.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -185,33 +185,74 @@ def _positive_counts(W, c) -> Iterator[tuple[range, np.ndarray]]:
         yield range(high * cols, (high + 1) * cols), counts
 
 
-# Multiplier that gathers the low bits of the 8 bytes of a uint64 into its
-# top byte: byte k, holding 0 or 1, lands on bit 56 + k of the product, and
-# no other partial product reaches the top byte or carries into it.
-_BYTE_GATHER = np.uint64(0x0102040810204080)
+# Units per column of the byte alias table: 256 columns of 2^56 units share
+# the 2^64 units of one byte's law, so a column's threshold is compared with
+# the 56 bits of a raw word above the byte that picked the column.
+_COLUMN = 1 << 56
 
 
-def flip_masks(n: int, p: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Packed masks of ``count`` rows of n independent flips of probability p.
+def _byte_alias_table(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vose's alias table for one byte of 8 independent flips of probability p.
 
-    Draws ``rng.random((count, n))`` and returns the int64 array equal to
-    ``pack_bits(rng.random((count, n)) < p)`` for the same generator state,
-    without the int64 matmul: the comparison writes into a zeroed bool
-    buffer padded to whole bytes of 8 coordinates, each uint64 word of which
-    is folded into one byte by a multiply and a shift, and the bytes are
-    ORed into place.
+    Byte mask m gets floor(p^|m| (1-p)^(8-|m|) 2^64) units, computed exactly
+    from p's integer ratio, and the likeliest mask gets the deficit (at most
+    255 units), so every mask's probability is within 2^-56 of its law.
+    Column c holds ``thresh[c]`` units of c and the rest of its alias; a full
+    column is its own alias.  Returns the 256 thresholds and the 512 bytes
+    ``pick``, both uint64, with pick[2c] the alias of c and pick[2c + 1] = c.
+    """
+    a, b = float(p).as_integer_ratio()
+    by_count = [(a**k * (b - a) ** (8 - k) << 64) // b**8 for k in range(9)]
+    units = [by_count[m.bit_count()] for m in range(256)]
+    units[0 if p <= 0.5 else 255] += (1 << 64) - sum(units)
+    thresh, alias = [_COLUMN] * 256, list(range(256))
+    small = [m for m in range(256) if units[m] < _COLUMN]
+    large = [m for m in range(256) if units[m] > _COLUMN]
+    while small:  # exact integers: a column under 2^56 always has a large one left
+        s, g = small.pop(), large.pop()
+        thresh[s], alias[s] = units[s], g
+        units[g] -= _COLUMN - units[s]
+        if units[g] < _COLUMN:
+            small.append(g)
+        elif units[g] > _COLUMN:
+            large.append(g)
+    pick = np.empty(512, dtype=np.uint64)
+    pick[0::2], pick[1::2] = alias, range(256)
+    return np.array(thresh, dtype=np.uint64), pick
+
+
+def flip_sampler(n: int, p: float) -> Callable[[int, np.random.Generator], np.ndarray]:
+    """``draw(count, rng)``: int64 packed masks in [0, 2^n) of ``count`` rows of
+    n independent flips of probability p, exact to 2^-56 per byte mask.
+
+    A row takes ceil(n/8) raw words of ``rng.bit_generator``, one per byte of
+    8 coordinates: its low byte picks a column of the alias table (built once,
+    here), its high 56 bits keep that byte below the column's threshold and
+    take the alias otherwise, and byte j lands on bits 8j..8j+7.  Dropping the
+    bits from n up leaves the law of the rest unchanged.
     """
     _check_dim(n, MAX_PACKED_N)
-    u = rng.random((count, n))
-    bits = np.zeros((count, -(-n // 8) * 8), dtype=bool)
-    np.less(u, p, out=bits[:, :n])
-    words = bits.view(np.uint64)
-    words *= _BYTE_GATHER
-    words >>= np.uint64(56)
-    masks = words[:, 0].copy()
-    for j in range(1, words.shape[1]):
-        masks |= words[:, j] << np.uint64(8 * j)
-    return masks.view(np.int64)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"flip probability must lie in [0, 1], got {p}")
+    thresh, pick = _byte_alias_table(p)
+    groups = -(-n // 8)
+    keep = (1 << n) - 1
+
+    def draw(count: int, rng: np.random.Generator) -> np.ndarray:
+        raw = rng.bit_generator.random_raw((count, groups))
+        col = (raw & np.uint64(0xFF)).view(np.int64)
+        raw >>= np.uint64(8)
+        below = raw < thresh.take(col)
+        col <<= 1
+        col += below
+        picked = pick.take(col)
+        masks = picked[:, 0].copy()
+        for j in range(1, groups):
+            masks |= picked[:, j] << 8 * j
+        masks &= keep
+        return masks.view(np.int64)
+
+    return draw
 
 
 def sample_bucket_pair(

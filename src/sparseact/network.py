@@ -122,22 +122,28 @@ class SparseNet:
         bytes of ``json.dumps`` of the fields with u, w and b as lists.
 
         Only the weights whose bits are not all zero (-0.0 too) are formatted,
-        and spliced over their "0.0"s in the text of an all-zero net."""
+        and spliced over their "0.0"s in the text of an all-zero net, one run
+        of consecutive weights in one list at a time."""
         s, n = self.w.shape
         head = f'{{"n": {self.n}, "s": {self.s}, "k": {self.k}, "u": ['
         weights = np.concatenate([self.u, self.w.ravel(), self.b])
         j = np.flatnonzero(weights.view(np.uint64))
         chars = float_chars(weights[j])
         del weights
-        # each piece of the template and the text after it (NULs stripped)
-        texts = [*chars.view(f"S{chars.shape[1]}").ravel().tolist(), b""]
+        texts = chars.view(f"S{chars.shape[1]}").ravel().tolist()  # NULs stripped
         # "0.0, " a weight, 8 more bytes into w and into b, 2 more a row of w
         at = len(head) + 5 * j + 8 * (j >= s) + 8 * (j >= s + s * n)
         at += 2 * np.clip((j - s) // n, 0, s - 1)
         zeros, row = ", ".join(["0.0"] * s), "[" + ", ".join(["0.0"] * n) + "]"
-        template = f'{head}{zeros}], "w": [{", ".join([row] * s)}], "b": [{zeros}]}}'
-        starts, stops = [0, *(at + 3).tolist()], [*at.tolist(), len(template)]
-        return "".join([template[a:b] + t.decode() for a, b, t in zip(starts, stops, texts)])
+        template = f'{head}{zeros}], "w": [{", ".join([row] * s)}], "b": [{zeros}]}}'.encode()
+        # a run's "0.0"s are ", " apart, so its texts replace them as one piece
+        gaps = np.diff(at) != 5
+        first = np.flatnonzero(np.r_[j.size > 0, gaps])
+        last = np.flatnonzero(np.r_[gaps, j.size > 0])
+        runs = [b", ".join(texts[a : b + 1]) for a, b in zip(first.tolist(), last.tolist())]
+        starts, stops = [0, *(at[last] + 3).tolist()], [*at[first].tolist(), len(template)]
+        pieces = [template[a:b] + t for a, b, t in zip(starts, stops, [*runs, b""])]
+        return b"".join(pieces).decode()
 
     @classmethod
     def from_json(cls, text: str) -> "SparseNet":

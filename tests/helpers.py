@@ -190,8 +190,9 @@ def reference_mean_and_stderr(samples) -> tuple[float, float]:
 
 
 def reference_flip_masks(n: int, p: float, count: int, rng: np.random.Generator):
-    """Packed flip masks by the int64 matmul of ``pack_bits``: the oracle
-    for ``hypercube.flip_masks``."""
+    """Packed masks of n independent flips of probability p, one double per
+    coordinate through ``pack_bits``: the Bernoulli oracle for
+    ``hypercube.flip_sampler``, which draws a byte of flips per 64-bit word."""
     return pack_bits(rng.random((count, n)) < p)
 
 

@@ -131,8 +131,11 @@ class TestSensitivity:
 
 class TestRecordedTables:
     """Transform and sensitivity tables of a junta and an index net, byte for
-    byte as recorded (sha256) from the row-by-row writer and the sign-table
-    tabulation; both nets have dyadic weights, so not a digit may move."""
+    byte as recorded (sha256).  Both nets have dyadic weights, so no digit of
+    a transform or exact row may move.  The ``noise_sensitivity_mc`` rows pin
+    the random stream as well: they were recorded with the byte alias-table
+    flips of ``hypercube.flip_sampler``, each within 4 standard errors of its
+    exact row."""
 
     RECORDED = json.loads((DATA / "dense_tables.sha256.json").read_text())
 

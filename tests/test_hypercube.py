@@ -1,6 +1,7 @@
 """Points, characters, the three samplers, and how value types hold arrays."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from sparseact import (
     sample_uniform_dataset,
 )
 from sparseact.config import MAX_PACKED_N
-from sparseact.hypercube import flip_masks, index_signs, pack_bits, sign_table
+from sparseact.hypercube import (
+    _byte_alias_table,
+    flip_sampler,
+    index_signs,
+    pack_bits,
+    sign_table,
+)
 from sparseact.learners import _character
 
 
@@ -163,24 +170,24 @@ class TestSampleUniform:
 
 
 class TestSampleNoisy:
-    """The noise operator's flips: ``flip_masks`` at p = (1 - rho)/2."""
+    """The noise operator's flips: ``flip_sampler`` at p = (1 - rho)/2."""
 
     def test_rho_one_identity(self):
         rng = np.random.default_rng(1)
         x = Point.from_signs([1, -1, 1, 1]).index
-        assert np.all(x ^ flip_masks(4, 0.0, 20, rng) == x)
+        assert np.all(x ^ flip_sampler(4, 0.0)(20, rng) == x)
 
     def test_rho_minus_one_negation(self):
         rng = np.random.default_rng(1)
         x = Point.from_signs([1, -1, 1, 1]).index
         minus_x = Point.from_signs([-1, 1, -1, -1]).index
-        assert np.all(x ^ flip_masks(4, 1.0, 20, rng) == minus_x)
+        assert np.all(x ^ flip_sampler(4, 1.0)(20, rng) == minus_x)
 
     def test_rho_zero_flip_rate(self):
         rng = np.random.default_rng(7)
         x = Point.from_signs([1, 1, 1, 1])
         N = 100_000
-        y = x.index ^ flip_masks(4, 0.5, N, rng)
+        y = x.index ^ flip_sampler(4, 0.5)(N, rng)
         flips = (index_signs(y, 4) != x.signs()).sum(axis=0)
         sigma = 0.5 / np.sqrt(N)
         assert np.all(np.abs(flips / N - 0.5) < 4 * sigma)
@@ -190,26 +197,93 @@ class TestSampleNoisy:
             noise_sensitivity_mc(CubeFunction(2, np.zeros(4)), 1.5, 10, np.random.default_rng(0))
 
 
+def _byte_law(p: float) -> list:
+    """Exact probability of each byte mask under ``_byte_alias_table(p)``:
+    column c, chosen with chance 1/256, gives c with chance thresh[c] / 2^56
+    and its alias otherwise."""
+    thresh, pick = _byte_alias_table(p)
+    law = [Fraction(0)] * 256
+    for c in range(256):
+        keep = Fraction(int(thresh[c]), 1 << 56)
+        law[c] += keep / 256
+        law[int(pick[2 * c])] += (1 - keep) / 256
+    assert [int(v) for v in pick[1::2]] == list(range(256))
+    return law
+
+
+def _assert_byte_law_exact(p: float) -> None:
+    law, fp = _byte_law(p), Fraction(p)
+    assert sum(law) == 1
+    for m, prob in enumerate(law):
+        k = m.bit_count()
+        assert abs(prob - fp**k * (1 - fp) ** (8 - k)) < Fraction(1, 1 << 56), (p, m)
+
+
 class TestFlipMasks:
-    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    """``flip_sampler``'s masks against the law of n independent Bernoulli(p)
+    flips, which ``helpers.reference_flip_masks`` draws a double at a time."""
+
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 0.05, 0.2, 0.35, 0.5, 1 - 1e-16, 1.0])
+    def test_byte_law_exact(self, p):
+        _assert_byte_law_exact(p)
+
+    @given(st.floats(0.0, 1.0))
+    @settings(deadline=None)
+    def test_byte_law_exact_any_p(self, p):
+        _assert_byte_law_exact(p)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
     @pytest.mark.parametrize("n", range(1, MAX_PACKED_N + 1))
     def test_matches_pack_bits(self, n, p):
-        got = flip_masks(n, p, 300, np.random.default_rng(n))
+        # certain flips: no mask, or all n bits, as the oracle packs them
+        got = flip_sampler(n, p)(300, np.random.default_rng(n))
         want = reference_flip_masks(n, p, 300, np.random.default_rng(n))
         assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert np.array_equal(got, np.full(300, 0 if p == 0.0 else (1 << n) - 1))
 
-    @given(st.integers(1, MAX_PACKED_N), st.floats(0.0, 1.0), st.integers(0, 64), st.data())
-    @settings(deadline=None)
-    def test_leaves_generator_where_pack_bits_does(self, n, p, count, data):
-        seed = data.draw(st.integers(0, 2**32))
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert np.array_equal(flip_masks(n, p, count, a), reference_flip_masks(n, p, count, b))
-        assert a.random() == b.random()
+    @pytest.mark.parametrize("n", range(1, MAX_PACKED_N + 1))
+    def test_range_and_words_drawn(self, n):
+        # exactly one raw 64-bit word per byte of each row, nothing more
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        draw = flip_sampler(n, 0.3)
+        assert draw(0, a).shape == (0,)
+        masks = draw(300, a)
+        assert masks.dtype == np.int64 and masks.shape == (300,)
+        assert masks.min() >= 0 and masks.max() < 1 << n
+        b.bit_generator.advance(300 * -(-n // 8))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("n, p, seed", [(16, 0.3, 5), (16, 0.05, 6), (21, 0.3, 7), (21, 0.9, 8)])
+    def test_flip_rates(self, n, p, seed):
+        # binomial standard error per coordinate, 4 sigma slack
+        N = 200_000
+        masks = flip_sampler(n, p)(N, np.random.default_rng(seed))
+        rates = ((masks[:, None] >> np.arange(n)) & 1).mean(axis=0)
+        assert np.all(np.abs(rates - p) < 4 * np.sqrt(p * (1 - p) / N))
+
+    @pytest.mark.parametrize("n, seed", [(16, 9), (21, 10)])
+    def test_byte_masks_chi_square(self, n, seed):
+        # each byte group of the masks against the product law, at the 0.001 level
+        scipy_stats = pytest.importorskip("scipy.stats")
+        p, N = 0.3, 200_000
+        masks = flip_sampler(n, p)(N, np.random.default_rng(seed))
+        for lo in range(0, n, 8):
+            width = min(8, n - lo)
+            counts = np.bincount((masks >> lo) & ((1 << width) - 1), minlength=1 << width)
+            k = np.array([m.bit_count() for m in range(1 << width)])
+            expected = N * p**k * (1 - p) ** (width - k)
+            _, pvalue = scipy_stats.chisquare(counts, expected * (N / expected.sum()))
+            assert pvalue > 0.001, (width, pvalue)
 
     @pytest.mark.parametrize("n", [0, MAX_PACKED_N + 1])
     def test_dimension_range(self, n):
         with pytest.raises(ValueError):
-            flip_masks(n, 0.5, 4, np.random.default_rng(0))
+            flip_sampler(n, 0.5)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_probability_range(self, p):
+        with pytest.raises(ValueError):
+            flip_sampler(4, p)
 
 
 class TestBucketPair:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from helpers import (
     reference_chunk_samples,
-    reference_flip_masks,
     reference_mean_and_stderr,
     run_chunks_inline,
 )
@@ -18,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from sparseact import CubeFunction, HypothesisPool, empirical_rademacher, noise_sensitivity_mc
 from sparseact.config import MC_CHUNK
+from sparseact.hypercube import flip_sampler
 from sparseact.parallel import chunk_ranges, mean_and_stderr, run_chunked
 
 MiB = 1 << 20
@@ -139,13 +139,15 @@ class TestThreadBound:
 
 class TestNoiseSensitivityMcAgainstOldForm:
     """The estimate against the concatenating loop it replaced: the same
-    draws, packed by ``pack_bits``, and one pass over all samples."""
+    draws, flips through ``flip_sampler``, and one pass over all samples."""
 
     @staticmethod
     def one_pass(f: CubeFunction, rho: float, trials: int, seed: int):
+        draw_flips = flip_sampler(f.n, (1.0 - rho) / 2.0)
+
         def worker(lo, hi, crng):
             xs = crng.integers(0, 1 << f.n, size=hi - lo)
-            masks = reference_flip_masks(f.n, (1.0 - rho) / 2.0, hi - lo, crng)
+            masks = draw_flips(hi - lo, crng)
             return 0.25 * (f.values[xs] - f.values[xs ^ masks]) ** 2
 
         parts = reference_chunk_samples(worker, trials, np.random.default_rng(seed), MC_CHUNK)
