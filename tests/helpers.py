@@ -34,7 +34,7 @@ from sparseact import (
     parallel,
 )
 from sparseact.config import MAX_PACKED_N
-from sparseact.hypercube import index_signs, pack_bits
+from sparseact.hypercube import _byte_alias_table, index_signs, pack_bits
 
 
 @dataclass(frozen=True)
@@ -194,6 +194,22 @@ def reference_flip_masks(n: int, p: float, count: int, rng: np.random.Generator)
     coordinate through ``pack_bits``: the Bernoulli oracle for
     ``hypercube.flip_sampler``, which draws a byte of flips per 64-bit word."""
     return pack_bits(rng.random((count, n)) < p)
+
+
+def reference_alias_flip_masks(n: int, p: float, count: int, rng: np.random.Generator):
+    """Packed masks from the raw words ``hypercube.flip_sampler`` draws, one
+    word per byte of 8 coordinates, each resolved through ``_byte_alias_table``
+    in Python ints and spread into a (count, n) flip matrix for ``pack_bits``:
+    the oracle for the sampler's vectorised column pick and byte assembly."""
+    thresh, pick = (t.tolist() for t in _byte_alias_table(p))
+    groups = -(-n // 8)
+    flips = np.zeros((count, 8 * groups), dtype=bool)
+    for row, words in enumerate(rng.bit_generator.random_raw((count, groups)).tolist()):
+        for j, word in enumerate(words):
+            col = word % 256
+            byte = col if word >> 8 < thresh[col] else pick[2 * col]
+            flips[row, 8 * j : 8 * j + 8] = [(byte >> i) & 1 for i in range(8)]
+    return pack_bits(flips[:, :n])
 
 
 def reference_sign_sups(H: np.ndarray, count: int, rng: np.random.Generator):

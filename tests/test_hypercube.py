@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import Point, chi, reference_flip_masks
+from helpers import Point, chi, reference_alias_flip_masks, reference_flip_masks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -221,7 +221,9 @@ def _assert_byte_law_exact(p: float) -> None:
 
 class TestFlipMasks:
     """``flip_sampler``'s masks against the law of n independent Bernoulli(p)
-    flips, which ``helpers.reference_flip_masks`` draws a double at a time."""
+    flips, which ``helpers.reference_flip_masks`` draws a double at a time, and
+    bit for bit against ``helpers.reference_alias_flip_masks``, which resolves
+    the same raw words one at a time."""
 
     @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 0.05, 0.2, 0.35, 0.5, 1 - 1e-16, 1.0])
     def test_byte_law_exact(self, p):
@@ -232,14 +234,27 @@ class TestFlipMasks:
     def test_byte_law_exact_any_p(self, p):
         _assert_byte_law_exact(p)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("n", range(1, MAX_PACKED_N + 1))
     def test_matches_pack_bits(self, n, p):
-        # certain flips: no mask, or all n bits, as the oracle packs them
+        # the vectorised draw against the same words resolved one at a time
         got = flip_sampler(n, p)(300, np.random.default_rng(n))
-        want = reference_flip_masks(n, p, 300, np.random.default_rng(n))
+        want = reference_alias_flip_masks(n, p, 300, np.random.default_rng(n))
         assert got.dtype == np.int64 and np.array_equal(got, want)
-        assert np.array_equal(got, np.full(300, 0 if p == 0.0 else (1 << n) - 1))
+        if p in (0.0, 1.0):
+            # certain flips: no mask, or all n bits, as the Bernoulli oracle packs them
+            bernoulli = reference_flip_masks(n, p, 300, np.random.default_rng(n))
+            assert np.array_equal(got, bernoulli)
+            assert np.array_equal(got, np.full(300, 0 if p == 0.0 else (1 << n) - 1))
+
+    @given(st.integers(1, MAX_PACKED_N), st.floats(0.0, 1.0), st.integers(0, 64), st.data())
+    @settings(deadline=None)
+    def test_leaves_generator_where_pack_bits_does(self, n, p, count, data):
+        seed = data.draw(st.integers(0, 2**32))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = flip_sampler(n, p)(count, a)
+        assert np.array_equal(got, reference_alias_flip_masks(n, p, count, b))
+        assert a.random() == b.random()
 
     @pytest.mark.parametrize("n", range(1, MAX_PACKED_N + 1))
     def test_range_and_words_drawn(self, n):
