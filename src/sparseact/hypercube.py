@@ -26,6 +26,7 @@ scan counts their positive entries off the same tables, with no float block.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -50,8 +51,7 @@ def index_signs(idx, n: int) -> np.ndarray:
     return signs
 
 
-# Place values 2^i of the 63 bits a non-negative int64 index holds; built
-# once because ``sample_bucket_pair`` packs on every call.
+# Place values 2^i of the 63 bits a non-negative int64 index holds.
 _PLACE_VALUES = np.int64(1) << np.arange(63, dtype=np.int64)
 
 
@@ -272,15 +272,25 @@ def sample_bucket_pair(
     buckets, of v and of b, so is z * v[buckets]: x = z has the same joint
     law with (y, r, b).  Skipping the r bucket signs keeps memory bounded by
     n, not by r, which grows without bound as rho -> 1.
+
+    A pair takes n + 2 raw words of ``rng.bit_generator``: x is the top n bits
+    of word 0, word 1 picks b and word i + 1 the bucket of coordinate i.  With
+    q = 2^64 // r a word w < q r is label w // q, so each label owns exactly q
+    words; larger words (none when r is a power of two) are redrawn after the
+    row, b's first.  Seeded draws differ from versions built on ``rng.integers``.
     """
     _check_dim(n, MAX_PACKED_N)
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"correlation must lie in [0, 1), got {rho}")
-    r = int(np.floor(2.0 / (1.0 - rho)))
-    z = rng.integers(0, 2, size=n)  # bit 1 means coordinate -1
-    buckets = rng.integers(0, r, size=n)
-    b = int(rng.integers(0, r))
-
-    x = int(pack_bits(z))
-    y = x ^ int(pack_bits(buckets == b))
-    return CubePoint(n, x), CubePoint(n, y), r, b + 1
+    r = math.floor(2.0 / (1.0 - rho))
+    q = (1 << 64) // r
+    x, *words = rng.bit_generator.random_raw(n + 2).tolist()
+    if max(words) >= q * r:
+        for i in range(n + 1):
+            while words[i] >= q * r:
+                words[i] = rng.bit_generator.random_raw()
+    lo = words[0] - words[0] % q
+    hi = lo + q
+    flips = sum(1 << i for i, w in enumerate(words[1:]) if lo <= w < hi)  # label w // q is b
+    x >>= 64 - operator.index(n)  # int >> np.int64 would overflow on x
+    return CubePoint(n, x), CubePoint(n, x ^ flips), r, words[0] // q + 1

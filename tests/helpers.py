@@ -212,6 +212,29 @@ def reference_alias_flip_masks(n: int, p: float, count: int, rng: np.random.Gene
     return pack_bits(flips[:, :n])
 
 
+def reference_bucket_pair(n: int, rho: float, rng: np.random.Generator):
+    """``(x, y, r, b)`` from the n + 2 raw words ``hypercube.sample_bucket_pair``
+    draws, by the literal procedure: x the top n bits of word 0, a label w // q
+    (q = 2^64 // r) per later word, each word from q r up redrawn in turn (b's
+    first, then the coordinates' in order), and y = x with the coordinates
+    labelled b flipped through ``pack_bits``: the oracle for the sampler's one
+    comparison per coordinate."""
+    r = int(np.floor(2.0 / (1.0 - rho)))
+    q = (1 << 64) // r
+    words = rng.bit_generator.random_raw(n + 2).tolist()
+
+    def label(w: int) -> int:
+        while w >= q * r:
+            w = rng.bit_generator.random_raw()
+        return w // q
+
+    b = label(words[1])
+    labels = np.array([label(w) for w in words[2:]], dtype=np.int64)
+    x = words[0] >> (64 - n)
+    y = x ^ int(pack_bits(labels == b))
+    return CubePoint(n, x), CubePoint(n, y), r, b + 1
+
+
 def reference_sign_sups(H: np.ndarray, count: int, rng: np.random.Generator):
     """Sups over the pool from one (count, m) draw of sign rows: the oracle
     for ``rademacher_lab._sign_sups``, which draws them in row slices."""

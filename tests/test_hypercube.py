@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import Point, chi, reference_alias_flip_masks, reference_flip_masks
+from helpers import (
+    Point,
+    chi,
+    reference_alias_flip_masks,
+    reference_bucket_pair,
+    reference_flip_masks,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -393,6 +399,119 @@ class TestBucketPair:
         assert any(tops)  # the top coordinate is drawn too
         with pytest.raises(ValueError, match=r"dimension must be in \[1, 62\], got 63"):
             sample_bucket_pair(MAX_PACKED_N + 1, 0.5, rng)
+
+
+# A rho for each bucket count r = floor(2 / (1 - rho)), from 2 up to 2^54,
+# the r of the largest double below 1
+_BUCKET_RHOS = {
+    2: 0.0,
+    3: 0.35,
+    4: 0.5,
+    20: 0.9,
+    1 << 20: 1 - 2.0**-19,
+    1 << 53: 1 - 2.0**-52,
+    1 << 54: 1 - 2.0**-53,
+}
+
+
+class ScriptedWords:
+    """Stands in for a ``Generator`` whose ``bit_generator.random_raw`` hands
+    out the given 64-bit words in order: a uint64 array for a size, an int
+    for one word, IndexError past the last; ``words`` holds those left."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.bit_generator = self
+
+    def random_raw(self, size=None):
+        if size is None:
+            return self.words.pop(0)
+        if size > len(self.words):
+            raise IndexError("script exhausted")
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+def _scripted_pair(r: int, row: list, redraws: tuple = ()):
+    """``sample_bucket_pair`` at the rho of ``r`` on exactly the n + 2 words of
+    ``row`` and then ``redraws``, checked against ``reference_bucket_pair`` on
+    the same words."""
+    n, rho = len(row) - 2, _BUCKET_RHOS[r]
+    got = sample_bucket_pair(n, rho, (g := ScriptedWords(row + list(redraws))))
+    assert g.words == []  # every word used, none asked for beyond them
+    assert got == reference_bucket_pair(n, rho, ScriptedWords(row + list(redraws)))
+    assert got[2] == r
+    return got
+
+
+class TestBucketPairWords:
+    """``sample_bucket_pair`` bit for bit against ``helpers.reference_bucket_pair``,
+    which resolves the same raw words into a label list and packs its flips
+    with ``pack_bits``, and on scripted words at each label's edges and
+    through the redraw path."""
+
+    @pytest.mark.parametrize("r", _BUCKET_RHOS)
+    @pytest.mark.parametrize("n", [1, 7, 20, MAX_PACKED_N])
+    def test_matches_reference(self, n, r):
+        # no seeded word here needs a redraw: n + 2 words a pair, nothing more
+        a, b, twin = (np.random.default_rng(n) for _ in range(3))
+        for _ in range(100):
+            got = sample_bucket_pair(n, _BUCKET_RHOS[r], a)
+            assert got == reference_bucket_pair(n, _BUCKET_RHOS[r], b)
+            assert type(got[2]) is int and type(got[3]) is int and got[2] == r
+        twin.bit_generator.advance(100 * (n + 2))
+        assert a.bit_generator.state == twin.bit_generator.state
+
+    @given(st.integers(1, MAX_PACKED_N), st.floats(0.0, 1.0, exclude_max=True), st.data())
+    @settings(deadline=None)
+    def test_leaves_generator_where_reference_does(self, n, rho, data):
+        seed = data.draw(st.integers(0, 2**32))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert sample_bucket_pair(n, rho, a) == reference_bucket_pair(n, rho, b)
+        assert a.random() == b.random()
+
+    def test_numpy_scalar_arguments(self):
+        # numpy scalars as n and rho draw what a Python int and float draw
+        got = sample_bucket_pair(np.int64(MAX_PACKED_N), np.float64(0.9), np.random.default_rng(5))
+        assert got == sample_bucket_pair(MAX_PACKED_N, 0.9, np.random.default_rng(5))
+
+    @pytest.mark.parametrize("n", [1, 7, MAX_PACKED_N])
+    def test_x_is_top_bits_of_first_word(self, n):
+        # every label word 0: each coordinate shares b's label and flips
+        word = 0xF0E1_D2C3_B4A5_9687
+        x, y, _, b = _scripted_pair(4, [word, 0] + [0] * n)
+        assert x.index == word >> (64 - n) and b == 1
+        assert y.index == x.index ^ ((1 << n) - 1)
+
+    @pytest.mark.parametrize("r", [3, 20, 1 << 20, 1 << 53])
+    def test_label_edges(self, r):
+        # label j owns words j q .. (j + 1) q - 1, so q r - 1 is label r - 1
+        q = (1 << 64) // r
+        for j in sorted({0, 1, r // 2, r - 1}):
+            inside = [j * q, (j + 1) * q - 1]
+            outside = [w for w in (j * q - 1, (j + 1) * q) if 0 <= w < q * r]
+            for b_word in inside:
+                x, y, _, b = _scripted_pair(r, [0, b_word, *inside, *outside])
+                assert b == j + 1
+                assert x.index == 0 and y.index == 0b11
+
+    @pytest.mark.parametrize("r", [3, 20, 1 << 20, 1 << 53])
+    def test_words_from_q_r_up_redrawn_in_order(self, r):
+        q = (1 << 64) // r
+        top = (1 << 64) - 1
+        if q * r == 1 << 64:
+            # a power of two: no word is out of range, the top word is label r - 1
+            _, y, _, b = _scripted_pair(r, [0, top, top, 0])
+            assert b == r and y.index == 0b01
+            return
+        for bad in (q * r, top):
+            # b's word and coordinate 2's are out of range.  b's redraws come
+            # first (a bad word again, then label r - 1), then coordinate 2's
+            # (label 0); the other order would give b = 1 and flips 0b001.
+            row = [0, bad, 0, bad, (r - 1) * q]
+            _, y, _, b = _scripted_pair(r, row, (top, (r - 1) * q, 0))
+            assert b == r and y.index == 0b100
 
 
 def _value_type_args(dtype) -> dict:
