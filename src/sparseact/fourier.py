@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import MAX_PACKED_N, MAX_TABULATE_N, MC_CHUNK
 from .errors import CapacityError
-from .hypercube import _hold_array, affine_blocks, flip_sampler, point_index
+from .hypercube import _hold_array, affine_blocks, flip_sampler, packed_indices, point_index
 from .network import SparseNet
 from .parallel import mean_and_stderr, run_chunked
 
@@ -36,6 +36,10 @@ class CubeFunction:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("values contain non-finite entries")
+
+    def eval_indices(self, idx) -> np.ndarray:
+        """The values at packed int64 indices, checked by ``packed_indices``."""
+        return self.values[packed_indices(idx, self.n)]
 
     def norm2_sq(self) -> float:
         """||f||_2^2 = E_x f(x)^2 under the uniform distribution."""
@@ -72,23 +76,24 @@ class Spectrum:
         return float(np.sum(self.coeffs**2))
 
 
+def _check_model_dim(f, n: int) -> None:
+    if getattr(f, "n", n) != n:
+        raise ValueError(f"model has n={f.n}, requested {n}")
+
+
 def values_at(f, n: int, idx) -> np.ndarray:
     """f at the packed indices ``idx`` of {-1,+1}^n, as float64.
 
-    A CubeFunction is looked up; anything with an ``eval_indices(idx)``
-    method (nets, monomial models, decision lists) gets the packed indices
-    as they are; any other callable is called once per point, with its
-    packed index as an ``int``.
+    Anything with an ``eval_indices(idx)`` method (value tables, nets,
+    monomial models, decision lists) gets the packed indices as they are;
+    any other callable is called once per checked point, with its packed
+    index as an ``int``.  An ``f.n`` other than n is refused.
     """
-    if isinstance(f, CubeFunction):
-        if f.n != n:
-            raise ValueError(f"function has n={f.n}, requested {n}")
-        return f.values[idx]
+    _check_model_dim(f, n)
     if hasattr(f, "eval_indices"):
-        if f.n != n:
-            raise ValueError(f"model has n={f.n}, requested {n}")
         return f.eval_indices(idx)
-    return np.fromiter((f(int(u)) for u in idx), np.float64, len(idx))
+    idx = packed_indices(idx, n)
+    return np.fromiter((f(int(u)) for u in idx), np.float64, idx.size)
 
 
 def tabulate(f, n: int) -> CubeFunction:
@@ -98,15 +103,12 @@ def tabulate(f, n: int) -> CubeFunction:
     as-is, and a SparseNet's pre-activations come from
     :func:`~sparseact.hypercube.affine_blocks`.
     """
+    _check_model_dim(f, n)
     if isinstance(f, CubeFunction):
-        if f.n != n:
-            raise ValueError(f"function has n={f.n}, requested {n}")
         return f
     if n > MAX_TABULATE_N:
         raise CapacityError(f"tabulation needs n <= {MAX_TABULATE_N}, got {n}")
     if isinstance(f, SparseNet):
-        if f.n != n:
-            raise ValueError(f"net has n={f.n}, requested {n}")
         values = np.empty(1 << n)
         for lo, z in affine_blocks(f.w, -f.b):
             np.maximum(z, 0.0, out=z)

@@ -10,7 +10,8 @@ which makes the fast Walsh-Hadamard transform and exhaustive scans line up
 with plain array indexing.
 
 Public functions take points as packed indices: an ``int`` for one point,
-an int64 array for many (every predictor's ``eval_indices`` takes one).
+an int64 array for many, which ``packed_indices`` checks without a copy
+(every predictor's ``eval_indices`` takes one, a value table's too).
 ``CubePoint`` only wraps the index that ``sample_bucket_pair`` and a
 sparsity report's witness return.
 
@@ -62,24 +63,24 @@ def pack_bits(bits) -> np.ndarray:
 
 
 def packed_indices(idx, n: int) -> np.ndarray:
-    """``idx`` as a fresh nonempty 1-d int64 array of packed points of
-    {-1,+1}^n (n <= MAX_PACKED_N); ValueError for other dtypes, shapes or values."""
+    """``idx`` as a nonempty 1-d int64 array of packed points of {-1,+1}^n
+    (n <= MAX_PACKED_N), uncopied if it is one; ValueError for anything else."""
     _check_dim(n, MAX_PACKED_N)
     raw = np.asarray(idx)
     if raw.size and raw.dtype.kind not in "iu":
         raise ValueError(f"indices must be integers, got dtype {raw.dtype}")
-    out = np.array(raw, dtype=np.int64)
+    out = np.asarray(raw, dtype=np.int64)
     if out.ndim != 1 or out.size == 0:
         raise ValueError(f"need a nonempty 1-d index array, got shape {out.shape}")
-    if out.min() < 0 or out.max() >= 1 << n:
+    if np.bitwise_or.reduce(out) >> n:  # a bit at n or above, or the sign bit
         raise ValueError(f"indices out of range [0, 2^{n})")
     return out
 
 
 def _hold_array(obj, name: str, a, dtype) -> np.ndarray:
     """Set field ``name`` of the frozen instance ``obj`` to a read-only copy of
-    ``a`` in ``dtype`` and return it: the one way a value type holds an array,
-    so it never freezes, shares or sees later writes to the caller's array."""
+    ``a`` in ``dtype`` and return it: the one copy a value type makes of an
+    array, so it never freezes, shares or sees later writes to the caller's."""
     a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     object.__setattr__(obj, name, a)

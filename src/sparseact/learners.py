@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_LIST_M, MAX_LIST_N, MAX_MONOMIALS, MAX_TABULATE_N
+from .config import MAX_LIST_M, MAX_LIST_N, MAX_MONOMIALS, MAX_PACKED_N, MAX_TABULATE_N
 from .errors import CapacityError, InconsistentDataError, NoConsistentListError
 from .fourier import _fwht, tabulate, values_at
-from .hypercube import _hold_array, index_signs, packed_indices
+from .hypercube import _check_dim, _hold_array, index_signs, packed_indices
 from .network import _point_slices
 
 
@@ -398,7 +398,7 @@ class LossReport:
 
 def evaluate_loss(predictor, data: Dataset) -> LossReport:
     """Mean loss of a predictor (anything :func:`~sparseact.fourier.values_at`
-    accepts: a CubeFunction, a net or model with eval_indices, or a callable)."""
+    accepts: a table, net or model with eval_indices, or a callable)."""
     preds = values_at(predictor, data.n, data.idx)
     return LossReport(mse=float(np.mean(0.5 * (preds - data.y) ** 2)), count=len(data))
 
@@ -407,10 +407,12 @@ def sample_uniform_dataset(f, n: int, m: int, rng: np.random.Generator) -> Datas
     """m uniform inputs labeled by f (anything ``values_at`` accepts)."""
     if m < 1:
         raise ValueError(f"need at least one sample, got {m}")
+    _check_dim(n, MAX_PACKED_N)
     idx = rng.integers(0, 1 << n, size=m)
     return Dataset(n, idx, values_at(f, n, idx))
 
 
 def full_cube_dataset(f, n: int) -> Dataset:
     """Every point of the cube labeled by f, in index order."""
-    return Dataset(n, np.arange(1 << n), tabulate(f, n).values)
+    values = tabulate(f, n).values
+    return Dataset(n, np.arange(values.size), values)

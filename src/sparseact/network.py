@@ -202,11 +202,11 @@ def verify_sparsity(
 
     Scans all 2^n inputs (n <= 24) block by block, counting from the doubling
     tables with no float block of pre-activations, or exactly the packed
-    indices ``support`` when they are given (lifted constructions are only
-    promised to be sparse on their embedded image), in row slices of at most
-    2^15 pre-activations.  Both feed one report loop with (points, active
-    counts) blocks in scan order.  ``mode`` must be "exhaustive".
-    """
+    indices ``support`` when given (lifted constructions are only promised
+    to be sparse on their embedded image), in row slices of at most 2^15
+    pre-activations, feeding one report loop with (points, active counts)
+    blocks in scan order.  ``mode`` must be "exhaustive" (only ``perfbench``
+    still passes it, positionally)."""
     if k < 1:
         raise ValueError(f"sparsity level must be >= 1, got {k}")
     if mode != "exhaustive":

@@ -148,11 +148,8 @@ def random_sparse_pool(
     B_env = 0.0
     for _ in range(count):
         net = _stack([junta_to_net(random_junta(rng, n, p)) for _ in range(k)], k)
-        report = (
-            verify_sparsity(net, k, "exhaustive")
-            if n <= 14
-            else verify_sparsity(net, k, support=rng.integers(0, 1 << n, size=20_000))
-        )
+        support = None if n <= 14 else rng.integers(0, 1 << n, size=20_000)
+        report = verify_sparsity(net, k, support=support)
         if report.max_active > k:
             raise RuntimeError(
                 f"construction produced a net with {report.max_active} active units"

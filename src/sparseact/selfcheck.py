@@ -45,7 +45,7 @@ def check_junta_truth_table(n_max: int, rng: np.random.Generator):
         want = tabulate(spec.value, n).values
         if not np.allclose(got, want, atol=1e-12):
             return False, f"p={p}: max deviation {np.abs(got - want).max():.3g}"
-        report = verify_sparsity(net, 1, "exhaustive")
+        report = verify_sparsity(net, 1)
         if report.max_active != 1:
             return False, f"p={p}: {report.max_active} units active somewhere"
     return True, f"p in 0..{min(4, n)} on n={n}"
@@ -62,7 +62,7 @@ def check_index_reference(n_max: int, rng: np.random.Generator):
         bad = np.flatnonzero(tabulate(net, n).values != want)
         if bad.size:
             return False, f"b={b}: mismatch at index {bad[0]}"
-        if verify_sparsity(net, 1, "exhaustive").max_active > 1:
+        if verify_sparsity(net, 1).max_active > 1:
             return False, f"b={b}: more than one unit active"
         checked.append(b)
     return True, f"address bits {checked}"
@@ -90,7 +90,7 @@ def check_parity_lift(n_max: int, rng: np.random.Generator):
                 bad = np.flatnonzero(net.eval_batch(lifted) != want_val)
                 if bad.size:
                     return False, f"m={m}, S={S}, y={bad[0]}: value mismatch"
-                rep = verify_sparsity(net, 1, "exhaustive", support=support)
+                rep = verify_sparsity(net, 1, support=support)
                 if rep.max_active > 1:
                     return False, f"m={m}, S={S}: {rep.max_active} active on support"
     return True, "m in 1..4, all S"
@@ -103,7 +103,7 @@ def check_gamma_gate(n_max: int, rng: np.random.Generator):
     table = rng.normal(size=(1 << b, q))
     table /= np.linalg.norm(table, axis=1, keepdims=True)
     net = gamma_gated_net(b, q, float(np.sqrt(q)), table)
-    rep = verify_sparsity(net, 1, "exhaustive")
+    rep = verify_sparsity(net, 1)
     if rep.max_active > 1:
         return False, f"{rep.max_active} units active at index {rep.violating_input.index}"
     return True, f"b={b}, q={q}, gamma=sqrt(q)"

@@ -235,8 +235,6 @@ def float_chars(a: np.ndarray) -> np.ndarray:
     if (magnitude >= 0x7FF << 53).any():
         raise ValueError("not every value is finite")
     nonzero = np.flatnonzero(magnitude)
-    if nonzero.size == bits.size <= _BLOCK:
-        return _float_block(bits, _source_rows(bits.size))
     chars, rows = np.take(_ZEROS, bits >> 63, axis=0), _source_rows(nonzero.size)
     for start in range(0, nonzero.size, _BLOCK):
         at = nonzero[start : start + _BLOCK]

@@ -617,6 +617,28 @@ class TestExitCodes:
     def test_missing_file_is_runtime_failure(self, tmp_path):
         assert run(["transform", "--net", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "n, command, rc, message",
+        [
+            (26, "full-cube", 1, "tabulation needs n <= 20, got 26"),
+            (62, "full-cube", 1, "tabulation needs n <= 20, got 62"),
+            (63, "samples", 2, "dimension must be in [1, 62], got 63"),
+            (70, "samples", 2, "dimension must be in [1, 62], got 70"),
+        ],
+    )
+    def test_caps_checked_before_any_point_exists(self, tmp_path, capsys, n, command,
+                                                  rc, message):
+        # neither the 2^n index range of the whole cube nor a sample is built
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"n": n, "s": 1, "k": 1, "u": [1.0],
+                                    "w": [[1.0] * n], "b": [0.0]}))
+        argv = {
+            "full-cube": ["learn-dlist", "--full-cube", "--s", "2", "--grid-m", "1"],
+            "samples": ["learn-low-degree", "--samples", "50", "--seed", "1", "--degree", "1"],
+        }[command]
+        assert run(argv + ["--net", str(path)]) == rc
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestThreadDeterminism:
     def test_sensitivity_threads(self, tmp_path):

@@ -38,7 +38,7 @@ from sparseact.config import REL_TOL_EXACT
 from sparseact.constructions import random_net
 from sparseact import learners
 from sparseact.fourier import _fwht, values_at
-from sparseact.hypercube import index_signs
+from sparseact.hypercube import _hold_array, index_signs, packed_indices
 
 
 def random_function(rng, n):
@@ -353,6 +353,68 @@ class TestValuesAt:
         net = SparseNet(n=63, s=1, k=1, u=np.ones(1), w=np.ones((1, 63)), b=np.zeros(1))
         with pytest.raises(CapacityError, match="62"):
             noise_sensitivity_mc(net, 0.5, 10, np.random.default_rng(0))
+
+
+def _predictor(kind: str, n: int):
+    rng = np.random.default_rng(26)
+    if kind == "table":
+        return random_function(rng, n)
+    if kind == "net":
+        return random_net(rng, n, 3)
+    if kind == "monomial":
+        return MonomialModel(n=n, d=2, masks=[0, 1, 6], coeffs=rng.normal(size=3))
+    node = ListNode(gate_w=(1,) * n, gate_b=0, leaf_v=(0.5,) * n, leaf_c=0.25)
+    return GeneralizedDecisionList(n=n, nodes=(node,), default=-1.0)
+
+
+@pytest.mark.parametrize("kind", ["table", "net", "monomial", "dlist"])
+def test_one_route_to_a_predictors_values(kind):
+    n = 4
+    f = _predictor(kind, n)
+    idx = np.array([0, 15, 3, 3], dtype=np.int64)
+    # one index check: nothing out of range wraps, nothing fractional truncates
+    bad = [[-1], [0, 16], np.array([0.0, 1.0]), np.zeros((2, 2), np.int64), [],
+           np.array([], np.int64)]
+    for raw in bad:
+        for evaluate in (lambda i: values_at(f, n, i), f.eval_indices):
+            with pytest.raises(ValueError):
+                evaluate(raw)
+    # one dimension check, before the table cap, with one message
+    with pytest.raises(ValueError) as at_points:
+        values_at(f, n + 1, idx)
+    for m in (n + 1, 40):
+        with pytest.raises(ValueError) as tabulated:
+            tabulate(f, m)
+        assert str(tabulated.value) == f"model has n={n}, requested {m}"
+    assert str(at_points.value) == f"model has n={n}, requested {n + 1}"
+    # one copy: the check hands an int64 array back as it is
+    assert packed_indices(idx, n) is idx
+    assert np.shares_memory(packed_indices(idx[::2], n), idx)
+    data = learners.Dataset(n, idx, values_at(f, n, idx))
+    np.testing.assert_allclose(data.y, tabulate(f, n).values[idx], rtol=1e-12, atol=1e-12)
+    assert np.array_equal(data.idx, idx)
+    assert not np.shares_memory(data.idx, idx) and not data.idx.flags.writeable
+
+
+def test_dataset_copies_its_indices_once(monkeypatch):
+    held = []
+
+    def hold(obj, name, a, dtype):
+        held.append((name, np.shares_memory(a, idx)))
+        return _hold_array(obj, name, a, dtype)
+
+    monkeypatch.setattr(learners, "_hold_array", hold)
+    idx = np.arange(8, dtype=np.int64)
+    data = learners.Dataset(3, idx, np.zeros(8))
+    # the checked indices reach the one copy uncopied
+    assert held == [("idx", True), ("y", False)]
+    assert not np.shares_memory(data.idx, idx)
+
+
+def test_callable_points_are_checked():
+    for raw in ([-1], [8], np.array([0.5]), []):
+        with pytest.raises(ValueError):
+            values_at(lambda u: 0.0, 3, raw)
 
 
 class TestHalfspaceTrend:

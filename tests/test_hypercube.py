@@ -34,6 +34,7 @@ from sparseact.hypercube import (
     flip_sampler,
     index_signs,
     pack_bits,
+    packed_indices,
     sign_table,
 )
 from sparseact.learners import _character
@@ -111,6 +112,23 @@ class TestEncodingKernels:
         grid = index_signs(np.arange(8).reshape(2, 4), 3)
         assert grid.shape == (2, 4, 3)
         assert np.array_equal(grid.reshape(8, 3), sign_table(3))
+
+    @given(st.integers(1, MAX_PACKED_N), st.data())
+    @settings(deadline=None)
+    def test_packed_indices_range_is_exact(self, n, data):
+        near = st.sampled_from([-(1 << 63), -1, 0, (1 << n) - 1, 1 << n, (1 << 63) - 1])
+        values = data.draw(st.lists(near | st.integers(-(1 << 63), (1 << 63) - 1),
+                                    min_size=1, max_size=8))
+        idx = np.array(values, dtype=np.int64)
+        if all(0 <= v < 1 << n for v in values):
+            assert packed_indices(idx, n) is idx
+        else:
+            with pytest.raises(ValueError, match="out of range"):
+                packed_indices(idx, n)
+
+    def test_packed_indices_refuses_wrapped_uint64(self):
+        with pytest.raises(ValueError, match="out of range"):
+            packed_indices(np.array([1 << 63], dtype=np.uint64), MAX_PACKED_N)
 
 
 class TestCharacter:

@@ -727,3 +727,23 @@ class TestSampleDatasets:
         data = full_cube_dataset(f, 3)
         assert data.idx.tolist() == list(range(8))
         assert all(y == f.values[u] for u, y in zip(data.idx, data.y))
+
+    def test_full_cube_cap_before_index_range(self):
+        # the cap is checked before the 2^26-entry (512 MiB) index range exists
+        net = SparseNet(n=26, s=1, k=1, u=np.ones(1), w=np.ones((1, 26)), b=np.zeros(1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="tabulation needs n <= 20, got 26"):
+                full_cube_dataset(net, 26)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_uniform_dimension_checked_before_drawing(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        for n in (0, 63, 70):
+            with pytest.raises(ValueError, match=f"dimension must be in \\[1, 62\\], got {n}"):
+                sample_uniform_dataset(lambda u: 0.0, n, 4, rng)
+        assert rng.bit_generator.state == state
