@@ -208,7 +208,52 @@ def _parse_list(text: str, kind: type, flag: str) -> list:
 
 
 def _read_dataset_csv(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """The dataset of the CSV file at ``path``, read in array passes where
+    ``_plain_rows`` can, else by ``_csv_rows``: the same files accepted, and
+    the same errors raised in the same order."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    dataset = _plain_rows(data)
+    return dataset if dataset is not None else _csv_rows(data)
+
+
+def _plain_rows(data: bytes) -> Optional[Dataset]:
+    """The dataset of CSV bytes, from the positions of their newlines and
+    commas, if they are ASCII with no quote, CR or NUL, the header is
+    x1,...,xn,y (n <= MAX_PACKED_N), a row follows, every line has n commas
+    and fits csv's field size limit, every sign is 1 or -1 and ``float``
+    reads every label; else None, for ``csv.reader`` to read or fault."""
+    if not data.isascii() or any(c in data for c in (b'"', b"\r", b"\0")):
+        return None
+    text = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, text.size)  # a last line with no newline
+    header = data[: ends[0]].decode().split(",")
+    n = len(header) - 1
+    commas = np.flatnonzero(text == ord(","))
+    if (header[-1] != "y" or not header[0].startswith("x") or n > MAX_PACKED_N
+            or ends.size < 2 or (np.diff(np.searchsorted(commas, ends), prepend=0) != n).any()
+            or np.diff(ends, prepend=-1).max() > csv.field_size_limit()):
+        return None
+    # each row's n commas: the signs end at them, the label starts after the last;
+    # a sign is "1" or "-1" after the comma or newline ending the field before
+    cuts = commas[n:].reshape(-1, n)
+    one, second, third = (text[cuts - k] for k in (1, 2, 3))
+    minus, after = second == ord("-"), lambda b: (b == ord(",")) | (b == ord("\n"))
+    if not ((one == ord("1")) & (after(second) | minus & after(third))).all():
+        return None
+    try:
+        labels = [float(data[lo:hi]) for lo, hi in zip((cuts[:, -1] + 1).tolist(),
+                                                        ends[1:].tolist())]
+    except ValueError:
+        return None
+    return Dataset(n, pack_bits(minus), np.array(labels))
+
+
+def _csv_rows(data: bytes) -> Dataset:
+    """The dataset of CSV bytes decoded as UTF-8, read by ``csv.reader``."""
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[-1] != "y" or not header[0].startswith("x"):
@@ -394,16 +439,28 @@ def _cmd_bounds_table(args) -> int:
     return 0
 
 
-def _model_payload(model) -> dict:
-    return {
-        "n": model.n,
-        "d": model.d,
-        "coeffs": [
-            {"T": [i + 1 for i in range(model.n) if mask >> i & 1], "c": c}
-            for mask, c in zip(model.masks.tolist(), model.coeffs.tolist())
-            if c != 0.0 or not mask
-        ],
-    }
+def _model_json(model, losses: dict) -> str:
+    """``json.dumps({"model": M, **losses}, indent=2, allow_nan=False)`` plus a
+    newline, M holding n, d and a record {"T": [...], "c": c} per coefficient
+    (T the coordinates of its mask, zeros dropped but the constant's), each
+    laid out at json's indent; json.dumps raises its own error for inf or nan."""
+    kept = [(mask, c) for mask, c in zip(model.masks.tolist(), model.coeffs.tolist())
+            if c != 0.0 or not mask]
+    if not all(math.isfinite(c) for _, c in kept):
+        json.dumps([c for _, c in kept], indent=2, allow_nan=False)  # raises
+    records = []
+    for mask, c in kept:
+        T = []
+        while mask:  # the set bits, lowest first
+            T.append(f"\n          {(mask & -mask).bit_length()}")
+            mask &= mask - 1
+        T_text = "[" + ",".join(T) + "\n        ]" if T else "[]"
+        records.append(f'{{\n        "T": {T_text},\n        "c": {c!r}\n      }}')
+    # json.dumps writes the keys; its first null is the place of the records
+    model_keys = {"n": model.n, "d": model.d, "coeffs": [None] if records else []}
+    head, _, tail = json.dumps({"model": model_keys, **losses}, indent=2,
+                               allow_nan=False).partition("null")
+    return head + ",\n      ".join(records) + tail + "\n"
 
 
 def _cmd_learn_low_degree(args) -> int:
@@ -423,13 +480,10 @@ def _cmd_learn_low_degree(args) -> int:
             else None
         )
     model = fit_low_degree(data, args.degree, args.ridge)
-    payload = {
-        "model": _model_payload(model),
-        "train_loss": vars(evaluate_loss(model, data)),
-    }
+    losses = {"train_loss": vars(evaluate_loss(model, data))}
     if holdout is not None:
-        payload["holdout_loss"] = vars(evaluate_loss(model, holdout))
-    _write_text(args.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        losses["holdout_loss"] = vars(evaluate_loss(model, holdout))
+    _write_text(args.out, _model_json(model, losses))
     return 0
 
 

@@ -157,7 +157,7 @@ def fit_low_degree(data: Dataset, d: int, ridge: float = 1e-10) -> MonomialModel
     masks = _monomial_masks(n, d)
     G, rhs = _normal_equations(data, masks)
     if ridge > 0:
-        G = G + ridge * np.eye(count)
+        G.flat[:: count + 1] += ridge  # G is the fresh matrix _normal_equations built
     try:
         c = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError:

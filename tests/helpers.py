@@ -473,6 +473,18 @@ def reference_read_dataset_csv(path) -> Dataset:
     return Dataset(n, pack_bits(table[:, :n] < 0), table[:, n])
 
 
+def reference_model_json(model: MonomialModel, losses: dict) -> str:
+    """The learned model and its losses as ``json.dumps`` lays them out, one
+    record dict per kept coefficient: the oracle for ``cli._model_json``."""
+    records = [
+        {"T": [i + 1 for i in range(model.n) if mask >> i & 1], "c": c}
+        for mask, c in zip(model.masks.tolist(), model.coeffs.tolist())
+        if c != 0.0 or not mask
+    ]
+    payload = {"model": {"n": model.n, "d": model.d, "coeffs": records}, **losses}
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def reference_scan(
     net: SparseNet, k: int, chunk: int = 1 << 16, points=None
 ) -> SparsityReport:

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from helpers import (
     net_value,
     reference_csv,
     reference_json,
+    reference_model_json,
     reference_read_dataset_csv,
     run_chunks_inline,
 )
@@ -25,8 +27,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sparseact import (
+    MonomialModel,
     SparseNet,
     cli,
+    evaluate_loss,
+    fit_low_degree,
     gamma_gated_net,
     rademacher_lab,
     selfcheck,
@@ -37,6 +42,7 @@ from sparseact import (
 from sparseact.cli import (
     _columns_to_csv,
     _columns_to_json,
+    _model_json,
     _read_dataset_csv,
     build_parser,
     run,
@@ -1438,3 +1444,201 @@ class TestDatasetReader:
         path = tmp_path_factory.mktemp("data") / "data.csv"
         path.write_text(text, newline="")
         self.assert_same_as_reference(path)
+
+
+# -- the plain-file reader against the row-by-row reader -----------------------
+
+_ODD_SIGNS = ["+1", "1.0", "01", "1_0", " 1", "-1 ", "\uff11", "-\uff11", "0", "-0", "11",
+              "--1", "1-1", "", "x", '"1"', '"-1"', '"1,"', '"-1\n"', '"1"""']
+_ODD_LABELS = ["inf", "nan", "1e400", "-0.0", " 0.5 ", "1_0", "\uff15", "\x1c1", "0x1p3",
+               "", "x", '"0.5"', '"1,5"', '"2\n"', '"a""b"', "1" * 131_073]
+
+
+@st.composite
+def _csv_variants(draw) -> bytes:
+    """Dataset CSV bytes, mostly plain (signs 1 and -1, float labels, LF
+    endings), with odd spellings and quoted cells, CRLF and bare-CR endings,
+    blank lines anywhere, invalid UTF-8, NUL bytes and fields over the csv
+    limit mixed in, at n up to 3 and at n = 62 and 63."""
+    n = draw(st.sampled_from([1, 2, 3, 1, 2, 3, 62, 63]))
+    header = [f"x{i}" for i in range(1, n + 1)] + ["y"]
+    if draw(st.integers(0, 7)) == 0:
+        header = draw(st.sampled_from([["x1", "z"], ["y"], [" x1", "y"], ["x1", "y "]]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        row = [draw(st.sampled_from(["1", "-1"])) for _ in range(min(n, 3))]
+        row = (row * n)[:n] + [repr(draw(st.floats(allow_nan=False, allow_infinity=False)))]
+        kind = draw(st.integers(0, 14))
+        if kind == 1:
+            row[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_ODD_SIGNS))
+        elif kind == 2:
+            row[-1] = draw(st.sampled_from(_ODD_LABELS))
+        elif kind == 3:
+            row = draw(st.sampled_from([[], row[:-1], row + ["1"], ["1"] * 65_537]))
+        lines.append(",".join(row))
+    if draw(st.integers(0, 4)) == 0:  # a blank line anywhere
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    endings = st.sampled_from(["\n", "\n", "\r\n", "\r"]) if draw(st.booleans()) else st.just("\n")
+    ends = [draw(endings) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[:-1]  # no final newline (or a CRLF cut to a CR)
+    content = text.encode()
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(content)))
+        content = content[:at] + draw(st.sampled_from([b"\xff", b"\x00", b"\xc3"])) + content[at:]
+    return content
+
+
+def _outcome(reader, path):
+    """``_read_outcome``, with a csv.Error raised by the header read (a NUL
+    byte before Python 3.11, a field over the limit) as its text."""
+    try:
+        return _read_outcome(reader, path)
+    except csv.Error as exc:
+        return f"csv.Error: {exc}"
+
+
+def _benchmark_shaped(path, n, rows, seed) -> tuple[np.ndarray, np.ndarray]:
+    """A dataset CSV laid out as the benchmark writes its inputs: signs 1 and
+    -1, labels by ``repr``, LF endings; returns the indices and labels."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, 1 << n, size=rows)
+    y = rng.normal(size=rows) * 10.0 ** rng.integers(-8, 8, size=rows)
+    signs = np.where((idx[:, None] >> np.arange(n)) & 1, "-1", "1")
+    lines = [",".join([f"x{i}" for i in range(1, n + 1)] + ["y"])]
+    lines += [",".join(row) + "," + repr(v) for row, v in zip(signs.tolist(), y.tolist())]
+    path.write_text("\n".join(lines) + "\n", newline="")
+    return idx, y
+
+
+class TestPlainDatasetReader:
+    """A plain file (ASCII, no quote, CR or NUL) is read in array passes;
+    whatever the route, the outcome is the row-by-row reader's."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.large_base_example])
+    @given(content=_dataset_files() | _RAW | _csv_variants())
+    @example(content=b"")
+    @example(content=b"\n")
+    @example(content=b"x1,y\n")
+    @example(content=b"x1,y\n1,0.5")
+    @example(content=b"x1,y\n\n")
+    @example(content=b"x1,y\n-1,0.5\n1,2\n1\n-1,x\n")
+    @example(content=b"x1,y\n-1,0.5\n+1,2\n")
+    @example(content=b"x1,y\n1,inf\n1,2,3\n")
+    @example(content=b"x1,x2,y\n1-1,1,0.5\n--1,1,2\n")  # "-" not after a field's end
+    @example(content=b"x1,y\n1,0.5\r\r\n")  # csv ends a line at a bare CR
+    def test_matches_row_reader(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("data") / "data.csv"
+        path.write_bytes(content)
+        assert _outcome(_read_dataset_csv, path) == _outcome(reference_read_dataset_csv, path)
+
+    @pytest.mark.parametrize("n", [1, 2, 62])
+    def test_benchmark_files_take_the_array_route(self, tmp_path, monkeypatch, n):
+        path = tmp_path / "data.csv"
+        idx, y = _benchmark_shaped(path, n, 300, seed=n)
+        expected = _read_outcome(reference_read_dataset_csv, path)
+
+        def refuse(data):
+            raise AssertionError("a plain file reached the csv route")
+
+        monkeypatch.setattr(cli, "_csv_rows", refuse)
+        assert _read_outcome(_read_dataset_csv, path) == expected == (n, idx.tolist(), y.tolist())
+        path.write_text(path.read_text()[:-1], newline="")  # no final newline
+        assert _read_outcome(_read_dataset_csv, path) == expected
+        # a file with a fault is left to the csv route, which names it
+        monkeypatch.undo()
+        path.write_text(path.read_text() + "\n\n", newline="")
+        assert _read_outcome(_read_dataset_csv, path) == _read_outcome(
+            reference_read_dataset_csv, path) == f"dataset CSV line 302 has 0 fields, expected {n + 1}"
+
+    def test_decode_error_past_the_first_chunk(self, tmp_path):
+        # the csv route decodes the file's bytes in the chunks a file would
+        # give, so the error names the same position
+        path = tmp_path / "data.csv"
+        _benchmark_shaped(path, 4, 2_000, seed=4)
+        content = path.read_bytes()
+        for at in (9_000, 20_001):
+            path.write_bytes(content[:at] + b"\xff" + content[at:])
+            message = _read_outcome(_read_dataset_csv, path)
+            assert "can't decode byte 0xff" in message
+            assert message == _read_outcome(reference_read_dataset_csv, path)
+
+    def test_200k_rows_memory(self, tmp_path):
+        # the row-by-row reader peaks at 218 MiB of traced memory on a file of
+        # this shape (13.9 MB), and the array passes at 99 MiB
+        path = tmp_path / "big.csv"
+        idx, y = _benchmark_shaped(path, 20, 200_000, seed=20)
+        tracemalloc.start()
+        try:
+            data = _read_dataset_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(data.idx, idx) and np.array_equal(data.y, y)
+        assert peak < 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@st.composite
+def _models(draw) -> MonomialModel:
+    """A monomial model at n = 1..62 with masks of each degree 0..d and
+    coefficients at repr's edges: zeros of both signs, subnormals, and the
+    exponent switches at 1e16 and 1e-05."""
+    n = draw(st.integers(1, 62))
+    d = draw(st.integers(0, n))
+    masks = []
+    for degree in draw(st.lists(st.integers(0, d), min_size=1, max_size=12)):
+        coords = draw(st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree,
+                               unique=True))
+        masks.append(sum(1 << i for i in coords))
+    edges = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16,
+                             9999999999999998.0, -1e16, 1e-05, 0.0001, -1e-05, 0.1, 1.0])
+    coeffs = [draw(edges | st.floats(allow_nan=False, allow_infinity=False)) for _ in masks]
+    return MonomialModel(n, d, np.array(masks, dtype=np.int64), np.array(coeffs))
+
+
+class TestModelWriter:
+    """``learn-low-degree`` writes its model as json.dumps would, byte for
+    byte, with json's own error for a value JSON cannot hold."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=_models(), holdout=st.booleans())
+    @example(model=MonomialModel(62, 62, np.array([0, (1 << 62) - 1]), np.array([-0.0, 1e16])),
+             holdout=True)
+    @example(model=MonomialModel(1, 0, np.array([0]), np.array([0.0])), holdout=False)
+    def test_same_bytes_as_json_dumps(self, model, holdout):
+        losses = {"train_loss": {"mse": 0.125, "count": 7}}
+        if holdout:
+            losses["holdout_loss"] = {"mse": 1e-05, "count": 14}
+        assert _model_json(model, losses) == reference_model_json(model, losses)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["coefficient", "loss"])
+    def test_non_finite_is_json_error(self, bad, where):
+        coeffs = np.array([0.5, bad if where == "coefficient" else 2.0, math.inf])
+        model = MonomialModel(3, 2, np.array([0, 3, 5]), coeffs)
+        losses = {"train_loss": {"mse": bad, "count": 4}}
+        with pytest.raises(ValueError) as expected:
+            reference_model_json(model, losses)
+        with pytest.raises(ValueError) as raised:
+            _model_json(model, losses)
+        assert str(raised.value) == str(expected.value)
+
+    def test_overflowing_fit_exits_2_with_json_message(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("x1,y\n1,1.7e308\n1,1.7e308\n-1,1e308\n")
+        model = fit_low_degree(reference_read_dataset_csv(path), 1, 1e-10)
+        with pytest.raises(ValueError) as expected:
+            reference_model_json(model, {})
+        assert run(["learn-low-degree", "--data", str(path), "--degree", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+    def test_learned_model_bytes(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        _benchmark_shaped(path, 8, 400, seed=8)
+        data = reference_read_dataset_csv(path)
+        model = fit_low_degree(data, 3)
+        losses = {"train_loss": {"mse": evaluate_loss(model, data).mse, "count": 400}}
+        assert run(["learn-low-degree", "--data", str(path), "--degree", "3"]) == 0
+        assert capsys.readouterr().out == reference_model_json(model, losses)

@@ -290,6 +290,21 @@ class TestEvalIndices:
             fourier.values_at(model, 11, np.arange(4))
 
 
+class TestRidgeInPlace:
+    """The ridge is added to the Gram matrix's diagonal in place, with the
+    bits of the solve of G + ridge I."""
+
+    @pytest.mark.parametrize("n, d", [(10, 2), (16, 3), (21, 2), (24, 2)])  # both sides of 20
+    @pytest.mark.parametrize("ridge", [0.0, 1e-10, 0.5])
+    def test_ridge_on_the_diagonal(self, n, d, ridge):
+        rng = np.random.default_rng(n)
+        data = Dataset(n, rng.integers(0, 1 << n, size=600), rng.normal(size=600))
+        masks = learners._monomial_masks(n, d)
+        G, rhs = learners._normal_equations(data, masks)
+        want = np.linalg.solve(G + ridge * np.eye(masks.size) if ridge else G, rhs)
+        assert np.array_equal(fit_low_degree(data, d, ridge).coeffs, want)
+
+
 class TestPredict:
     def test_empty_model_is_zero(self):
         model = MonomialModel(n=3, d=1, masks=[], coeffs=[])
