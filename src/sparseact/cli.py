@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Runs that draw at random need --seed (``verify`` has a default); identical
-invocations give byte-identical output, regardless of --threads.  Data goes
-to the output path (or stdout), diagnostics to stderr.  Exit codes: 0
-success, 1 runtime failure (capacity, no consistent list), 2 argument errors.
+invocations give byte-identical output, regardless of --threads.  Each
+subcommand returns its output as UTF-8 bytes with its exit code, and ``run``
+writes them once: to the output path, or to stdout's binary buffer, so the
+bytes do not depend on the locale.  Diagnostics go to stderr.  Exit codes:
+0 success, 1 runtime failure (capacity, no consistent list, an unwritable
+output), 2 argument errors.
 """
 
 from __future__ import annotations
@@ -56,14 +59,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_text(path: Optional[str], text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 _INT64 = range(-(1 << 63), 1 << 63)
 
 
@@ -93,16 +88,16 @@ def _text_bytes(texts: list[bytes]):
 
 
 def _table_text(columns: Sequence[Sequence], cell, seps: list[str], head: str,
-                tail: str = "", cut: int = 0) -> str:
+                tail: str = "", cut: int = 0) -> memoryview:
     """head, then each row as seps[0] cell_0 seps[1] ... cell_{k-1} seps[k]
     with the last ``cut`` bytes of the rows dropped, then tail.
 
     ``_BLOCK`` rows at a time are laid out in one byte matrix, each column
     in a slot as wide as its widest text, and one mask drops the padding
-    into one buffer, which becomes ``str`` once.  The columns the kernels
-    cannot write go through ``cell``, as UTF-8, in one row-major pass before
-    any row is laid out, so the first cell in row order on which ``cell``
-    raises (TypeError or ValueError) raises, as a row-by-row writer would."""
+    into one buffer, returned without a copy.  The columns the kernels cannot
+    write go through ``cell``, as UTF-8, in one row-major pass before any row
+    is laid out, so the first cell in row order on which ``cell`` raises
+    (TypeError or ValueError) raises, as a row-by-row writer would."""
     slots = [_column_bytes(column) for column in columns]
     loose = [j for j, slot in enumerate(slots) if slot is None]
     values = [columns[j].tolist() if isinstance(columns[j], np.ndarray) else columns[j]
@@ -133,11 +128,11 @@ def _table_text(columns: Sequence[Sequence], cell, seps: list[str], head: str,
         end += text.size
     end -= cut
     out[end : end + len(tail_)] = np.frombuffer(tail_, np.uint8)
-    return str(out[: end + len(tail_)], "utf-8")
+    return out.data[: end + len(tail_)]
 
 
-def _columns_to_csv(header: list[str], columns: Sequence[Sequence]) -> str:
-    """CSV text of a table given as columns of cell values."""
+def _columns_to_csv(header: list[str], columns: Sequence[Sequence]) -> memoryview:
+    """UTF-8 CSV text of a table given as columns of cell values."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -159,21 +154,18 @@ def _json_cell(value) -> str:
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n    ")
 
 
-def _columns_to_json(header: list[str], columns: Sequence[Sequence]) -> str:
-    """``json.dumps(records, indent=2, allow_nan=False)`` of the table's rows
-    as records keyed by the (distinct) header names, plus a newline."""
+def _columns_to_json(header: list[str], columns: Sequence[Sequence]) -> bytes | memoryview:
+    """UTF-8 ``json.dumps(records, indent=2, allow_nan=False)`` of the table's
+    rows as records keyed by the (distinct) header names, plus a newline."""
     if not columns or not len(columns[0]):
-        return "[]\n"
+        return b"[]\n"
     keys = [f"    {json.dumps(key)}: " for key in header]
     seps = ["  {\n" + keys[0]] + [",\n" + key for key in keys[1:]] + ["\n  },\n"]
     # the last record ends "  }" rather than "  },"
     return _table_text(columns, _json_cell, seps, "[\n", "\n]\n", cut=2)
 
 
-def _emit_table(args, header: list[str], columns: Sequence[Sequence]) -> None:
-    fmt = getattr(args, "format", "csv")
-    convert = _columns_to_json if fmt == "json" else _columns_to_csv
-    _write_text(args.out, convert(header, columns))
+_TABLE_WRITERS = {"csv": _columns_to_csv, "json": _columns_to_json}
 
 
 def _read_json(path: str, what: str, parse):
@@ -255,14 +247,14 @@ def _csv_rows(data: bytes) -> Dataset:
     """The dataset of CSV bytes decoded as UTF-8, read by ``csv.reader``."""
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[-1] != "y" or not header[0].startswith("x"):
-            raise ValueError("dataset CSV needs header x1,...,xn,y")
-        n = len(header) - 1
-        if n > MAX_PACKED_N:
-            raise ValueError(f"dataset CSV has {n} sign columns, at most {MAX_PACKED_N}")
-        rows, lines, error = [], [], None
-        try:
+        rows, lines, error, n = [], [], None, 0
+        try:  # a fault in the header leaves no rows, so it is raised as met
+            header = next(reader, None)
+            if not header or header[-1] != "y" or not header[0].startswith("x"):
+                raise ValueError("dataset CSV needs header x1,...,xn,y")
+            n = len(header) - 1
+            if n > MAX_PACKED_N:
+                raise ValueError(f"dataset CSV has {n} sign columns, at most {MAX_PACKED_N}")
             for row in reader:
                 if len(row) != n + 1:
                     raise ValueError(
@@ -311,7 +303,7 @@ def _refuse_beside(args, beside: str, *names: str) -> None:
             raise ValueError(f"--{name.replace('_', '-')} cannot be combined with {beside}")
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> tuple[bytes | memoryview, int]:
     required, optional = _CONSTRUCT_FLAGS[args.kind]
     for name in required:
         if getattr(args, name) is None:
@@ -340,18 +332,17 @@ def _cmd_construct(args) -> int:
         table /= np.linalg.norm(table, axis=1, keepdims=True)
         gamma = args.gamma if args.gamma is not None else float(np.sqrt(args.payload_dim))
         net = gamma_gated_net(args.gate_bits, args.payload_dim, gamma, table)
-    _write_text(args.out, net.to_json() + "\n")
-    return 0
+    return (net.to_json() + "\n").encode(), 0
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> tuple[bytes | memoryview, int]:
     net = _read_json(args.net, "net", SparseNet.from_json)
     spec = wht(tabulate(net, net.n))
-    _emit_table(args, ["bitmask", "coefficient"], [range(spec.coeffs.size), spec.coeffs])
-    return 0
+    return _TABLE_WRITERS[args.format](["bitmask", "coefficient"],
+                                       [range(spec.coeffs.size), spec.coeffs]), 0
 
 
-def _cmd_sensitivity(args) -> int:
+def _cmd_sensitivity(args) -> tuple[bytes | memoryview, int]:
     if bool(args.trials) == (args.seed is None):
         raise ValueError("--trials needs --seed" if args.trials else "--seed needs --trials")
     rhos = _parse_list(args.rho, float, "--rho") if args.rho else []
@@ -379,8 +370,8 @@ def _cmd_sensitivity(args) -> int:
         for rho in rhos:
             est, err = noise_sensitivity_mc(f, rho, args.trials, rng, threads=args.threads or 1)
             rows.append(["noise_sensitivity_mc", rho, est, err])
-    _emit_table(args, ["quantity", "rho", "value", "stderr"], list(zip(*rows)))
-    return 0
+    return _TABLE_WRITERS[args.format](["quantity", "rho", "value", "stderr"],
+                                       list(zip(*rows))), 0
 
 
 # Each bound column with its formula, in column order; a formula raising
@@ -403,7 +394,7 @@ _PARAM_TYPES = {
 }
 
 
-def _cmd_bounds_table(args) -> int:
+def _cmd_bounds_table(args) -> tuple[bytes | memoryview, int]:
     records = _read_json(args.grid, "grid", json.loads)
     if not isinstance(records, list) or not all(
         isinstance(rec, dict) and "n" in rec and "s" in rec for rec in records
@@ -435,8 +426,7 @@ def _cmd_bounds_table(args) -> int:
                 raise ValueError(f"grid record {pos}: a bound overflows ({exc})") from None
         row.extend([rec.get(key, "") for key in measured_keys])
         rows.append(row)
-    _emit_table(args, header, list(zip(*rows)))
-    return 0
+    return _TABLE_WRITERS[args.format](header, list(zip(*rows))), 0
 
 
 def _model_json(model, losses: dict) -> str:
@@ -463,7 +453,7 @@ def _model_json(model, losses: dict) -> str:
     return head + ",\n      ".join(records) + tail + "\n"
 
 
-def _cmd_learn_low_degree(args) -> int:
+def _cmd_learn_low_degree(args) -> tuple[bytes | memoryview, int]:
     if args.data is not None:
         _refuse_beside(args, "--data", "net", "samples", "holdout", "seed")
         data = _read_dataset_csv(args.data)
@@ -483,11 +473,10 @@ def _cmd_learn_low_degree(args) -> int:
     losses = {"train_loss": vars(evaluate_loss(model, data))}
     if holdout is not None:
         losses["holdout_loss"] = vars(evaluate_loss(model, holdout))
-    _write_text(args.out, _model_json(model, losses))
-    return 0
+    return _model_json(model, losses).encode(), 0
 
 
-def _cmd_learn_dlist(args) -> int:
+def _cmd_learn_dlist(args) -> tuple[bytes | memoryview, int]:
     if args.data is not None:
         _refuse_beside(args, "--data", "net", "full_cube")
         data = _read_dataset_csv(args.data)
@@ -500,11 +489,10 @@ def _cmd_learn_dlist(args) -> int:
         raise ValueError("give --data or --net with --full-cube")
     dlist = fit_decision_list(data, args.s, args.grid_m, args.tol)
     payload = {"list": dataclasses.asdict(dlist), "loss": vars(evaluate_loss(dlist, data))}
-    _write_text(args.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    return 0
+    return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode(), 0
 
 
-def _cmd_rademacher(args) -> int:
+def _cmd_rademacher(args) -> tuple[bytes | memoryview, int]:
     if args.trials < 1:  # exact mode never reads it, but the flag is required
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
@@ -519,20 +507,17 @@ def _cmd_rademacher(args) -> int:
         threads=args.threads,
     )
     header = ["m", "estimate", "stderr", "bound", "ratio"]
-    _emit_table(args, header, [[r[key] for r in rows_dicts] for key in header])
-    return 0
+    return _TABLE_WRITERS[args.format](header, [[r[key] for r in rows_dicts]
+                                                for key in header]), 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[bytes | memoryview, int]:
     if args.n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     results = selfcheck.run_all(args.n_max, args.seed)
-    lines = []
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        lines.append(f"{status} {name}: {detail}")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0 if all(ok for _, ok, _ in results) else 1
+    text = "\n".join(f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
+                     for name, ok, detail in results) + "\n"
+    return text.encode(), 0 if all(ok for _, ok, _ in results) else 1
 
 
 # -- parser ------------------------------------------------------------
@@ -643,7 +628,16 @@ def run(argv: Sequence[str]) -> int:
         # overflow to inf/nan is refused where results are written (tables,
         # learner JSON), so numpy's warning lines would only add noise
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.fn(args)
+            output, code = args.fn(args)
+        if args.out not in (None, "-"):
+            with open(args.out, "wb") as fh:
+                fh.write(output)
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()  # text written before stays before
+            sys.stdout.buffer.write(output)
+        else:  # a text stream with no bytes under it, such as io.StringIO
+            sys.stdout.write(str(output, "utf-8"))
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -442,17 +442,18 @@ def reference_monomial_values(model: MonomialModel, idx: np.ndarray) -> np.ndarr
 
 def reference_read_dataset_csv(path) -> Dataset:
     """The row-by-row dataset reader, checking each line's signs as it is
-    read: the oracle for ``cli._read_dataset_csv``."""
+    read: the oracle for ``cli._read_dataset_csv``.  A csv.Error, in the
+    header as on any later line, is a ValueError naming its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[-1] != "y" or not header[0].startswith("x"):
-            raise ValueError("dataset CSV needs header x1,...,xn,y")
-        n = len(header) - 1
-        if n > MAX_PACKED_N:
-            raise ValueError(f"dataset CSV has {n} sign columns, at most {MAX_PACKED_N}")
         rows = []
         try:
+            header = next(reader, None)
+            if not header or header[-1] != "y" or not header[0].startswith("x"):
+                raise ValueError("dataset CSV needs header x1,...,xn,y")
+            n = len(header) - 1
+            if n > MAX_PACKED_N:
+                raise ValueError(f"dataset CSV has {n} sign columns, at most {MAX_PACKED_N}")
             for row in reader:
                 if len(row) != n + 1:
                     raise ValueError(

@@ -243,11 +243,13 @@ def _rows(columns):
     return [list(row) for row in zip(*columns)]
 
 
-def _text_or_error(write, header, table):
+def _bytes_or_error(write, header, table):
+    """The UTF-8 bytes of what ``write`` returns, or the text of its error."""
     try:
-        return write(header, table)
+        out = write(header, table)
     except (TypeError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
+    return out.encode() if isinstance(out, str) else bytes(out)
 
 
 class TestTableWriters:
@@ -277,12 +279,12 @@ class TestTableWriters:
     def test_same_bytes_and_errors(self, table):
         header, columns = table
         rows = [list(row) for row in zip(*columns)]
-        want_csv = _text_or_error(reference_csv, header, rows)
-        want_json = _text_or_error(reference_json, header, rows)
+        want_csv = _bytes_or_error(reference_csv, header, rows)
+        want_json = _bytes_or_error(reference_json, header, rows)
         for table_columns in (columns, [list(column) for column in columns],
                               _as_arrays(columns)):
-            assert _text_or_error(_columns_to_csv, header, table_columns) == want_csv
-            assert _text_or_error(_columns_to_json, header, table_columns) == want_json
+            assert _bytes_or_error(_columns_to_csv, header, table_columns) == want_csv
+            assert _bytes_or_error(_columns_to_json, header, table_columns) == want_json
 
     @pytest.mark.parametrize(
         "write, message",
@@ -297,13 +299,14 @@ class TestTableWriters:
     def test_object_array_column_keeps_every_cell(self):
         # an array's cells are typed one by one unless its dtype fixes them
         columns = [np.array([1, "x"], dtype=object), [1, 2]]
-        rows = [[1, 1], ["x", 2]]
-        assert _columns_to_csv(["a", "b"], columns) == reference_csv(["a", "b"], rows)
-        assert _columns_to_json(["a", "b"], columns) == reference_json(["a", "b"], rows)
+        header, rows = ["a", "b"], [[1, 1], ["x", 2]]
+        assert bytes(_columns_to_csv(header, columns)) == reference_csv(header, rows).encode()
+        assert bytes(_columns_to_json(header, columns)) == reference_json(header, rows).encode()
 
     def test_spectrum_table_memory(self):
         # 2^18 rows: the row texts and their join peaked at 7.2x the CSV and
-        # 3.9x the JSON; one buffer of at most the widest rows, then its text
+        # 3.9x the JSON, a buffer and its decoded text at 2.4x and 2.2x; one
+        # buffer of at most the widest rows, handed back without a copy
         for write in (_columns_to_csv, _columns_to_json):
             coeffs = np.random.default_rng(18).standard_normal(1 << 18)
             tracemalloc.start()
@@ -312,7 +315,7 @@ class TestTableWriters:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 3 * len(text)
+            assert peak <= 2 * len(text)
 
     @pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
     def test_rows_across_blocks(self, rows):
@@ -325,8 +328,9 @@ class TestTableWriters:
         cells = [["é", "a\0b", "", "\0", 7, None, 2.5, "日本"][i % 8] for i in range(rows)]
         columns = [range(rows, -rows, -2), values, cells, np.zeros(rows) - 0.0]
         header = ["i", "x", "note", "z"]
-        assert _columns_to_csv(header, columns) == reference_csv(header, _rows(columns))
-        assert _columns_to_json(header, columns) == reference_json(header, _rows(columns))
+        rows = _rows(columns)
+        assert bytes(_columns_to_csv(header, columns)) == reference_csv(header, rows).encode()
+        assert bytes(_columns_to_json(header, columns)) == reference_json(header, rows).encode()
 
 
 
@@ -604,6 +608,90 @@ class TestVerifyCommand:
         want = verify_sparsity(built[0], 1, "exhaustive")
         assert int(active) == want.max_active > 1
         assert int(index) == want.violating_input.index
+
+
+def _seam_argvs(tmp_path) -> list[list[str]]:
+    """One seeded run of each of the eight subcommands, on the inputs of the
+    tests above; the bounds-table grid carries a non-ASCII cell."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"n": 8, "s": 4, "measured_note": "é"}]), encoding="utf-8")
+    net = str(DATA / "index3.json")
+    return [
+        ["construct", "--kind", "gamma", "--gate-bits", "2", "--payload-dim", "3",
+         "--seed", "4"],
+        ["transform", "--net", str(DATA / "junta14.json")],
+        ["sensitivity", "--net", net, "--rho", "0.3,0.6", "--trials", "4096", "--seed", "5",
+         "--format", "json"],
+        ["bounds-table", "--grid", str(grid)],
+        ["learn-low-degree", "--net", net, "--samples", "200", "--holdout", "50",
+         "--seed", "2", "--degree", "1"],
+        ["learn-dlist", "--data", str(DATA / "dlist_rows.csv"), "--s", "4", "--grid-m", "2"],
+        ["rademacher", "--n", "5", "--s", "4", "--pool-count", "3", "--m-grid", "8,16",
+         "--trials", "500", "--seed", "21", "--format", "json"],
+        ["verify", "--n-max", "2"],
+    ]
+
+
+class TestOutputSeam:
+    """``run`` writes each subcommand's bytes once: to --out, to stdout's
+    binary buffer, or decoded to a text stream with no buffer under it, such
+    as io.StringIO.  All three give the same bytes, whatever the locale."""
+
+    # every argv in one process, each output followed by a NUL line written
+    # through the text layer, which must land after the output
+    SCRIPT = (
+        "import json, sys; from sparseact.cli import run\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert run(argv) == 0, argv\n"
+        "    print('\\0')"
+    )
+
+    def stdouts(self, argvs, **env_vars) -> list[bytes]:
+        env = dict(os.environ, **env_vars)
+        env.pop("PYTHONUNBUFFERED", None)  # stdout's text layer holds what it is given
+        src = str(Path(__file__).parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+                              env=env, capture_output=True, check=True)
+        *outputs, rest = proc.stdout.split(b"\0\n")
+        assert rest == b"" and len(outputs) == len(argvs)
+        return outputs
+
+    @staticmethod
+    def out_files(tmp_path, argvs) -> list[bytes]:
+        outputs = []
+        for i, argv in enumerate(argvs):
+            assert run(argv + ["--out", str(tmp_path / f"out{i}")]) == 0
+            outputs.append((tmp_path / f"out{i}").read_bytes())
+        return outputs
+
+    def test_three_routes_same_bytes(self, tmp_path):
+        argvs = _seam_argvs(tmp_path)
+        captured = []
+        for argv in argvs:
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text):
+                assert run(argv) == 0
+            captured.append(text.getvalue().encode())
+        assert self.stdouts(argvs) == self.out_files(tmp_path, argvs) == captured
+        assert "é".encode() in captured[3]
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    def test_stdout_bytes_ignore_the_locale(self, tmp_path, encoding):
+        # stdout's text encoding once made the bounds-table's "é" \351, or
+        # an exit 2 under ascii
+        argvs = _seam_argvs(tmp_path)
+        assert self.stdouts(argvs, PYTHONIOENCODING=encoding) == self.out_files(tmp_path, argvs)
+
+    @pytest.mark.parametrize(
+        "argv", [["transform", "--net", str(DATA / "index3.json")], ["verify", "--n-max", "1"]],
+        ids=["transform", "verify"],
+    )
+    def test_unwritable_out(self, tmp_path, capsys, argv):
+        assert run(argv + ["--out", str(tmp_path / "missing" / "out.txt")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestExitCodes:
@@ -1242,6 +1330,8 @@ class TestReaderFuzz:
 
     @_FUZZ
     @given(content=_dataset_files() | _RAW)
+    @example(content=b"x" * 200_000 + b"\n1,1.0\n")  # a header field over csv's limit
+    @example(content=b"x1\0,y\n1,1.0\n")  # csv refuses NUL before Python 3.11
     def test_dataset_csv(self, tmp_path_factory, content):
         path = tmp_path_factory.mktemp("data") / "data.csv"
         path.write_bytes(content)
@@ -1429,6 +1519,11 @@ class TestDatasetReader:
         path.write_text("x1,y\n0,1\n1," + "1" * 200_000 + "\n", newline="")
         assert _read_outcome(_read_dataset_csv, path).endswith("line 2: a sign is not +-1")
         self.assert_same_as_reference(path)
+        # in the header as on a later line
+        path.write_text("x" * 200_000 + "\n1,1.0\n", newline="")
+        message = _read_outcome(_read_dataset_csv, path)
+        assert message == "dataset CSV line 1: field larger than field limit (131072)"
+        self.assert_same_as_reference(path)
 
     def test_quoted_newlines_read(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -1490,15 +1585,6 @@ def _csv_variants(draw) -> bytes:
     return content
 
 
-def _outcome(reader, path):
-    """``_read_outcome``, with a csv.Error raised by the header read (a NUL
-    byte before Python 3.11, a field over the limit) as its text."""
-    try:
-        return _read_outcome(reader, path)
-    except csv.Error as exc:
-        return f"csv.Error: {exc}"
-
-
 def _benchmark_shaped(path, n, rows, seed) -> tuple[np.ndarray, np.ndarray]:
     """A dataset CSV laid out as the benchmark writes its inputs: signs 1 and
     -1, labels by ``repr``, LF endings; returns the indices and labels."""
@@ -1532,7 +1618,8 @@ class TestPlainDatasetReader:
     def test_matches_row_reader(self, tmp_path_factory, content):
         path = tmp_path_factory.mktemp("data") / "data.csv"
         path.write_bytes(content)
-        assert _outcome(_read_dataset_csv, path) == _outcome(reference_read_dataset_csv, path)
+        assert _read_outcome(_read_dataset_csv, path) == _read_outcome(
+            reference_read_dataset_csv, path)
 
     @pytest.mark.parametrize("n", [1, 2, 62])
     def test_benchmark_files_take_the_array_route(self, tmp_path, monkeypatch, n):
